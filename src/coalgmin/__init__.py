@@ -72,6 +72,7 @@ from .oracles import (
     check_quotient_closure,
     check_simple_subterminal,
     enumerate_homomorphisms,
+    naive_refinement,
     random_coalgebra,
 )
 from .reachability import (

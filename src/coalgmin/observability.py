@@ -1,11 +1,18 @@
 """Simple quotients via functor-generic partition refinement.
 
-Refinement starts from the single-block partition and repeatedly splits
-states whose successor structures differ after mapping targets to block
-representatives.  The fixpoint is the coarsest partition whose quotient
-carries a coalgebra structure, i.e. behavioural equivalence.  A global
-refinement round is quadratic; that is deliberate, since correctness and
-oracle-checkability matter more than speed at the sizes this library targets.
+Refinement starts from the single-block partition and splits blocks whose
+members have different signatures: a state's successor structure with every
+target replaced by its block id.  The fixpoint is the coarsest partition whose
+quotient carries a coalgebra structure, i.e. behavioural equivalence.
+
+The refinement is a worklist algorithm in the style of Jacobs & Wißmann
+(POPL 2023).  Only states whose successors changed block since their last
+evaluation are evaluated again, and when a block splits, the largest part
+keeps the block id.  A state therefore changes id at most log2(n) times, and
+signature evaluations number at most n + m log2(n) for n states and m edges.
+It needs nothing from the functor beyond ``fmap`` and ``support``; weighted
+cancellation is handled because ``fmap`` sums weights and drops zeros.  The
+global-round fixpoint it replaced is kept as ``oracles.naive_refinement``.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .core import (
     underlying,
 )
 from .errors import OracleBoundExceeded, WrongFunctor
-from .functors import DfaFunctor, fmap
+from .functors import DfaFunctor
 
 DEFAULT_PARTITION_BOUND = 8
 
@@ -30,26 +37,53 @@ def _refinement_fixpoint(c: AnyCoalgebra) -> Partition:
     if base.is_empty:
         return Partition(())
     spec = base.functor
-    partition = Partition.single(base.states)
-    for _ in range(len(base.states)):
-        kappa = partition.representative_map()
-        signature = {x: fmap(spec, kappa, base.struct_of(x)) for x in base.states}
-        refined = Partition.of(
-            group
-            for block in partition.blocks
-            for group in _split(block, signature)
-        )
-        if refined == partition:
-            break
-        partition = refined
-    return partition
-
-
-def _split(block: tuple[str, ...], signature) -> list[list[str]]:
-    groups: dict[object, list[str]] = {}
-    for x in block:
-        groups.setdefault(signature[x], []).append(x)
-    return list(groups.values())
+    states = base.states
+    structs = [base.struct_of(x) for x in states]
+    index = base.state_index()
+    preds: list[list[int]] = [[] for _ in states]
+    for i, t in enumerate(structs):
+        for y in spec.support(t):
+            preds[index[y]].append(i)
+    block_of = dict.fromkeys(states, 0)  # the state map signatures are taken under
+    members = [set(range(len(states)))]
+    # per block: the signature shared by its members outside the worklist
+    shared: list[object] = [None]
+    worklist = set(range(len(states)))
+    while worklist:
+        # Every signature of a round is taken before any block of it splits.
+        touched: dict[int, list[tuple[object, int]]] = {}
+        for i in worklist:
+            touched.setdefault(block_of[states[i]], []).append(
+                (spec.fmap(block_of, structs[i]), i)
+            )
+        worklist = set()
+        for b, evaluated in touched.items():
+            groups: dict[object, list[int]] = {}
+            for sig, i in evaluated:
+                groups.setdefault(sig, []).append(i)
+            rest = len(members[b]) - len(evaluated)
+            stay = groups.setdefault(shared[b], []) if rest else None
+            keep, kept = max(
+                groups.items(),
+                key=lambda kg: len(kg[1]) + (rest if kg[1] is stay else 0),
+            )
+            if stay is not None and kept is not stay:
+                # The unevaluated members move out.  They are no more than
+                # the kept group, which was all evaluated, so listing them
+                # costs no more than this round's evaluations did.
+                stay.extend(members[b].difference(i for _, i in evaluated))
+            shared[b] = keep
+            for sig, group in groups.items():
+                if group is kept:
+                    continue
+                members[b].difference_update(group)
+                new = len(members)
+                members.append(set(group))
+                shared.append(sig)
+                for i in group:
+                    block_of[states[i]] = new
+                    worklist.update(preds[i])
+    return Partition.of([states[i] for i in m] for m in members)
 
 
 def simple_quotient(c: AnyCoalgebra) -> tuple[AnyCoalgebra, Morphism, Partition]:

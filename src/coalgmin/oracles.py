@@ -20,6 +20,7 @@ from .core import (
     AnyCoalgebra,
     Coalgebra,
     Morphism,
+    Partition,
     PointedCoalgebra,
     check_homomorphism,
     apply_partition_quotient,
@@ -195,6 +196,45 @@ def count_homomorphisms(
     a: AnyCoalgebra, b: AnyCoalgebra, cfg: Optional[HomSearchConfig] = None
 ) -> int:
     return len(enumerate_homomorphisms(a, b, cfg))
+
+
+# ---------------------------------------------------------------------------
+# Naive partition refinement
+# ---------------------------------------------------------------------------
+
+
+def naive_refinement(c: AnyCoalgebra) -> Partition:
+    """Behavioural classes by global refinement rounds, the reference for
+    the worklist refinement behind ``behavioural_classes``.
+
+    Every round maps all states' structures to block representatives and
+    splits each block by the results, until a round changes nothing.  A
+    chain needing n rounds costs n**2 signature evaluations.
+    """
+    base = underlying(c)
+    if base.is_empty:
+        return Partition(())
+    spec = base.functor
+    partition = Partition.single(base.states)
+    for _ in range(len(base.states)):
+        kappa = partition.representative_map()
+        signature = {x: fmap(spec, kappa, base.struct_of(x)) for x in base.states}
+        refined = Partition.of(
+            group
+            for block in partition.blocks
+            for group in _split(block, signature)
+        )
+        if refined == partition:
+            break
+        partition = refined
+    return partition
+
+
+def _split(block: tuple[str, ...], signature) -> list[list[str]]:
+    groups: dict[object, list[str]] = {}
+    for x in block:
+        groups.setdefault(signature[x], []).append(x)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------

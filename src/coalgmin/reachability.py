@@ -38,8 +38,11 @@ def reachable_part(c: PointedCoalgebra) -> tuple[PointedCoalgebra, Morphism]:
                 order.append(y)
                 queue.append(y)
     states = tuple(order)
+    # frozenset() of a frozenset is the same object, so restrict_structure
+    # does not copy the carrier for every state.
+    kept = frozenset(seen)
     structure = {
-        s: restrict_structure(spec, c.struct_of(s), seen) for s in states
+        s: restrict_structure(spec, c.struct_of(s), kept) for s in states
     }
     part = PointedCoalgebra(Coalgebra(spec, states, structure), c.point)
     inclusion = Morphism(part, c, {s: s for s in states})

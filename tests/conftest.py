@@ -2,6 +2,9 @@ from pathlib import Path
 
 import pytest
 
+from coalgmin import DfaFunctor, LabelledFunctor, PowersetFunctor
+from coalgmin.core import Coalgebra
+
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
@@ -12,3 +15,27 @@ def corpus_dir() -> Path:
 
 def corpus_path(name: str) -> Path:
     return CORPUS / f"{name}.json"
+
+
+def chains(spec, length: int, copies: int = 1) -> Coalgebra:
+    """Disjoint one-letter chains c{k}_0 -> ... -> c{k}_{length - 1}.
+
+    Only the end of a chain is special: for DFAs it is the only accepting
+    state and loops to itself; for the other functors it has no successors.
+    Weighted edges all carry -1/2.  The behavioural classes are therefore the
+    distances to the end.
+    """
+    structure = {}
+    for k in range(copies):
+        for i in range(length):
+            nxt = f"c{k}_{i + 1}" if i + 1 < length else None
+            if isinstance(spec, DfaFunctor):
+                t = spec.struct(nxt is None, {"a": nxt or f"c{k}_{i}"})
+            elif isinstance(spec, PowersetFunctor):
+                t = spec.struct([nxt] if nxt else [])
+            elif isinstance(spec, LabelledFunctor):
+                t = spec.struct([("a", nxt)] if nxt else [])
+            else:
+                t = spec.struct({nxt: "-1/2"} if nxt else {})
+            structure[f"c{k}_{i}"] = t
+    return Coalgebra.make(spec, sorted(structure), structure)
