@@ -162,6 +162,8 @@ def _cmd_homs(args) -> int:
     a = _load(args.a, pointed=True if args.pointed else False)
     b = _load(args.b, pointed=True if args.pointed else False)
     cfg = HomSearchConfig(pointed=bool(args.pointed))
+    if args.max is not None and args.max < 0:
+        raise CoalgminError(f"--max must be nonnegative, got {args.max}")
     homs = enumerate_homomorphisms(a, b, cfg)
     listed = homs if args.max is None else homs[: args.max]
     payload = {
@@ -283,9 +285,6 @@ def run_command(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

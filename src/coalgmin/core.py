@@ -19,6 +19,7 @@ from .errors import (
     DomainMismatch,
     IncompatiblePartition,
     InvalidMorphism,
+    MalformedStructure,
     NotAHomomorphism,
     NotAPartition,
     NotInjective,
@@ -27,6 +28,7 @@ from .errors import (
     SquareDoesNotCommute,
     ValidationError,
     WellDefinednessViolation,
+    ZeroWeightEntry,
 )
 from .functors import FStructure, FunctorSpec, fmap, structures_equal
 
@@ -141,9 +143,9 @@ def validate_coalgebra(c: AnyCoalgebra) -> list[Violation]:
         t = base.structure[s]
         try:
             base.functor.check_structure(t)
-        except Exception as exc:  # MalformedStructure or SpecMismatch
+        except (MalformedStructure, SpecMismatch) as exc:
             code = "malformed-structure"
-            if "zero weight" in str(exc):
+            if isinstance(exc, ZeroWeightEntry):
                 code = "zero-weight-entry"
             out.append(Violation(code, f"state {s!r}: {exc}", s))
             continue

@@ -14,6 +14,10 @@ class MalformedStructure(CoalgminError):
     """A successor structure violates the invariants of its functor."""
 
 
+class ZeroWeightEntry(MalformedStructure):
+    """A weighted structure stores an explicit zero weight."""
+
+
 class PartialMap(CoalgminError):
     """A state map is not total where totality is required."""
 
@@ -106,6 +110,10 @@ class CyclicReachablePart(CoalgminError):
 
 class WrongFunctor(CoalgminError):
     """Operation applied to a coalgebra of an unsupported functor."""
+
+
+class UnknownSuite(CoalgminError):
+    """A property suite was requested by a name that does not exist."""
 
 
 class ParseError(CoalgminError):

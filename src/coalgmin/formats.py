@@ -10,7 +10,6 @@ at once.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .core import (
     AnyCoalgebra,
@@ -24,126 +23,27 @@ from .core import (
     validate_coalgebra,
 )
 from .errors import ParseError, ValidationError
-from .functors import (
-    DfaFunctor,
-    DfaStruct,
-    FunctorSpec,
-    LabelledFunctor,
-    LabelledStruct,
-    PowersetFunctor,
-    SetStruct,
-    WeightedFunctor,
-    WeightedStruct,
-)
-
-FUNCTOR_KINDS = ("dfa", "powerset", "labelled-powerset", "weighted")
+from .functors import FunctorSpec, string_list
 
 
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# Functor descriptors
-# ---------------------------------------------------------------------------
-
-
-def functor_payload(spec: FunctorSpec) -> dict:
-    if isinstance(spec, DfaFunctor):
-        return {"kind": "dfa", "alphabet": list(spec.alphabet)}
-    if isinstance(spec, PowersetFunctor):
-        return {"kind": "powerset"}
-    if isinstance(spec, LabelledFunctor):
-        return {"kind": "labelled-powerset", "labels": list(spec.labels)}
-    if isinstance(spec, WeightedFunctor):
-        return {"kind": "weighted", "monoid": spec.monoid}
-    raise ParseError(None, f"unknown functor {spec!r}")
-
-
 def parse_functor(payload) -> FunctorSpec:
+    """The functor a descriptor names, looked up by ``kind`` among the
+    direct subclasses of :class:`FunctorSpec`."""
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ParseError(None, "functor must be an object with a 'kind'")
-    kind = payload["kind"]
-    if kind == "dfa":
-        return DfaFunctor(tuple(_string_list(payload.get("alphabet"), "alphabet")))
-    if kind == "powerset":
-        return PowersetFunctor()
-    if kind == "labelled-powerset":
-        return LabelledFunctor(tuple(_string_list(payload.get("labels"), "labels")))
-    if kind == "weighted":
-        monoid = payload.get("monoid")
-        if monoid not in ("rational", "natural"):
-            raise ParseError(None, f"weighted monoid must be rational or natural, got {monoid!r}")
-        return WeightedFunctor(monoid)
-    raise ParseError(None, f"unknown functor kind {kind!r}; expected one of {FUNCTOR_KINDS}")
-
-
-def _string_list(value, what: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ParseError(None, f"{what} must be a list of strings")
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Structures
-# ---------------------------------------------------------------------------
-
-
-def _weight_string(w: Fraction) -> str:
-    return str(w)
-
-
-def _parse_weight(text, state: str) -> Fraction:
-    if not isinstance(text, str):
-        raise ParseError(None, f"weight for {state!r} must be a string, got {text!r}")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(None, f"bad weight {text!r} for {state!r}: {exc}") from None
-
-
-def structure_payload(spec: FunctorSpec, t, carrier_index) -> object:
-    if isinstance(spec, DfaFunctor):
-        return {"accepting": t.accepting, "next": dict(t.moves)}
-    if isinstance(spec, PowersetFunctor):
-        return sorted(t.successors, key=carrier_index.__getitem__)
-    if isinstance(spec, LabelledFunctor):
-        label_pos = {l: i for i, l in enumerate(spec.labels)}
-        ordered = sorted(t.edges, key=lambda e: (label_pos[e[0]], carrier_index[e[1]]))
-        return [[l, s] for l, s in ordered]
-    if isinstance(spec, WeightedFunctor):
-        return {s: _weight_string(w) for s, w in t.weights}
-    raise ParseError(None, f"unknown functor {spec!r}")
-
-
-def parse_structure(spec: FunctorSpec, payload, state: str):
-    """Build a raw structure from its document form.
-
-    Shape problems (wrong JSON types) raise ParseError; semantic problems
-    such as zero weights or missing symbols are left for validation so they
-    can all be reported together.
-    """
-    if isinstance(spec, DfaFunctor):
-        if not isinstance(payload, dict) or not isinstance(payload.get("next"), dict):
-            raise ParseError(None, f"dfa structure of {state!r} needs 'accepting' and 'next'")
-        nxt = payload["next"]
-        moves = [(a, str(nxt[a])) for a in spec.alphabet if a in nxt]
-        moves += sorted((a, str(v)) for a, v in nxt.items() if a not in spec.alphabet)
-        return DfaStruct(bool(payload.get("accepting", False)), tuple(moves))
-    if isinstance(spec, PowersetFunctor):
-        return SetStruct(frozenset(_string_list(payload, f"successors of {state!r}")))
-    if isinstance(spec, LabelledFunctor):
-        if not isinstance(payload, list) or not all(
-            isinstance(e, list) and len(e) == 2 for e in payload
-        ):
-            raise ParseError(None, f"labelled structure of {state!r} must be [label, state] pairs")
-        return LabelledStruct(frozenset((str(l), str(s)) for l, s in payload))
-    if isinstance(spec, WeightedFunctor):
-        if not isinstance(payload, dict):
-            raise ParseError(None, f"weighted structure of {state!r} must be an object")
-        entries = sorted((str(s), _parse_weight(w, state)) for s, w in payload.items())
-        return WeightedStruct(tuple(entries))
-    raise ParseError(None, f"unknown functor {spec!r}")
+    classes = FunctorSpec.__subclasses__()
+    for cls in classes:
+        if cls.kind == payload["kind"]:
+            try:
+                return cls.from_payload(payload)
+            except ValueError as exc:
+                raise ParseError(None, f"bad {cls.kind} functor: {exc}") from None
+    kinds = tuple(cls.kind for cls in classes)
+    raise ParseError(None, f"unknown functor kind {payload['kind']!r}; expected one of {kinds}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +55,10 @@ def coalgebra_payload(c: AnyCoalgebra) -> dict:
     base = underlying(c)
     index = base.state_index()
     doc = {
-        "functor": functor_payload(base.functor),
+        "functor": base.functor.payload(),
         "states": list(base.states),
         "structure": {
-            s: structure_payload(base.functor, base.struct_of(s), index)
-            for s in base.states
+            s: base.functor.encode(base.struct_of(s), index) for s in base.states
         },
     }
     p = point_of(c)
@@ -177,13 +76,11 @@ def parse_coalgebra(text: str) -> AnyCoalgebra:
     if not isinstance(doc, dict):
         raise ParseError(None, "document must be a JSON object")
     spec = parse_functor(doc.get("functor"))
-    states = tuple(_string_list(doc.get("states"), "states"))
+    states = tuple(string_list(doc.get("states"), "states"))
     structure_doc = doc.get("structure")
     if not isinstance(structure_doc, dict):
         raise ParseError(None, "'structure' must be an object")
-    structure = {
-        s: parse_structure(spec, payload, s) for s, payload in structure_doc.items()
-    }
+    structure = {s: spec.decode(payload, s) for s, payload in structure_doc.items()}
     base = Coalgebra(spec, states, structure)
     point = doc.get("point")
     if point is not None and not isinstance(point, str):
@@ -261,7 +158,8 @@ def _quote(s: str) -> str:
 def emit_dot(c: AnyCoalgebra) -> str:
     """Render the system as Graphviz DOT text, deterministically.
 
-    Nodes appear in carrier order; accepting DFA states are double circles;
+    Nodes appear in carrier order, shaped by the functor (accepting DFA
+    states are double circles);
     the point is marked by an arrow from an invisible node; weighted and
     labelled edges carry labels.
     """
@@ -276,31 +174,12 @@ def emit_dot(c: AnyCoalgebra) -> str:
             start += "_"
         lines.append(f"  {_quote(start)} [shape=none, label=\"\", width=0, height=0];")
     for s in base.states:
-        shape = "circle"
-        if isinstance(spec, DfaFunctor) and base.struct_of(s).accepting:
-            shape = "doublecircle"
-        lines.append(f"  {_quote(s)} [shape={shape}];")
+        lines.append(f"  {_quote(s)} [shape={spec.node_shape(base.struct_of(s))}];")
     if point is not None:
         lines.append(f"  {_quote(start)} -> {_quote(point)};")
     for s in base.states:
-        t = base.struct_of(s)
-        for target, label in _edges(spec, t, index):
-            suffix = f" [label={_quote(label)}]" if label is not None else ""
+        for label, target in spec.edges(base.struct_of(s), index):
+            suffix = f" [label={_quote(str(label))}]" if label is not None else ""
             lines.append(f"  {_quote(s)} -> {_quote(target)}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _edges(spec, t, index):
-    if isinstance(spec, DfaFunctor):
-        return [(tgt, sym) for sym, tgt in t.moves]
-    if isinstance(spec, PowersetFunctor):
-        return [(tgt, None) for tgt in sorted(t.successors, key=index.__getitem__)]
-    if isinstance(spec, LabelledFunctor):
-        label_pos = {l: i for i, l in enumerate(spec.labels)}
-        ordered = sorted(t.edges, key=lambda e: (label_pos[e[0]], index[e[1]]))
-        return [(tgt, label) for label, tgt in ordered]
-    if isinstance(spec, WeightedFunctor):
-        ordered = sorted(t.weights, key=lambda e: index[e[0]])
-        return [(tgt, _weight_string(w)) for tgt, w in ordered]
-    raise ParseError(None, f"unknown functor {spec!r}")

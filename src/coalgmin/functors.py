@@ -1,9 +1,15 @@
 """The four built-in system-type functors and their successor structures.
 
 A functor value fixes the shape of one state's successor structure and the
-action of state maps on it.  Everything downstream (homomorphism checking,
-partition refinement, reachability) is generic over this interface, so adding
-a functor means implementing exactly the methods of :class:`FunctorSpec`.
+action of state maps on it.  The rest of the library (documents, DOT output,
+homomorphisms, refinement, reachability, unravelling, the oracle lab) is
+generic over :class:`FunctorSpec`.  Adding a functor means subclassing it
+directly with a new ``kind``, which ``formats.parse_functor`` looks up, and
+implementing ``check_structure``, ``fmap``, ``support`` (the action),
+``enumerate_structures``, ``local_signature`` (oracles and iso search),
+``edges`` (canonical edge order), ``encode``/``decode`` (documents),
+``unravel`` and ``random_structure``; ``payload``/``from_payload``,
+``node_shape``, ``random_pool`` and ``pair_structure`` have defaults.
 
 Structures are immutable, canonical and hashable: two structures are
 semantically equal iff they compare equal, which is what lets the refinement
@@ -19,10 +25,12 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     MalformedStructure,
+    ParseError,
     PartialMap,
     SpecMismatch,
     SupportEscapesSubset,
     WeightedWithoutPool,
+    ZeroWeightEntry,
 )
 
 # Exact weights.  Equality of weighted structures must be decidable for the
@@ -39,15 +47,6 @@ class DfaStruct:
 
     accepting: bool
     moves: tuple[tuple[str, str], ...]
-
-    def target(self, symbol: str) -> str:
-        for sym, tgt in self.moves:
-            if sym == symbol:
-                return tgt
-        raise KeyError(symbol)
-
-    def move_dict(self) -> dict[str, str]:
-        return dict(self.moves)
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,13 @@ def _check_distinct(symbols: Sequence[str], what: str) -> tuple[str, ...]:
     if not all(isinstance(s, str) for s in symbols):
         raise ValueError(f"{what} entries must be strings")
     return symbols
+
+
+def string_list(value, what: str) -> list[str]:
+    """``value`` if it is a JSON list of strings, else a ParseError."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(None, f"{what} must be a list of strings")
+    return value
 
 
 class FunctorSpec:
@@ -123,6 +129,59 @@ class FunctorSpec:
     def local_signature(self, t: FStructure):
         """Invariant of t under renaming of states; used to prune iso search."""
         raise NotImplementedError
+
+    # -- documents and rendering -------------------------------------------
+
+    def payload(self) -> dict:
+        """The functor's JSON descriptor."""
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "FunctorSpec":
+        """Inverse of :meth:`payload`; ``payload["kind"]`` is already matched."""
+        return cls()
+
+    def edges(self, t: FStructure, index: Mapping[str, int]) -> Sequence[tuple]:
+        """The (label or None, target) pairs of t in the canonical order that
+        documents, DOT output and unravelling share; ``index`` gives carrier
+        positions."""
+        raise NotImplementedError
+
+    def encode(self, t: FStructure, index: Mapping[str, int]):
+        """The JSON form of t, with state lists in carrier order."""
+        raise NotImplementedError
+
+    def decode(self, payload, state: str) -> FStructure:
+        """A raw structure from its document form.  Wrong JSON types raise
+        ParseError; semantic problems (zero weights, missing symbols) are left
+        for validation, which reports them all together."""
+        raise NotImplementedError
+
+    def node_shape(self, t: FStructure) -> str:
+        """Graphviz node shape of a state with structure t."""
+        return "circle"
+
+    # -- constructions over structures ------------------------------------
+
+    def unravel(
+        self, t: FStructure, path: str, index: Mapping[str, int]
+    ) -> tuple[FStructure, list[tuple[str, str]]]:
+        """One unravelling step at tree node ``path``, whose state has t: the
+        node's structure over child paths and the (child path, state) list."""
+        raise NotImplementedError
+
+    def random_pool(self, weight_pool: Optional[Sequence]):
+        """The checked, sorted weight pool random generation draws from."""
+        return None
+
+    def random_structure(self, states: Sequence[str], rng, pool, density: float) -> FStructure:
+        """A random structure over ``states``, drawn from ``rng``."""
+        raise NotImplementedError
+
+    def pair_structure(self, tx, ty, kappa: Mapping[str, str], index, pair_id) -> FStructure:
+        """Structure of a pair of states with structures tx, ty in the kernel
+        pair of ``kappa``, over ``pair_id(u, v)`` of merged successors."""
+        raise SpecMismatch(f"no kernel-pair structure for {self!r}")
 
     # -- shared helpers ----------------------------------------------------
 
@@ -186,6 +245,54 @@ class DfaFunctor(FunctorSpec):
     def local_signature(self, t):
         return t.accepting
 
+    def payload(self):
+        return {"kind": self.kind, "alphabet": list(self.alphabet)}
+
+    @classmethod
+    def from_payload(cls, payload):
+        return cls(tuple(string_list(payload.get("alphabet"), "alphabet")))
+
+    def edges(self, t, index):
+        return t.moves
+
+    def encode(self, t, index):
+        return {"accepting": t.accepting, "next": dict(t.moves)}
+
+    def decode(self, payload, state):
+        if (
+            not isinstance(payload, dict)
+            or not isinstance(payload.get("accepting"), bool)
+            or not isinstance(payload.get("next"), dict)
+        ):
+            raise ParseError(
+                None, f"dfa structure of {state!r} needs a boolean 'accepting' and a 'next' object"
+            )
+        nxt = payload["next"]
+        string_list(list(nxt.values()), f"'next' targets of {state!r}")
+        moves = [(a, nxt[a]) for a in self.alphabet if a in nxt]
+        moves += sorted((a, v) for a, v in nxt.items() if a not in self.alphabet)
+        return DfaStruct(payload["accepting"], tuple(moves))
+
+    def node_shape(self, t):
+        return "doublecircle" if t.accepting else "circle"
+
+    def unravel(self, t, path, index):
+        children = [(f"{path}/{sym}", tgt) for sym, tgt in t.moves]
+        moves = tuple((sym, child) for (sym, _), (child, _) in zip(t.moves, children))
+        return DfaStruct(t.accepting, moves), children
+
+    def random_structure(self, states, rng, pool, density):
+        return DfaStruct(
+            rng.random() < 0.5,
+            tuple((sym, rng.choice(states)) for sym in self.alphabet),
+        )
+
+    def pair_structure(self, tx, ty, kappa, index, pair_id):
+        moves = tuple(
+            (sym, pair_id(u, v)) for (sym, u), (_, v) in zip(tx.moves, ty.moves)
+        )
+        return DfaStruct(tx.accepting, moves)
+
 
 @dataclass(frozen=True)
 class PowersetFunctor(FunctorSpec):
@@ -215,6 +322,32 @@ class PowersetFunctor(FunctorSpec):
 
     def local_signature(self, t):
         return len(t.successors)
+
+    def edges(self, t, index):
+        return [(None, s) for s in sorted(t.successors, key=index.__getitem__)]
+
+    def encode(self, t, index):
+        return [s for _, s in self.edges(t, index)]
+
+    def decode(self, payload, state):
+        return SetStruct(frozenset(string_list(payload, f"successors of {state!r}")))
+
+    def unravel(self, t, path, index):
+        children = [(f"{path}/{s}", s) for _, s in self.edges(t, index)]
+        return SetStruct(frozenset(child for child, _ in children)), children
+
+    def random_structure(self, states, rng, pool, density):
+        return SetStruct(frozenset(s for s in states if rng.random() < density))
+
+    def pair_structure(self, tx, ty, kappa, index, pair_id):
+        return SetStruct(
+            frozenset(
+                pair_id(u, v)
+                for u in tx.successors
+                for v in ty.successors
+                if kappa[u] == kappa[v]
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -260,6 +393,53 @@ class LabelledFunctor(FunctorSpec):
     def local_signature(self, t):
         return tuple(sorted(l for l, _ in t.edges))
 
+    def payload(self):
+        return {"kind": self.kind, "labels": list(self.labels)}
+
+    @classmethod
+    def from_payload(cls, payload):
+        return cls(tuple(string_list(payload.get("labels"), "labels")))
+
+    def edges(self, t, index):
+        return sorted(t.edges, key=lambda e: (self.labels.index(e[0]), index[e[1]]))
+
+    def encode(self, t, index):
+        return [[l, s] for l, s in self.edges(t, index)]
+
+    def decode(self, payload, state):
+        if not isinstance(payload, list) or not all(
+            isinstance(e, list) and len(e) == 2 for e in payload
+        ):
+            raise ParseError(None, f"labelled structure of {state!r} must be [label, state] pairs")
+        pairs = (string_list(e, f"edge {e!r} of {state!r}") for e in payload)
+        return LabelledStruct(frozenset((l, s) for l, s in pairs))
+
+    def unravel(self, t, path, index):
+        ordered = self.edges(t, index)
+        children = [(f"{path}/{l}:{s}", s) for l, s in ordered]
+        edges = frozenset((l, child) for (l, _), (child, _) in zip(ordered, children))
+        return LabelledStruct(edges), children
+
+    def random_structure(self, states, rng, pool, density):
+        return LabelledStruct(
+            frozenset(
+                (l, s)
+                for l in self.labels
+                for s in states
+                if rng.random() < density
+            )
+        )
+
+    def pair_structure(self, tx, ty, kappa, index, pair_id):
+        return LabelledStruct(
+            frozenset(
+                (l, pair_id(u, v))
+                for l, u in tx.edges
+                for k, v in ty.edges
+                if l == k and kappa[u] == kappa[v]
+            )
+        )
+
 
 def _as_weight(value) -> Weight:
     if isinstance(value, Fraction):
@@ -272,6 +452,15 @@ def _as_weight(value) -> Weight:
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedStructure(f"bad weight literal {value!r}: {exc}") from None
     raise MalformedStructure(f"weights must be exact rationals, got {value!r}")
+
+
+def _parse_weight(text, state: str) -> Weight:
+    if not isinstance(text, str):
+        raise ParseError(None, f"weight for {state!r} must be a string, got {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(None, f"bad weight {text!r} for {state!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -303,7 +492,7 @@ class WeightedFunctor(FunctorSpec):
 
     def check_weight(self, w: Weight) -> None:
         if w == 0:
-            raise MalformedStructure("zero weight entries must be dropped")
+            raise ZeroWeightEntry("zero weight entries must be dropped")
         if self.monoid == NATURALS and (w.denominator != 1 or w < 0):
             raise MalformedStructure(
                 f"natural-weighted structures need positive integer weights, got {w}"
@@ -356,6 +545,75 @@ class WeightedFunctor(FunctorSpec):
 
     def local_signature(self, t):
         return tuple(sorted(w for _, w in t.weights))
+
+    def payload(self):
+        return {"kind": self.kind, "monoid": self.monoid}
+
+    @classmethod
+    def from_payload(cls, payload):
+        monoid = payload.get("monoid")
+        if monoid not in (RATIONALS, NATURALS):
+            raise ParseError(None, f"weighted monoid must be rational or natural, got {monoid!r}")
+        return cls(monoid)
+
+    def edges(self, t, index):
+        return [(w, s) for s, w in sorted(t.weights, key=lambda e: index[e[0]])]
+
+    def encode(self, t, index):
+        return {s: str(w) for s, w in t.weights}
+
+    def decode(self, payload, state):
+        if not isinstance(payload, dict):
+            raise ParseError(None, f"weighted structure of {state!r} must be an object")
+        entries = sorted((s, _parse_weight(w, state)) for s, w in payload.items())
+        return WeightedStruct(tuple(entries))
+
+    def unravel(self, t, path, index):
+        children, entries = [], []
+        for w, s in self.edges(t, index):
+            if self.monoid == NATURALS:
+                copies = [(f"{path}/{s}#{i}", Weight(1)) for i in range(int(w))]
+            else:
+                copies = [(f"{path}/{s}", w)]
+            for child, weight in copies:
+                children.append((child, s))
+                entries.append((child, weight))
+        return WeightedStruct(tuple(sorted(entries))), children
+
+    def random_pool(self, weight_pool):
+        if not weight_pool:
+            raise WeightedWithoutPool("weighted generation needs a weight pool")
+        pool = sorted(Fraction(w) for w in weight_pool)
+        for w in pool:
+            self.check_weight(w)
+        return pool
+
+    def random_structure(self, states, rng, pool, density):
+        entries = [(s, rng.choice(pool)) for s in states if rng.random() < density]
+        return WeightedStruct(tuple(sorted(entries)))
+
+    def pair_structure(self, tx, ty, kappa, index, pair_id):
+        if self.monoid != NATURALS:
+            return super().pair_structure(tx, ty, kappa, index, pair_id)
+        entries: dict[str, Fraction] = {}
+        ex, ey = self.edges(tx, index), self.edges(ty, index)
+        for block in sorted({kappa[s] for _, s in ex} | {kappa[s] for _, s in ey}):
+            sources = [[s, w] for w, s in ex if kappa[s] == block]
+            sinks = [[s, w] for w, s in ey if kappa[s] == block]
+            # northwest-corner transport: both sides sum to the block weight
+            i = j = 0
+            while i < len(sources) and j < len(sinks):
+                amount = min(sources[i][1], sinks[j][1])
+                if amount > 0:
+                    key = pair_id(sources[i][0], sinks[j][0])
+                    entries[key] = entries.get(key, Fraction(0)) + amount
+                sources[i][1] -= amount
+                sinks[j][1] -= amount
+                if sources[i][1] == 0:
+                    i += 1
+                if sinks[j][1] == 0:
+                    j += 1
+        return WeightedStruct(tuple(sorted(entries.items())))
 
 
 # ---------------------------------------------------------------------------

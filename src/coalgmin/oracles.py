@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -29,21 +28,8 @@ from .core import (
     require_valid,
     underlying,
 )
-from .errors import SearchBoundExceeded, SpecMismatch, WeightedWithoutPool
-from .functors import (
-    DfaFunctor,
-    DfaStruct,
-    FunctorSpec,
-    LabelledFunctor,
-    LabelledStruct,
-    NATURALS,
-    PowersetFunctor,
-    SetStruct,
-    WeightedFunctor,
-    WeightedStruct,
-    fmap,
-    structures_equal,
-)
+from .errors import SearchBoundExceeded, SpecMismatch
+from .functors import FunctorSpec, fmap, structures_equal
 from .observability import (
     behavioural_classes,
     enumerate_compatible_partitions,
@@ -267,10 +253,11 @@ def kernel_pair_coalgebra(c: AnyCoalgebra) -> Optional[tuple[Coalgebra, Morphism
         for y in base.states
         if kappa[x] == kappa[y]
     ]
+    index = base.state_index()
     structure = {}
     for x, y in pairs:
-        structure[_pair_id(x, y)] = _pair_structure(
-            spec, base.struct_of(x), base.struct_of(y), kappa, base.states
+        structure[_pair_id(x, y)] = spec.pair_structure(
+            base.struct_of(x), base.struct_of(y), kappa, index, _pair_id
         )
     carrier = tuple(_pair_id(x, y) for x, y in pairs)
     kernel = Coalgebra(spec, carrier, structure)
@@ -279,60 +266,6 @@ def kernel_pair_coalgebra(c: AnyCoalgebra) -> Optional[tuple[Coalgebra, Morphism
     require_homomorphism(pr1)
     require_homomorphism(pr2)
     return kernel, pr1, pr2
-
-
-def _pair_structure(spec, tx, ty, kappa, carrier):
-    if isinstance(spec, DfaFunctor):
-        moves = tuple(
-            (sym, _pair_id(u, v))
-            for (sym, u), (_, v) in zip(tx.moves, ty.moves)
-        )
-        return DfaStruct(tx.accepting, moves)
-    if isinstance(spec, PowersetFunctor):
-        return SetStruct(
-            frozenset(
-                _pair_id(u, v)
-                for u in tx.successors
-                for v in ty.successors
-                if kappa[u] == kappa[v]
-            )
-        )
-    if isinstance(spec, LabelledFunctor):
-        return LabelledStruct(
-            frozenset(
-                (l, _pair_id(u, v))
-                for l, u in tx.edges
-                for k, v in ty.edges
-                if l == k and kappa[u] == kappa[v]
-            )
-        )
-    if isinstance(spec, WeightedFunctor) and spec.monoid == NATURALS:
-        index = {s: i for i, s in enumerate(carrier)}
-        entries: dict[str, Fraction] = {}
-        blocks = sorted({kappa[s] for s, _ in tx.weights} | {kappa[s] for s, _ in ty.weights})
-        wx, wy = dict(tx.weights), dict(ty.weights)
-        for block in blocks:
-            sources = [
-                [s, wx[s]] for s in sorted(wx, key=index.__getitem__) if kappa[s] == block
-            ]
-            sinks = [
-                [s, wy[s]] for s in sorted(wy, key=index.__getitem__) if kappa[s] == block
-            ]
-            # northwest-corner transport: both sides sum to the block weight
-            i = j = 0
-            while i < len(sources) and j < len(sinks):
-                amount = min(sources[i][1], sinks[j][1])
-                if amount > 0:
-                    key = _pair_id(sources[i][0], sinks[j][0])
-                    entries[key] = entries.get(key, Fraction(0)) + amount
-                sources[i][1] -= amount
-                sinks[j][1] -= amount
-                if sources[i][1] == 0:
-                    i += 1
-                if sinks[j][1] == 0:
-                    j += 1
-        return WeightedStruct(tuple(sorted(entries.items())))
-    raise SpecMismatch(f"no kernel-pair structure for {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +535,7 @@ def random_coalgebra(
     """
     if n_states < 0:
         raise ValueError("n_states must be nonnegative")
-    if isinstance(spec, WeightedFunctor):
-        if not weight_pool:
-            raise WeightedWithoutPool("weighted generation needs a weight pool")
-        pool = sorted(Fraction(w) for w in weight_pool)
-        for w in pool:
-            spec.check_weight(w)
-    else:
-        pool = None
+    pool = spec.random_pool(weight_pool)
     if pointed and n_states == 0:
         raise ValueError("a pointed coalgebra needs at least one state")
     token = f"{spec!r}|{n_states}|{seed}|{pool!r}|{density}|{pointed}"
@@ -617,34 +543,8 @@ def random_coalgebra(
     states = tuple(f"s{i}" for i in range(n_states))
     structure = {}
     for s in states:
-        structure[s] = _random_structure(spec, states, rng, pool, density)
+        structure[s] = spec.random_structure(states, rng, pool, density)
     base = Coalgebra(spec, states, structure)
     if pointed:
         return PointedCoalgebra(base, rng.choice(states))
     return base
-
-
-def _random_structure(spec, states, rng, pool, density):
-    if isinstance(spec, DfaFunctor):
-        return DfaStruct(
-            rng.random() < 0.5,
-            tuple((sym, rng.choice(states)) for sym in spec.alphabet),
-        )
-    if isinstance(spec, PowersetFunctor):
-        return SetStruct(frozenset(s for s in states if rng.random() < density))
-    if isinstance(spec, LabelledFunctor):
-        return LabelledStruct(
-            frozenset(
-                (l, s)
-                for l in spec.labels
-                for s in states
-                if rng.random() < density
-            )
-        )
-    if isinstance(spec, WeightedFunctor):
-        entries = []
-        for s in states:
-            if rng.random() < density:
-                entries.append((s, rng.choice(pool)))
-        return WeightedStruct(tuple(sorted(entries)))
-    raise SpecMismatch(f"unsupported functor {spec!r}")

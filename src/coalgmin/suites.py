@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .core import Morphism, PointedCoalgebra, apply_partition_quotient
+from .errors import UnknownSuite
 from .functors import (
     DfaFunctor,
     LabelledFunctor,
@@ -269,5 +270,5 @@ def run_suite(name: str, seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyR
             reports.extend(SUITES[key](seeds))
         return reports
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+        raise UnknownSuite(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return SUITES[name](seeds)

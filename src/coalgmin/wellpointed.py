@@ -24,18 +24,7 @@ from .core import (
     underlying,
 )
 from .errors import CyclicReachablePart, SpecMismatch
-from .functors import (
-    DfaFunctor,
-    DfaStruct,
-    LabelledFunctor,
-    LabelledStruct,
-    NATURALS,
-    PowersetFunctor,
-    SetStruct,
-    WeightedFunctor,
-    WeightedStruct,
-    Weight,
-)
+from .functors import DfaFunctor
 from .observability import is_simple, simple_quotient
 from .reachability import is_reachable, reachable_part
 
@@ -210,6 +199,7 @@ def tree_unravel(c: PointedCoalgebra) -> tuple[PointedCoalgebra, Morphism]:
     if cycle is not None:
         raise CyclicReachablePart(cycle)
     spec = part.functor
+    index = part.state_index()
     root = part.point
     states: list[str] = [root]
     structure: dict[str, object] = {}
@@ -217,9 +207,8 @@ def tree_unravel(c: PointedCoalgebra) -> tuple[PointedCoalgebra, Morphism]:
     queue = deque([root])
     while queue:
         path = queue.popleft()
-        children = _unravel_children(spec, part, path, endpoint[path])
-        structure[path] = children["structure"]
-        for child_path, child_state in children["children"]:
+        structure[path], children = spec.unravel(part.struct_of(endpoint[path]), path, index)
+        for child_path, child_state in children:
             endpoint[child_path] = child_state
             states.append(child_path)
             queue.append(child_path)
@@ -231,54 +220,6 @@ def tree_unravel(c: PointedCoalgebra) -> tuple[PointedCoalgebra, Morphism]:
     require_homomorphism(covering)
     assert covering.is_surjective()
     return tree, covering
-
-
-def _unravel_children(spec, part: PointedCoalgebra, path: str, state: str) -> dict:
-    t = part.struct_of(state)
-    children: list[tuple[str, str]] = []
-    if isinstance(spec, DfaFunctor):
-        moves = []
-        for sym, tgt in t.moves:
-            child = f"{path}/{sym}"
-            children.append((child, tgt))
-            moves.append((sym, child))
-        return {"structure": DfaStruct(t.accepting, tuple(moves)), "children": children}
-    if isinstance(spec, PowersetFunctor):
-        index = part.state_index()
-        succ = []
-        for tgt in sorted(t.successors, key=index.__getitem__):
-            child = f"{path}/{tgt}"
-            children.append((child, tgt))
-            succ.append(child)
-        return {"structure": SetStruct(frozenset(succ)), "children": children}
-    if isinstance(spec, LabelledFunctor):
-        index = part.state_index()
-        label_pos = {l: i for i, l in enumerate(spec.labels)}
-        edges = []
-        ordered = sorted(t.edges, key=lambda e: (label_pos[e[0]], index[e[1]]))
-        for label, tgt in ordered:
-            child = f"{path}/{label}:{tgt}"
-            children.append((child, tgt))
-            edges.append((label, child))
-        return {"structure": LabelledStruct(frozenset(edges)), "children": children}
-    if isinstance(spec, WeightedFunctor):
-        index = part.state_index()
-        entries = []
-        for tgt, w in sorted(t.weights, key=lambda e: index[e[0]]):
-            if spec.monoid == NATURALS:
-                for i in range(int(w)):
-                    child = f"{path}/{tgt}#{i}"
-                    children.append((child, tgt))
-                    entries.append((child, Weight(1)))
-            else:
-                child = f"{path}/{tgt}"
-                children.append((child, tgt))
-                entries.append((child, w))
-        return {
-            "structure": WeightedStruct(tuple(sorted(entries))),
-            "children": children,
-        }
-    raise SpecMismatch(f"unsupported functor {spec!r}")
 
 
 def _find_cycle(c: PointedCoalgebra) -> Optional[list[str]]:

@@ -159,6 +159,15 @@ def test_homs_lists_and_caps(capsys):
     assert len(payload["maps"]) == 1
 
 
+def test_homs_rejects_a_negative_max(capsys):
+    assert run_command([
+        "homs", doc("ts_branching"), doc("ts_branching"), "--max", "-1"
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max" in captured.err
+
+
 def test_unravel_writes_tree_and_covering(tmp_path, capsys):
     assert run_command([
         "unravel", doc("bag_double_edge"), "--out-dir", str(tmp_path)

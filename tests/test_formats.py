@@ -102,6 +102,45 @@ def test_dangling_reference_reports_every_violation():
     assert "point-not-in-carrier" in codes
 
 
+@pytest.mark.parametrize("structure", [
+    {"accepting": "no", "next": {"a": "x"}},
+    {"accepting": 0, "next": {"a": "x"}},
+    {"next": {"a": "x"}},
+])
+def test_dfa_accepting_must_be_a_boolean(structure):
+    doc = {
+        "functor": {"kind": "dfa", "alphabet": ["a"]},
+        "states": ["x"],
+        "structure": {"x": structure},
+    }
+    with pytest.raises(ParseError):
+        parse_coalgebra(json.dumps(doc))
+
+
+@pytest.mark.parametrize("functor, structure", [
+    ({"kind": "dfa", "alphabet": ["a"]}, {"accepting": True, "next": {"a": 1}}),
+    ({"kind": "labelled-powerset", "labels": ["a"]}, [["a", 1]]),
+    ({"kind": "labelled-powerset", "labels": ["a"]}, [[None, "1"]]),
+    ({"kind": "powerset"}, [1]),
+])
+def test_state_ids_and_labels_must_be_strings(functor, structure):
+    doc = {"functor": functor, "states": ["1"], "structure": {"1": structure}}
+    with pytest.raises(ParseError):
+        parse_coalgebra(json.dumps(doc))
+
+
+@pytest.mark.parametrize("functor", [
+    {"kind": "dfa", "alphabet": []},
+    {"kind": "labelled-powerset", "labels": ["a", "a"]},
+    {"kind": "weighted", "monoid": "integer"},
+    {"kind": "nonsense"},
+])
+def test_bad_functor_descriptors_are_parse_errors(functor):
+    doc = {"functor": functor, "states": [], "structure": {}}
+    with pytest.raises(ParseError):
+        parse_coalgebra(json.dumps(doc))
+
+
 def test_malformed_json_reports_the_line():
     with pytest.raises(ParseError) as err:
         parse_coalgebra('{\n  "functor": }')

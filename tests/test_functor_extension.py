@@ -1,0 +1,178 @@
+"""A fifth functor defined only here runs through the whole library.
+
+``MaybeFunctor`` is 1 + X: a state either halts or has exactly one
+successor.  Nothing in ``src/`` knows about it; subclassing ``FunctorSpec``
+with a new ``kind`` is all the registration there is.  Behavioural
+equivalence for 1 + X is equality of the distance to halting (or never
+halting).
+"""
+
+import json
+from dataclasses import dataclass
+from typing import Optional
+
+import pytest
+
+from coalgmin import (
+    FunctorSpec,
+    PointedCoalgebra,
+    behavioural_classes,
+    check_greatest_quotient,
+    check_simple_subterminal,
+    emit_dot,
+    naive_refinement,
+    parse_coalgebra,
+    parse_partition,
+    random_coalgebra,
+    reachable_part,
+    serialize_coalgebra,
+    simple_quotient,
+    tree_unravel,
+    validate_coalgebra,
+)
+from coalgmin.cli import run_command
+from coalgmin.errors import MalformedStructure, ParseError
+from coalgmin.formats import canonical_json
+from coalgmin.oracles import kernel_pair_coalgebra
+
+
+@dataclass(frozen=True)
+class MaybeStruct:
+    successor: Optional[str]
+
+
+@dataclass(frozen=True)
+class MaybeFunctor(FunctorSpec):
+    """1 + X: no successor (halt) or one successor."""
+
+    kind = "maybe"
+    structure_type = MaybeStruct
+
+    def check_structure(self, t):
+        self.require_structure(t)
+        if t.successor is not None and not isinstance(t.successor, str):
+            raise MalformedStructure(f"successor must be a state id, got {t.successor!r}")
+
+    def fmap(self, mapping, t):
+        if t.successor is None:
+            return t
+        return MaybeStruct(self._applied(mapping, t.successor))
+
+    def support(self, t):
+        return frozenset() if t.successor is None else frozenset({t.successor})
+
+    def enumerate_structures(self, carrier, weight_pool=None):
+        yield MaybeStruct(None)
+        for s in carrier:
+            yield MaybeStruct(s)
+
+    def local_signature(self, t):
+        return t.successor is None
+
+    def edges(self, t, index):
+        return [] if t.successor is None else [(None, t.successor)]
+
+    def encode(self, t, index):
+        return t.successor
+
+    def decode(self, payload, state):
+        if payload is not None and not isinstance(payload, str):
+            raise ParseError(None, f"successor of {state!r} must be a string or null")
+        return MaybeStruct(payload)
+
+    def node_shape(self, t):
+        return "box" if t.successor is None else "circle"
+
+    def unravel(self, t, path, index):
+        if t.successor is None:
+            return t, []
+        child = f"{path}/next"
+        return MaybeStruct(child), [(child, t.successor)]
+
+    def random_structure(self, states, rng, pool, density):
+        return MaybeStruct(rng.choice(states) if rng.random() < density else None)
+
+    def pair_structure(self, tx, ty, kappa, index, pair_id):
+        if tx.successor is None:
+            return tx
+        return MaybeStruct(pair_id(tx.successor, ty.successor))
+
+
+# a -> b -> c halts; d -> c; e loops; f halts
+DOC = {
+    "functor": {"kind": "maybe"},
+    "states": ["a", "b", "c", "d", "e", "f"],
+    "structure": {"a": "b", "b": "c", "c": None, "d": "c", "e": "e", "f": None},
+    "point": "a",
+}
+TEXT = canonical_json(DOC)
+
+
+def test_documents_round_trip_byte_exactly():
+    c = parse_coalgebra(TEXT)
+    assert isinstance(c, PointedCoalgebra)
+    assert c.functor == MaybeFunctor()
+    assert c.struct_of("c") == MaybeStruct(None)
+    assert serialize_coalgebra(c) == TEXT
+
+
+def test_parser_rejects_a_non_string_successor():
+    bad = dict(DOC, structure=dict(DOC["structure"], a=1))
+    with pytest.raises(ParseError):
+        parse_coalgebra(json.dumps(bad))
+
+
+def test_minimize_command_matches_the_naive_refinement(tmp_path, capsys):
+    path = tmp_path / "maybe.json"
+    path.write_text(TEXT)
+    assert run_command(["minimize", str(path), "--out-dir", str(tmp_path)]) == 0
+    partition = parse_partition((tmp_path / "partition.json").read_text())
+    c = parse_coalgebra(TEXT)
+    assert partition == naive_refinement(c)
+    assert partition.blocks == (("a",), ("b", "d"), ("c", "f"), ("e",))
+    quotient = parse_coalgebra((tmp_path / "quotient.json").read_text())
+    assert quotient.states == ("a", "b", "c", "e")
+
+
+def test_reachable_part_and_tree_unravel():
+    c = parse_coalgebra(TEXT)
+    part, inclusion = reachable_part(c)
+    assert part.states == ("a", "b", "c")
+    assert inclusion.mapping == {"a": "a", "b": "b", "c": "c"}
+    tree, covering = tree_unravel(c)
+    assert tree.states == ("a", "a/next", "a/next/next")
+    assert covering.mapping == {"a": "a", "a/next": "b", "a/next/next": "c"}
+
+
+def test_emit_dot_uses_the_functor_shapes_and_edges():
+    c = parse_coalgebra(TEXT)
+    dot = emit_dot(c)
+    assert '  "c" [shape=box];' in dot
+    assert '  "a" [shape=circle];' in dot
+    assert '  "a" -> "b";' in dot
+    assert '  "e" -> "e";' in dot
+    assert dot.count("->") == 1 + 4  # the point marker plus four edges
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_instances_validate_and_refine_like_the_oracle(seed):
+    c = random_coalgebra(MaybeFunctor(), 30, seed, density=0.7, pointed=True)
+    assert validate_coalgebra(c) == []
+    assert behavioural_classes(c) == naive_refinement(c)
+    again = random_coalgebra(MaybeFunctor(), 30, seed, density=0.7, pointed=True)
+    assert serialize_coalgebra(again) == serialize_coalgebra(c)
+
+
+def test_oracle_lab_checks_pass():
+    c = parse_coalgebra(TEXT)
+    assert check_greatest_quotient(c).passed
+    pool = [random_coalgebra(MaybeFunctor(), n, n, density=0.5) for n in range(1, 4)]
+    report = check_simple_subterminal(c, pool)
+    assert report.passed
+    assert report.witnesses  # c is not simple: a second incoming hom is shown
+    quotient, _, _ = simple_quotient(c)
+    assert check_simple_subterminal(quotient, pool).passed
+    # the kernel pair's projections are checked homomorphisms on construction
+    kernel, pr1, pr2 = kernel_pair_coalgebra(c)
+    assert kernel.struct_of("b|d") == MaybeStruct("c|c")
+    assert pr1.mapping != pr2.mapping

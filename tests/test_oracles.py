@@ -1,5 +1,6 @@
 """The oracle lab itself: hom enumeration against naive search, lemma checks."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from coalgmin import (
     Morphism,
     check_homomorphism,
+    emit_dot,
     check_greatest_quotient,
     check_least_subobject,
     check_minimal_iff_incoming_epi,
@@ -28,6 +30,7 @@ from coalgmin.functors import (
     WeightedFunctor,
 )
 from coalgmin.oracles import HomSearchConfig, kernel_pair_coalgebra, stable_digest
+from coalgmin.suites import FUNCTOR_FAMILIES
 
 
 def naive_homs(a, b, pointed=False):
@@ -235,6 +238,28 @@ def test_random_coalgebra_is_deterministic():
     b = random_coalgebra(PowersetFunctor(), 5, 42, density=0.5, pointed=True)
     assert a == b
     assert stable_digest(a) == stable_digest(b)
+
+
+def test_random_coalgebra_and_dot_output_are_pinned():
+    # Any change to the generator's draw order or to the document or DOT
+    # encoding of a functor moves these digests; the suite instances and the
+    # determinism fingerprint depend on both.
+    documents, dots = hashlib.sha256(), hashlib.sha256()
+    for _, spec, pool in FUNCTOR_FAMILIES:
+        for n in (0, 1, 7, 30):
+            for seed in (0, 1, 2):
+                for density in (0.1, 0.5):
+                    c = random_coalgebra(
+                        spec, n, seed, weight_pool=pool, density=density, pointed=n > 0
+                    )
+                    documents.update(stable_digest(c).encode())
+                    dots.update(emit_dot(c).encode())
+    assert documents.hexdigest() == (
+        "f4fa57f53eef2b00cca0d0bc31b364daf33119c0da712c2d5c0a71ecb837ed87"
+    )
+    assert dots.hexdigest() == (
+        "0d203a5ec4818f658bb16f1ac66d979ddaf5b70e73516fcf972e553f642ab15f"
+    )
 
 
 def test_random_coalgebra_density_zero_is_empty_structures():
