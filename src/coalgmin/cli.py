@@ -12,7 +12,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import Morphism, PointedCoalgebra, hom_failures, underlying
+from .core import (
+    PointedCoalgebra,
+    apply_partition_quotient,
+    factorize,
+    hom_failures,
+    underlying,
+)
 from .errors import CoalgminError
 from .formats import (
     emit_dot,
@@ -47,10 +53,6 @@ def _load(path: str, pointed: bool | None = None):
     return c
 
 
-def _load_morphism(map_path: str, dom, cod) -> Morphism:
-    return parse_morphism(Path(map_path).read_text(), dom, cod)
-
-
 def _write(out_dir: str, name: str, text: str) -> None:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -66,7 +68,7 @@ def _cmd_validate(args) -> int:
 def _cmd_check_hom(args) -> int:
     dom = _load(args.dom, pointed=True if args.pointed else False)
     cod = _load(args.cod, pointed=True if args.pointed else False)
-    h = _load_morphism(args.map, dom, cod)
+    h = parse_morphism(Path(args.map).read_text(), dom, cod)
     failures = hom_failures(h)
     if failures:
         print("not a homomorphism; counterexamples: " + " ".join(failures))
@@ -78,9 +80,7 @@ def _cmd_check_hom(args) -> int:
 def _cmd_factorize(args) -> int:
     dom = _load(args.dom, pointed=True if args.pointed else False)
     cod = _load(args.cod, pointed=True if args.pointed else False)
-    h = _load_morphism(args.map, dom, cod)
-    from .core import factorize
-
+    h = parse_morphism(Path(args.map).read_text(), dom, cod)
     factorization = factorize(h)
     _write(args.out_dir, "e.json", serialize_morphism(factorization.e))
     _write(args.out_dir, "image.json", serialize_coalgebra(factorization.image))
@@ -108,8 +108,6 @@ def _cmd_minimize(args) -> int:
 def _cmd_quotient(args) -> int:
     c = _load(args.file)
     p = parse_partition(Path(args.partition).read_text())
-    from .core import apply_partition_quotient
-
     quotient, projection = apply_partition_quotient(c, p)
     _write(args.out_dir, "quotient.json", serialize_coalgebra(quotient))
     _write(args.out_dir, "projection.json", serialize_morphism(projection))
@@ -119,30 +117,15 @@ def _cmd_quotient(args) -> int:
 def _cmd_wellpoint(args) -> int:
     c = _load(args.file, pointed=True)
     if args.order == "simple-first":
-        _write(
-            args.out_dir,
-            "wellpoint-simple-first.json",
-            serialize_coalgebra(well_pointed_modification(c)),
-        )
+        simple_first = well_pointed_modification(c)
+        _write(args.out_dir, "wellpoint-simple-first.json", serialize_coalgebra(simple_first))
         return 0
     report = commutation_check(c)
+    if args.order == "both":
+        _write(args.out_dir, "wellpoint-simple-first.json", serialize_coalgebra(report.simple_first))
+    _write(args.out_dir, "wellpoint-reach-first.json", serialize_coalgebra(report.reach_first))
     if args.order == "reach-first":
-        _write(
-            args.out_dir,
-            "wellpoint-reach-first.json",
-            serialize_coalgebra(report.reach_first),
-        )
         return 0
-    _write(
-        args.out_dir,
-        "wellpoint-simple-first.json",
-        serialize_coalgebra(report.simple_first),
-    )
-    _write(
-        args.out_dir,
-        "wellpoint-reach-first.json",
-        serialize_coalgebra(report.reach_first),
-    )
     print(f"agree: {'true' if report.agree else 'false'}")
     return 0 if report.agree else 1
 
@@ -281,10 +264,7 @@ def run_command(argv) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CoalgminError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (CoalgminError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

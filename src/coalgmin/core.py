@@ -476,22 +476,29 @@ def apply_partition_quotient(c: AnyCoalgebra, p: Partition) -> tuple[AnyCoalgebr
     """Quotient c by a compatible partition of its carrier.
 
     Quotient states are the least members of the blocks, so the result is
-    canonical and diffable; the projection is returned as a validated
-    surjective homomorphism.
+    canonical and diffable.  One pass certifies it: a block's quotient
+    structure is the image of its least member, and every other member's
+    image must equal it, which is both the compatibility of p and the
+    homomorphism law of the (surjective) projection at every state.
     """
     require_valid(c)
+    return _quotient(c, p)
+
+
+def _quotient(c: AnyCoalgebra, p: Partition) -> tuple[AnyCoalgebra, Morphism]:
+    """:func:`apply_partition_quotient` for a c that is already validated."""
     base = underlying(c)
     if p.members() != frozenset(base.states):
         raise NotAPartition("blocks do not cover the carrier exactly")
-    witness = partition_compatible(c, p)
-    if witness is not None:
-        raise IncompatiblePartition(*witness)
     kappa = p.representative_map()
     spec = base.functor
-    q_states = tuple(b[0] for b in p.blocks)
-    q_structure = {b[0]: fmap(spec, kappa, base.struct_of(b[0])) for b in p.blocks}
-    q_base = Coalgebra(spec, q_states, q_structure)
+    q_structure = {}
+    for block in p.blocks:
+        first = spec.fmap(kappa, base.struct_of(block[0]))
+        for x in block[1:]:
+            if spec.fmap(kappa, base.struct_of(x)) != first:
+                raise IncompatiblePartition(block, block[0], x)
+        q_structure[block[0]] = first
+    q_base = Coalgebra(spec, tuple(q_structure), q_structure)
     q = repoint(c, q_base, kappa[c.point] if isinstance(c, PointedCoalgebra) else None)
-    projection = Morphism(c, q, kappa)
-    require_homomorphism(projection)
-    return q, projection
+    return q, Morphism(c, q, kappa)

@@ -114,9 +114,9 @@ def serialize_morphism(h: Morphism) -> str:
 
 def parse_morphism(text: str, dom: AnyCoalgebra, cod: AnyCoalgebra) -> Morphism:
     doc = _loads(text)
-    if not isinstance(doc, dict) or not isinstance(doc.get("map"), dict):
-        raise ParseError(None, "morphism document must be an object with a 'map'")
-    mapping = {str(k): str(v) for k, v in doc["map"].items()}
+    mapping = doc.get("map") if isinstance(doc, dict) else None
+    if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+        raise ParseError(None, "morphism document must be an object with a 'map' of strings")
     violations = []
     cod_states = set(underlying(cod).states)
     for s in underlying(dom).states:
@@ -143,7 +143,7 @@ def parse_partition(text: str) -> Partition:
     doc = _loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("blocks"), list):
         raise ParseError(None, "partition document must be an object with 'blocks'")
-    return Partition.of(doc["blocks"])
+    return Partition.of(string_list(b, "each partition block") for b in doc["blocks"])
 
 
 # ---------------------------------------------------------------------------

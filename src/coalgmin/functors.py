@@ -19,6 +19,7 @@ loop group states by their successor signatures with a plain dict.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -454,9 +455,13 @@ def _as_weight(value) -> Weight:
     raise MalformedStructure(f"weights must be exact rationals, got {value!r}")
 
 
+_WEIGHT_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _parse_weight(text, state: str) -> Weight:
-    if not isinstance(text, str):
-        raise ParseError(None, f"weight for {state!r} must be a string, got {text!r}")
+    """A weight written as the serializer writes it: ``-?digits(/digits)?``."""
+    if not isinstance(text, str) or not _WEIGHT_LITERAL.fullmatch(text):
+        raise ParseError(None, f"weight for {state!r} must be a string n or n/d, got {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -520,7 +525,10 @@ class WeightedFunctor(FunctorSpec):
         sums: dict[str, Weight] = {}
         for state, w in t.weights:
             image = self._applied(mapping, state)
-            sums[image] = sums.get(image, Fraction(0)) + w
+            if image in sums:
+                sums[image] += w
+            else:
+                sums[image] = w
         return WeightedStruct(
             tuple((s, w) for s, w in sorted(sums.items()) if w != 0)
         )

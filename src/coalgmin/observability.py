@@ -13,6 +13,10 @@ signature evaluations number at most n + m log2(n) for n states and m edges.
 It needs nothing from the functor beyond ``fmap`` and ``support``; weighted
 cancellation is handled because ``fmap`` sums weights and drops zeros.  The
 global-round fixpoint it replaced is kept as ``oracles.naive_refinement``.
+
+Each entry point validates its input once.  ``simple_quotient`` then builds
+the quotient with ``core._quotient``, which checks every state's image
+against its block's quotient structure but does not validate c again.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .core import (
     AnyCoalgebra,
     Morphism,
     Partition,
-    apply_partition_quotient,
+    _quotient,
     partition_compatible,
     require_valid,
     underlying,
@@ -95,7 +99,7 @@ def simple_quotient(c: AnyCoalgebra) -> tuple[AnyCoalgebra, Morphism, Partition]
     """
     require_valid(c)
     partition = _refinement_fixpoint(c)
-    quotient, projection = apply_partition_quotient(c, partition)
+    quotient, projection = _quotient(c, partition)
     return quotient, projection, partition
 
 

@@ -117,6 +117,18 @@ def test_quotient_rejects_an_incompatible_partition(tmp_path, capsys):
     assert "different successor structures" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocks", [["xz", "y"], [[1, 2]], [5]])
+def test_quotient_rejects_a_partition_that_is_not_lists_of_strings(tmp_path, capsys, blocks):
+    partition = tmp_path / "p.json"
+    partition.write_text(json.dumps({"blocks": blocks}))
+    assert run_command([
+        "quotient", doc("ts_branching"), "--partition", str(partition),
+        "--out-dir", str(tmp_path),
+    ]) == 2
+    assert "each partition block must be a list of strings" in capsys.readouterr().err
+    assert not (tmp_path / "quotient.json").exists()
+
+
 def test_wellpoint_orders_and_disagreement(tmp_path, capsys):
     assert run_command([
         "wellpoint", doc("cancel_fork_loops"), "--order", "both",

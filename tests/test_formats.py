@@ -141,6 +141,31 @@ def test_bad_functor_descriptors_are_parse_errors(functor):
         parse_coalgebra(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "weight", ["1e400", "0.5", " 3 ", "+3", "1.0", "", "1/", "/2", "1/0", "inf", "1_000", "\u0661"]
+)
+def test_weights_must_be_integer_or_fraction_literals(weight):
+    doc = {
+        "functor": {"kind": "weighted", "monoid": "rational"},
+        "states": ["x"],
+        "structure": {"x": {"x": weight}},
+    }
+    with pytest.raises(ParseError):
+        parse_coalgebra(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "weight, value", [("-3", Fraction(-3)), ("-6/4", Fraction(-3, 2)), ("07", Fraction(7))]
+)
+def test_integer_and_fraction_literals_are_accepted(weight, value):
+    doc = {
+        "functor": {"kind": "weighted", "monoid": "rational"},
+        "states": ["x"],
+        "structure": {"x": {"x": weight}},
+    }
+    assert parse_coalgebra(json.dumps(doc)).struct_of("x").weight_dict() == {"x": value}
+
+
 def test_malformed_json_reports_the_line():
     with pytest.raises(ParseError) as err:
         parse_coalgebra('{\n  "functor": }')
@@ -223,3 +248,18 @@ def test_dot_labels_weighted_edges():
     dot = emit_dot(systems.weighted_pair_merge())
     assert '[label="-7"]' in dot
     assert '[label="4"]' in dot
+
+
+@pytest.mark.parametrize("blocks", [["ab", "c"], [[1, 2]], [5], [["a", None]], [["a"], "b"]])
+def test_partition_blocks_must_be_lists_of_strings(blocks):
+    with pytest.raises(ParseError):
+        parse_partition(json.dumps({"blocks": blocks}))
+
+
+@pytest.mark.parametrize("target", [1, None, ["p_bar"]])
+def test_morphism_targets_must_be_strings(target):
+    dom = underlying(systems.dfa_no_trailing_b())
+    cod = underlying(systems.dfa_merge_target())
+    mapping = {**systems.dfa_merge_map(), "q": target}
+    with pytest.raises(ParseError):
+        parse_morphism(json.dumps({"map": mapping}), dom, cod)

@@ -61,6 +61,37 @@ def test_weighted_fmap_drops_cancelled_weights():
     assert support(RAT, merged) == frozenset()
 
 
+def test_weighted_fmap_drops_an_entry_whose_merged_weights_cancel():
+    t = RAT.struct({"p": 1, "q": -1, "r": 2})
+    assert fmap(RAT, {"p": "s", "q": "s", "r": "r"}, t).weights == (("r", Fraction(2)),)
+
+
+def test_weighted_fmap_adds_merged_fractions_exactly():
+    t = RAT.struct({"p": Fraction(1, 2), "q": Fraction(1, 2)})
+    merged = fmap(RAT, {"p": "s", "q": "s"}, t)
+    assert merged.weights == (("s", Fraction(1)),)
+
+
+def test_weighted_fmap_under_an_injective_map_keeps_the_weights():
+    t = RAT.struct({"p": Fraction(-1, 3), "q": 4})
+    renamed = fmap(RAT, {"p": "b", "q": "a"}, t)
+    assert renamed.weights == (("a", Fraction(4)), ("b", Fraction(-1, 3)))
+
+
+@pytest.mark.parametrize("spec", [RAT, BAG], ids=["rational", "natural"])
+@pytest.mark.parametrize("mapping", [
+    {"p": "p", "q": "q", "r": "r"},
+    {"p": "s", "q": "s", "r": "r"},
+    {"p": "s", "q": "s", "r": "s"},
+])
+def test_weighted_fmap_weights_are_fractions(spec, mapping):
+    t = spec.struct({"p": 1, "q": 2, "r": 3})
+    image = fmap(spec, mapping, t)
+    assert image.weights
+    assert all(type(w) is Fraction for _, w in image.weights)
+    spec.check_structure(image)
+
+
 def test_powerset_fmap_is_set_image():
     t = PS.struct({"q1", "q2"})
     assert fmap(PS, {"q1": "x", "q2": "x"}, t) == PS.struct({"x"})

@@ -1,4 +1,6 @@
-"""Worklist refinement against the naive global-round oracle and closed forms."""
+"""Worklist refinement against the naive global-round oracle and closed forms,
+and the one-pass quotient of ``simple_quotient`` against the public
+``apply_partition_quotient`` of the oracle's partition."""
 
 from fractions import Fraction
 
@@ -8,13 +10,21 @@ from coalgmin import (
     DfaFunctor,
     LabelledFunctor,
     Partition,
+    PointedCoalgebra,
     PowersetFunctor,
     WeightedFunctor,
+    apply_partition_quotient,
     behavioural_classes,
     naive_refinement,
     parse_coalgebra,
     random_coalgebra,
+    serialize_coalgebra,
+    serialize_morphism,
+    serialize_partition,
+    simple_quotient,
 )
+from coalgmin.core import Coalgebra, partition_compatible
+from coalgmin.errors import IncompatiblePartition, ValidationError
 from conftest import chains, corpus_path
 
 # The rational pool has negative weights, so mapped weights cancel.
@@ -62,3 +72,67 @@ def test_chain_classes_are_the_distances_to_the_end(family, copies):
         [f"c{k}_{i}" for k in range(copies)] for i in range(length)
     )
     assert behavioural_classes(c) == expected
+
+
+def _documents(quotient, projection, partition):
+    return (
+        serialize_coalgebra(quotient),
+        serialize_morphism(projection),
+        serialize_partition(partition),
+    )
+
+
+def _assert_simple_quotient_matches_the_oracle(c):
+    partition = naive_refinement(c)
+    expected = _documents(*apply_partition_quotient(c, partition), partition)
+    assert _documents(*simple_quotient(c)) == expected
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", sorted(SEEDS))
+@pytest.mark.parametrize("pointed", [False, True], ids=["unpointed", "pointed"])
+def test_simple_quotient_documents_match_the_oracle_quotient(family, n, pointed):
+    spec, pool = FAMILIES[family]
+    for seed in SEEDS[n]:
+        c = random_coalgebra(spec, n, seed, weight_pool=pool, density=3 / n, pointed=pointed)
+        _assert_simple_quotient_matches_the_oracle(c)
+
+
+@pytest.mark.parametrize("name", ["cancel_fork", "cancel_fork_loops"])
+def test_simple_quotient_of_the_cancellation_corpus_matches_the_oracle(name):
+    _assert_simple_quotient_matches_the_oracle(parse_coalgebra(corpus_path(name).read_text()))
+
+
+@pytest.mark.parametrize("family", sorted(CHAIN_FUNCTORS))
+def test_simple_quotient_of_chains_matches_the_oracle(family):
+    c = chains(CHAIN_FUNCTORS[family], 60, 2)
+    _assert_simple_quotient_matches_the_oracle(c)
+    _assert_simple_quotient_matches_the_oracle(PointedCoalgebra(c, "c1_0"))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_incompatible_partitions_raise_the_witness_of_partition_compatible(family):
+    spec, pool = FAMILIES[family]
+    rejected = 0
+    for seed in range(4):
+        c = random_coalgebra(spec, 40, seed, weight_pool=pool, density=3 / 40)
+        index = c.state_index()
+        classes = naive_refinement(c).representative_map()
+        for key in (lambda s: 0, lambda s: index[s] % 3, classes.get):
+            p = Partition.from_key(c.states, key)
+            witness = partition_compatible(c, p)
+            if witness is None:
+                apply_partition_quotient(c, p)
+                continue
+            rejected += 1
+            with pytest.raises(IncompatiblePartition) as err:
+                apply_partition_quotient(c, p)
+            assert (err.value.block, err.value.x, err.value.y) == witness
+    assert rejected >= 4
+
+
+def test_apply_partition_quotient_still_validates_its_input():
+    spec = PowersetFunctor()
+    c = Coalgebra(spec, ("x", "y"), {"x": spec.struct(["ghost"]), "y": spec.struct([])})
+    with pytest.raises(ValidationError):
+        apply_partition_quotient(c, Partition.discrete(c.states))
