@@ -14,7 +14,6 @@ from .core import (
     Factorization,
     Morphism,
     Partition,
-    PointedCoalgebra,
     Violation,
     apply_partition_quotient,
     check_homomorphism,
@@ -51,7 +50,6 @@ from .functors import (
     WeightedStruct,
     enumerate_structures,
     fmap,
-    restrict_structure,
     structures_equal,
     support,
 )

@@ -12,14 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import (
-    PointedCoalgebra,
-    apply_partition_quotient,
-    factorize,
-    hom_failures,
-    underlying,
-)
-from .errors import CoalgminError
+from .core import apply_partition_quotient, factorize, hom_failures, underlying
+from .errors import CoalgminError, NotPointed
 from .formats import (
     emit_dot,
     parse_coalgebra,
@@ -45,8 +39,8 @@ def _load(path: str, pointed: bool | None = None):
     """
     c = parse_coalgebra(Path(path).read_text())
     if pointed is True:
-        if not isinstance(c, PointedCoalgebra):
-            raise CoalgminError(f"{path}: document has no point but --pointed was given")
+        if c.point is None:
+            raise NotPointed(f"{path}: document has no point but --pointed was given")
         return c
     if pointed is False:
         return underlying(c)

@@ -1,8 +1,9 @@
 """Coalgebras, morphisms, image factorization, and partition quotients.
 
 A coalgebra is a finite carrier of string state ids together with a total
-structure map into the functor's successor structures.  A pointed coalgebra
-additionally distinguishes an initial state.  Values are immutable; every
+structure map into the functor's successor structures, and optionally a point:
+a distinguished initial state.  There is one type for both; a coalgebra is
+pointed when its ``point`` is not None.  Values are immutable; every
 operation here is pure.
 
 The factorization system in use is (surjective, injective) on finite
@@ -12,8 +13,9 @@ carriers.  ``factorize`` splits a homomorphism through its image coalgebra and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .errors import (
     DomainMismatch,
@@ -42,20 +44,29 @@ class Violation:
 
 @dataclass(frozen=True)
 class Coalgebra:
-    """A carrier plus one successor structure per state.
+    """A carrier plus one successor structure per state, and an optional point.
 
     The raw constructor performs no checking so that invalid values can be
     built and then inspected by :func:`validate_coalgebra`; use
-    :meth:`Coalgebra.make` in normal code.
+    :meth:`Coalgebra.make` in normal code.  The structure is stored as a
+    read-only view of a private copy.
     """
 
     functor: FunctorSpec
     states: tuple[str, ...]
     structure: Mapping[str, FStructure]
+    point: Optional[str] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "structure", MappingProxyType(dict(self.structure)))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied; rebuild from a dict
+        return type(self), (self.functor, self.states, dict(self.structure), self.point)
 
     @classmethod
-    def make(cls, functor, states, structure) -> "Coalgebra":
-        c = cls(functor, tuple(states), dict(structure))
+    def make(cls, functor, states, structure, point=None) -> "Coalgebra":
+        c = cls(functor, tuple(states), structure, point)
         require_valid(c)
         return c
 
@@ -70,86 +81,38 @@ class Coalgebra:
         return {s: i for i, s in enumerate(self.states)}
 
 
-@dataclass(frozen=True)
-class PointedCoalgebra:
-    """A coalgebra with a distinguished initial state."""
-
-    base: Coalgebra
-    point: str
-
-    @classmethod
-    def make(cls, functor, states, structure, point) -> "PointedCoalgebra":
-        c = cls(Coalgebra(functor, tuple(states), dict(structure)), point)
-        require_valid(c)
-        return c
-
-    @property
-    def functor(self) -> FunctorSpec:
-        return self.base.functor
-
-    @property
-    def states(self) -> tuple[str, ...]:
-        return self.base.states
-
-    @property
-    def structure(self) -> Mapping[str, FStructure]:
-        return self.base.structure
-
-    def struct_of(self, state: str) -> FStructure:
-        return self.base.structure[state]
-
-    @property
-    def is_empty(self) -> bool:
-        return False
-
-    def state_index(self) -> dict[str, int]:
-        return self.base.state_index()
+def underlying(c: Coalgebra) -> Coalgebra:
+    """c without its point."""
+    return replace(c, point=None)
 
 
-AnyCoalgebra = Union[Coalgebra, PointedCoalgebra]
+def point_of(c: Coalgebra) -> Optional[str]:
+    return c.point
 
 
-def underlying(c: AnyCoalgebra) -> Coalgebra:
-    return c.base if isinstance(c, PointedCoalgebra) else c
-
-
-def point_of(c: AnyCoalgebra) -> Optional[str]:
-    return c.point if isinstance(c, PointedCoalgebra) else None
-
-
-def repoint(c: AnyCoalgebra, base: Coalgebra, point: Optional[str]) -> AnyCoalgebra:
-    """Wrap ``base`` as the same kind as ``c``."""
-    if isinstance(c, PointedCoalgebra):
-        if point is None:
-            raise ValueError("pointed result needs a point")
-        return PointedCoalgebra(base, point)
-    return base
-
-
-def validate_coalgebra(c: AnyCoalgebra) -> list[Violation]:
+def validate_coalgebra(c: Coalgebra) -> list[Violation]:
     """Check all invariants; return one violation per problem found."""
-    base = underlying(c)
     out: list[Violation] = []
     seen = set()
-    for s in base.states:
+    for s in c.states:
         if s in seen:
             out.append(Violation("duplicate-state", f"state {s!r} listed twice", s))
         seen.add(s)
-    carrier = frozenset(base.states)
-    for s in base.states:
-        if s not in base.structure:
+    carrier = frozenset(c.states)
+    for s in c.states:
+        if s not in c.structure:
             out.append(Violation("missing-structure", f"state {s!r} has no structure", s))
             continue
-        t = base.structure[s]
+        t = c.structure[s]
         try:
-            base.functor.check_structure(t)
+            c.functor.check_structure(t)
         except (MalformedStructure, SpecMismatch) as exc:
             code = "malformed-structure"
             if isinstance(exc, ZeroWeightEntry):
                 code = "zero-weight-entry"
             out.append(Violation(code, f"state {s!r}: {exc}", s))
             continue
-        for tgt in sorted(base.functor.support(t)):
+        for tgt in sorted(c.functor.support(t)):
             if tgt not in carrier:
                 out.append(
                     Violation(
@@ -158,18 +121,18 @@ def validate_coalgebra(c: AnyCoalgebra) -> list[Violation]:
                         tgt,
                     )
                 )
-    for s in base.structure:
+    for s in c.structure:
         if s not in carrier:
             out.append(
                 Violation("dangling-state", f"structure given for unknown state {s!r}", s)
             )
-    p = point_of(c)
+    p = c.point
     if p is not None and p not in carrier:
         out.append(Violation("point-not-in-carrier", f"point {p!r} not a state", p))
     return out
 
 
-def require_valid(c: AnyCoalgebra) -> None:
+def require_valid(c: Coalgebra) -> None:
     violations = validate_coalgebra(c)
     if violations:
         raise ValidationError(violations)
@@ -188,13 +151,13 @@ class Morphism:
     is a homomorphism is the business of :func:`check_homomorphism`.
     """
 
-    dom: AnyCoalgebra
-    cod: AnyCoalgebra
+    dom: Coalgebra
+    cod: Coalgebra
     mapping: Mapping[str, str]
 
     def __post_init__(self):
-        cod_states = set(underlying(self.cod).states)
-        for s in underlying(self.dom).states:
+        cod_states = set(self.cod.states)
+        for s in self.dom.states:
             if s not in self.mapping:
                 raise InvalidMorphism(f"map undefined at state {s!r}")
             if self.mapping[s] not in cod_states:
@@ -207,31 +170,29 @@ class Morphism:
 
     @property
     def pointed(self) -> bool:
-        return isinstance(self.dom, PointedCoalgebra) and isinstance(
-            self.cod, PointedCoalgebra
-        )
+        return self.dom.point is not None and self.cod.point is not None
 
     def is_surjective(self) -> bool:
-        dom_states = underlying(self.dom).states
-        return {self.mapping[s] for s in dom_states} == set(underlying(self.cod).states)
+        dom_states = self.dom.states
+        return {self.mapping[s] for s in dom_states} == set(self.cod.states)
 
     def is_injective(self) -> bool:
-        dom_states = underlying(self.dom).states
+        dom_states = self.dom.states
         return len({self.mapping[s] for s in dom_states}) == len(dom_states)
 
     def is_bijective(self) -> bool:
         return self.is_surjective() and self.is_injective()
 
 
-def identity_morphism(c: AnyCoalgebra) -> Morphism:
-    return Morphism(c, c, {s: s for s in underlying(c).states})
+def identity_morphism(c: Coalgebra) -> Morphism:
+    return Morphism(c, c, {s: s for s in c.states})
 
 
 def compose_morphisms(outer: Morphism, inner: Morphism) -> Morphism:
     """outer after inner; the codomain of ``inner`` must be ``outer``'s domain."""
     if inner.cod != outer.dom:
         raise DomainMismatch("codomain of inner morphism differs from outer domain")
-    mapping = {s: outer.mapping[inner.mapping[s]] for s in underlying(inner.dom).states}
+    mapping = {s: outer.mapping[inner.mapping[s]] for s in inner.dom.states}
     return Morphism(inner.dom, outer.cod, mapping)
 
 
@@ -241,7 +202,7 @@ def hom_failures(h: Morphism) -> tuple[str, ...]:
     For pointed endpoints the point is reported first if it is not preserved.
     Empty result means h is a (pointed) homomorphism.
     """
-    dom, cod = underlying(h.dom), underlying(h.cod)
+    dom, cod = h.dom, h.cod
     if dom.functor != cod.functor:
         raise SpecMismatch("morphism endpoints use different functors")
     failures = []
@@ -320,7 +281,7 @@ class Factorization:
     """h = m . e with e surjective onto the image and m injective."""
 
     e: Morphism
-    image: AnyCoalgebra
+    image: Coalgebra
     m: Morphism
 
 
@@ -333,7 +294,7 @@ def factorize(h: Morphism) -> Factorization:
     across each fiber.
     """
     require_homomorphism(h)
-    dom, cod = underlying(h.dom), underlying(h.cod)
+    dom, cod = h.dom, h.cod
     spec = dom.functor
     hit = {h.mapping[x] for x in dom.states}
     image_states = tuple(y for y in cod.states if y in hit)
@@ -348,11 +309,8 @@ def factorize(h: Morphism) -> Factorization:
                 )
         else:
             structure[y] = t
-    image_base = Coalgebra(spec, image_states, structure)
-    if h.pointed:
-        image: AnyCoalgebra = PointedCoalgebra(image_base, h.mapping[h.dom.point])
-    else:
-        image = image_base
+    point = h.mapping[dom.point] if h.pointed else None
+    image = Coalgebra(spec, image_states, structure, point)
     e = Morphism(h.dom, image, dict(h.mapping))
     m = Morphism(image, h.cod, {y: y for y in image_states})
     require_homomorphism(e)
@@ -453,26 +411,25 @@ class Partition:
 def kernel_partition(h: Morphism) -> Partition:
     """The fibers of h as a partition of its domain carrier."""
     fibers: dict[str, list[str]] = {}
-    for x in underlying(h.dom).states:
+    for x in h.dom.states:
         fibers.setdefault(h.mapping[x], []).append(x)
     return Partition.of(fibers.values())
 
 
-def partition_compatible(c: AnyCoalgebra, p: Partition) -> Optional[tuple]:
+def partition_compatible(c: Coalgebra, p: Partition) -> Optional[tuple]:
     """None if p induces a quotient coalgebra, else a witness (block, x, y)."""
-    base = underlying(c)
     kappa = p.representative_map()
-    spec = base.functor
+    spec = c.functor
     for block in p.blocks:
-        first = fmap(spec, kappa, base.struct_of(block[0]))
+        first = fmap(spec, kappa, c.struct_of(block[0]))
         for x in block[1:]:
-            t = fmap(spec, kappa, base.struct_of(x))
+            t = fmap(spec, kappa, c.struct_of(x))
             if not structures_equal(spec, first, t):
                 return (block, block[0], x)
     return None
 
 
-def apply_partition_quotient(c: AnyCoalgebra, p: Partition) -> tuple[AnyCoalgebra, Morphism]:
+def apply_partition_quotient(c: Coalgebra, p: Partition) -> tuple[Coalgebra, Morphism]:
     """Quotient c by a compatible partition of its carrier.
 
     Quotient states are the least members of the blocks, so the result is
@@ -485,20 +442,18 @@ def apply_partition_quotient(c: AnyCoalgebra, p: Partition) -> tuple[AnyCoalgebr
     return _quotient(c, p)
 
 
-def _quotient(c: AnyCoalgebra, p: Partition) -> tuple[AnyCoalgebra, Morphism]:
+def _quotient(c: Coalgebra, p: Partition) -> tuple[Coalgebra, Morphism]:
     """:func:`apply_partition_quotient` for a c that is already validated."""
-    base = underlying(c)
-    if p.members() != frozenset(base.states):
+    if p.members() != frozenset(c.states):
         raise NotAPartition("blocks do not cover the carrier exactly")
     kappa = p.representative_map()
-    spec = base.functor
+    spec = c.functor
     q_structure = {}
     for block in p.blocks:
-        first = spec.fmap(kappa, base.struct_of(block[0]))
+        first = spec.fmap(kappa, c.struct_of(block[0]))
         for x in block[1:]:
-            if spec.fmap(kappa, base.struct_of(x)) != first:
+            if spec.fmap(kappa, c.struct_of(x)) != first:
                 raise IncompatiblePartition(block, block[0], x)
         q_structure[block[0]] = first
-    q_base = Coalgebra(spec, tuple(q_structure), q_structure)
-    q = repoint(c, q_base, kappa[c.point] if isinstance(c, PointedCoalgebra) else None)
+    q = Coalgebra(spec, tuple(q_structure), q_structure, kappa.get(c.point))
     return q, Morphism(c, q, kappa)

@@ -30,10 +30,8 @@ class SpecMismatch(CoalgminError):
     """Two values built for different functors were combined."""
 
 
-class SupportEscapesSubset(CoalgminError):
-    def __init__(self, state: str):
-        super().__init__(f"successor {state!r} lies outside the requested subset")
-        self.state = state
+class NotPointed(CoalgminError):
+    """A pointed-only operation was given a coalgebra without a point."""
 
 
 class WeightedWithoutPool(CoalgminError):

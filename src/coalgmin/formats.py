@@ -11,17 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .core import (
-    AnyCoalgebra,
-    Coalgebra,
-    Morphism,
-    Partition,
-    PointedCoalgebra,
-    Violation,
-    point_of,
-    underlying,
-    validate_coalgebra,
-)
+from .core import Coalgebra, Morphism, Partition, Violation, validate_coalgebra
 from .errors import ParseError, ValidationError
 from .functors import FunctorSpec, string_list
 
@@ -51,27 +41,25 @@ def parse_functor(payload) -> FunctorSpec:
 # ---------------------------------------------------------------------------
 
 
-def coalgebra_payload(c: AnyCoalgebra) -> dict:
-    base = underlying(c)
-    index = base.state_index()
+def coalgebra_payload(c: Coalgebra) -> dict:
+    index = c.state_index()
     doc = {
-        "functor": base.functor.payload(),
-        "states": list(base.states),
+        "functor": c.functor.payload(),
+        "states": list(c.states),
         "structure": {
-            s: base.functor.encode(base.struct_of(s), index) for s in base.states
+            s: c.functor.encode(c.struct_of(s), index) for s in c.states
         },
     }
-    p = point_of(c)
-    if p is not None:
-        doc["point"] = p
+    if c.point is not None:
+        doc["point"] = c.point
     return doc
 
 
-def serialize_coalgebra(c: AnyCoalgebra) -> str:
+def serialize_coalgebra(c: Coalgebra) -> str:
     return canonical_json(coalgebra_payload(c))
 
 
-def parse_coalgebra(text: str) -> AnyCoalgebra:
+def parse_coalgebra(text: str) -> Coalgebra:
     doc = _loads(text)
     if not isinstance(doc, dict):
         raise ParseError(None, "document must be a JSON object")
@@ -81,11 +69,10 @@ def parse_coalgebra(text: str) -> AnyCoalgebra:
     if not isinstance(structure_doc, dict):
         raise ParseError(None, "'structure' must be an object")
     structure = {s: spec.decode(payload, s) for s, payload in structure_doc.items()}
-    base = Coalgebra(spec, states, structure)
     point = doc.get("point")
     if point is not None and not isinstance(point, str):
         raise ParseError(None, "'point' must be a string")
-    result: AnyCoalgebra = PointedCoalgebra(base, point) if point is not None else base
+    result = Coalgebra(spec, states, structure, point)
     violations = validate_coalgebra(result)
     if violations:
         raise ValidationError(violations)
@@ -112,14 +99,14 @@ def serialize_morphism(h: Morphism) -> str:
     return canonical_json(morphism_payload(h))
 
 
-def parse_morphism(text: str, dom: AnyCoalgebra, cod: AnyCoalgebra) -> Morphism:
+def parse_morphism(text: str, dom: Coalgebra, cod: Coalgebra) -> Morphism:
     doc = _loads(text)
     mapping = doc.get("map") if isinstance(doc, dict) else None
     if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
         raise ParseError(None, "morphism document must be an object with a 'map' of strings")
     violations = []
-    cod_states = set(underlying(cod).states)
-    for s in underlying(dom).states:
+    cod_states = set(cod.states)
+    for s in dom.states:
         if s not in mapping:
             violations.append(Violation("partial-map", f"map undefined at {s!r}", s))
         elif mapping[s] not in cod_states:
@@ -128,7 +115,7 @@ def parse_morphism(text: str, dom: AnyCoalgebra, cod: AnyCoalgebra) -> Morphism:
             )
     if violations:
         raise ValidationError(violations)
-    return Morphism(dom, cod, {s: mapping[s] for s in underlying(dom).states})
+    return Morphism(dom, cod, {s: mapping[s] for s in dom.states})
 
 
 def partition_payload(p: Partition) -> dict:
@@ -155,7 +142,7 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def emit_dot(c: AnyCoalgebra) -> str:
+def emit_dot(c: Coalgebra) -> str:
     """Render the system as Graphviz DOT text, deterministically.
 
     Nodes appear in carrier order, shaped by the functor (accepting DFA
@@ -163,22 +150,21 @@ def emit_dot(c: AnyCoalgebra) -> str:
     the point is marked by an arrow from an invisible node; weighted and
     labelled edges carry labels.
     """
-    base = underlying(c)
-    spec = base.functor
-    index = base.state_index()
+    spec = c.functor
+    index = c.state_index()
     lines = ["digraph coalgebra {", "  rankdir=LR;"]
-    point = point_of(c)
+    point = c.point
     if point is not None:
         start = "__point"
         while start in index:
             start += "_"
         lines.append(f"  {_quote(start)} [shape=none, label=\"\", width=0, height=0];")
-    for s in base.states:
-        lines.append(f"  {_quote(s)} [shape={spec.node_shape(base.struct_of(s))}];")
+    for s in c.states:
+        lines.append(f"  {_quote(s)} [shape={spec.node_shape(c.struct_of(s))}];")
     if point is not None:
         lines.append(f"  {_quote(start)} -> {_quote(point)};")
-    for s in base.states:
-        for label, target in spec.edges(base.struct_of(s), index):
+    for s in c.states:
+        for label, target in spec.edges(c.struct_of(s), index):
             suffix = f" [label={_quote(str(label))}]" if label is not None else ""
             lines.append(f"  {_quote(s)} -> {_quote(target)}{suffix};")
     lines.append("}")

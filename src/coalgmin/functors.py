@@ -29,7 +29,6 @@ from .errors import (
     ParseError,
     PartialMap,
     SpecMismatch,
-    SupportEscapesSubset,
     WeightedWithoutPool,
     ZeroWeightEntry,
 )
@@ -455,15 +454,17 @@ def _as_weight(value) -> Weight:
     raise MalformedStructure(f"weights must be exact rationals, got {value!r}")
 
 
-_WEIGHT_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_WEIGHT_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_weight(text, state: str) -> Weight:
     """A weight written as the serializer writes it: ``-?digits(/digits)?``."""
-    if not isinstance(text, str) or not _WEIGHT_LITERAL.fullmatch(text):
+    match = _WEIGHT_LITERAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ParseError(None, f"weight for {state!r} must be a string n or n/d, got {text!r}")
+    numerator, denominator = match.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(numerator), int(denominator or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(None, f"bad weight {text!r} for {state!r}: {exc}") from None
 
@@ -646,15 +647,6 @@ def structures_equal(spec: FunctorSpec, t1: FStructure, t2: FStructure) -> bool:
     spec.require_structure(t1)
     spec.require_structure(t2)
     return t1 == t2
-
-
-def restrict_structure(spec: FunctorSpec, t: FStructure, subset: Iterable[str]) -> FStructure:
-    """Re-scope t to a sub-carrier; requires support(t) inside the subset."""
-    allowed = frozenset(subset)
-    escaping = sorted(spec.support(t) - allowed)
-    if escaping:
-        raise SupportEscapesSubset(escaping[0])
-    return t
 
 
 def enumerate_structures(

@@ -21,29 +21,20 @@ against its block's quotient structure but does not validate c again.
 
 from __future__ import annotations
 
-from .core import (
-    AnyCoalgebra,
-    Morphism,
-    Partition,
-    _quotient,
-    partition_compatible,
-    require_valid,
-    underlying,
-)
+from .core import Coalgebra, Morphism, Partition, _quotient, partition_compatible, require_valid
 from .errors import OracleBoundExceeded, WrongFunctor
 from .functors import DfaFunctor
 
 DEFAULT_PARTITION_BOUND = 8
 
 
-def _refinement_fixpoint(c: AnyCoalgebra) -> Partition:
-    base = underlying(c)
-    if base.is_empty:
+def _refinement_fixpoint(c: Coalgebra) -> Partition:
+    if c.is_empty:
         return Partition(())
-    spec = base.functor
-    states = base.states
-    structs = [base.struct_of(x) for x in states]
-    index = base.state_index()
+    spec = c.functor
+    states = c.states
+    structs = [c.struct_of(x) for x in states]
+    index = c.state_index()
     preds: list[list[int]] = [[] for _ in states]
     for i, t in enumerate(structs):
         for y in spec.support(t):
@@ -90,10 +81,11 @@ def _refinement_fixpoint(c: AnyCoalgebra) -> Partition:
     return Partition.of([states[i] for i in m] for m in members)
 
 
-def simple_quotient(c: AnyCoalgebra) -> tuple[AnyCoalgebra, Morphism, Partition]:
+def simple_quotient(c: Coalgebra) -> tuple[Coalgebra, Morphism, Partition]:
     """The greatest quotient of c: merge exactly the behaviourally equal states.
 
-    Returns the quotient (same kind as the input), the projection morphism,
+    Returns the quotient (pointed at the class of the point when c is
+    pointed), the projection morphism,
     and the underlying partition.  Quotienting the result again is the
     identity up to state naming, since its partition is discrete.
     """
@@ -103,19 +95,19 @@ def simple_quotient(c: AnyCoalgebra) -> tuple[AnyCoalgebra, Morphism, Partition]
     return quotient, projection, partition
 
 
-def behavioural_classes(c: AnyCoalgebra) -> Partition:
+def behavioural_classes(c: Coalgebra) -> Partition:
     """The partition of the carrier into behavioural equivalence classes."""
     require_valid(c)
     return _refinement_fixpoint(c)
 
 
-def is_simple(c: AnyCoalgebra) -> bool:
+def is_simple(c: Coalgebra) -> bool:
     """True iff all states are pairwise behaviourally inequivalent."""
     return behavioural_classes(c).is_discrete
 
 
 def enumerate_compatible_partitions(
-    c: AnyCoalgebra, bound: int = DEFAULT_PARTITION_BOUND
+    c: Coalgebra, bound: int = DEFAULT_PARTITION_BOUND
 ) -> list[Partition]:
     """Every partition of the carrier that induces a quotient coalgebra.
 
@@ -124,14 +116,13 @@ def enumerate_compatible_partitions(
     this an oracle for small instances only.
     """
     require_valid(c)
-    base = underlying(c)
-    n = len(base.states)
+    n = len(c.states)
     if n > bound:
         raise OracleBoundExceeded(f"carrier has {n} states, oracle bound is {bound}")
     out = []
     for assignment in _growth_strings(n):
         blocks: dict[int, list[str]] = {}
-        for state, b in zip(base.states, assignment):
+        for state, b in zip(c.states, assignment):
             blocks.setdefault(b, []).append(state)
         partition = Partition.of(blocks.values())
         if partition_compatible(c, partition) is None:
@@ -155,7 +146,7 @@ def _growth_strings(n: int):
     yield from extend((0,), 1)
 
 
-def dfa_language_oracle(c: AnyCoalgebra, max_len: int) -> dict[str, frozenset[str]]:
+def dfa_language_oracle(c: Coalgebra, max_len: int) -> dict[str, frozenset[str]]:
     """Accepted words of every state up to a length bound, by direct induction.
 
     This is an independent ground truth for behavioural equivalence on
@@ -163,32 +154,31 @@ def dfa_language_oracle(c: AnyCoalgebra, max_len: int) -> dict[str, frozenset[st
     same bounded language, and split states must differ on some short word.
     """
     require_valid(c)
-    base = underlying(c)
-    spec = base.functor
+    spec = c.functor
     if not isinstance(spec, DfaFunctor):
         raise WrongFunctor("language oracle only applies to deterministic automata")
-    accepted: dict[str, set[str]] = {s: set() for s in base.states}
+    accepted: dict[str, set[str]] = {s: set() for s in c.states}
     # words of length k accepted from x, built back to front over the moves
     layer = {
-        s: ({""} if base.struct_of(s).accepting else set()) for s in base.states
+        s: ({""} if c.struct_of(s).accepting else set()) for s in c.states
     }
-    for s in base.states:
+    for s in c.states:
         accepted[s] |= layer[s]
     for _ in range(max_len):
         layer = {
             s: {
                 sym + w
-                for sym, tgt in base.struct_of(s).moves
+                for sym, tgt in c.struct_of(s).moves
                 for w in layer[tgt]
             }
-            for s in base.states
+            for s in c.states
         }
-        for s in base.states:
+        for s in c.states:
             accepted[s] |= layer[s]
     return {s: frozenset(ws) for s, ws in accepted.items()}
 
 
-def language_kernel(c: AnyCoalgebra, max_len: int) -> Partition:
+def language_kernel(c: Coalgebra, max_len: int) -> Partition:
     """Partition of the carrier by equality of bounded accepted languages."""
     languages = dfa_language_oracle(c, max_len)
-    return Partition.from_key(underlying(c).states, languages.__getitem__)
+    return Partition.from_key(c.states, languages.__getitem__)

@@ -16,14 +16,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import (
-    AnyCoalgebra,
     Coalgebra,
     Morphism,
     Partition,
-    PointedCoalgebra,
     check_homomorphism,
     apply_partition_quotient,
-    point_of,
     require_homomorphism,
     require_valid,
     underlying,
@@ -76,7 +73,7 @@ class PropertyReport:
         return f"{status} {self.name} instances={self.instances}{extra}"
 
 
-def stable_digest(c: AnyCoalgebra) -> str:
+def stable_digest(c: Coalgebra) -> str:
     """Content hash of a coalgebra, stable across runs and platforms.
 
     Hashes the canonical document form rather than reprs, since set reprs
@@ -93,7 +90,7 @@ def stable_digest(c: AnyCoalgebra) -> str:
 
 
 def enumerate_homomorphisms(
-    a: AnyCoalgebra, b: AnyCoalgebra, cfg: Optional[HomSearchConfig] = None
+    a: Coalgebra, b: Coalgebra, cfg: Optional[HomSearchConfig] = None
 ) -> list[Morphism]:
     """Every homomorphism a -> b, found by pruned backtracking.
 
@@ -106,21 +103,23 @@ def enumerate_homomorphisms(
     cfg = cfg or HomSearchConfig()
     require_valid(a)
     require_valid(b)
-    base_a, base_b = underlying(a), underlying(b)
-    if base_a.functor != base_b.functor:
+    if a.functor != b.functor:
         raise SpecMismatch("cannot search homomorphisms across functors")
-    if len(base_a.states) > cfg.state_bound:
+    if len(a.states) > cfg.state_bound:
         raise SearchBoundExceeded(
-            f"domain has {len(base_a.states)} states, bound is {cfg.state_bound}"
+            f"domain has {len(a.states)} states, bound is {cfg.state_bound}"
         )
-    if cfg.pointed and (point_of(a) is None or point_of(b) is None):
+    if not cfg.pointed:
+        # found maps need not preserve points, so their endpoints carry none
+        a, b = underlying(a), underlying(b)
+    elif a.point is None or b.point is None:
         raise SpecMismatch("pointed search needs pointed coalgebras")
 
-    spec = base_a.functor
-    order = base_a.states
+    spec = a.functor
+    order = a.states
     position = {s: i for i, s in enumerate(order)}
     needed = {
-        z: frozenset({z} | spec.support(base_a.struct_of(z))) for z in order
+        z: frozenset({z} | spec.support(a.struct_of(z))) for z in order
     }
     touched: dict[str, list[str]] = {s: [] for s in order}
     for z in order:
@@ -130,27 +129,25 @@ def enumerate_homomorphisms(
 
     candidates_by_state: dict[str, Sequence[str]] = {}
     for x in order:
-        if cfg.pointed and x == point_of(a):
-            candidates_by_state[x] = (point_of(b),)
+        if cfg.pointed and x == a.point:
+            candidates_by_state[x] = (b.point,)
         else:
-            candidates_by_state[x] = base_b.states
+            candidates_by_state[x] = b.states
 
     budget = cfg.max_candidates
     found: list[Morphism] = []
     mapping: dict[str, str] = {}
 
     def law_holds(z: str) -> bool:
-        expected = base_b.struct_of(mapping[z])
+        expected = b.struct_of(mapping[z])
         return structures_equal(
-            spec, expected, fmap(spec, mapping, base_a.struct_of(z))
+            spec, expected, fmap(spec, mapping, a.struct_of(z))
         )
 
     def extend(i: int) -> None:
         nonlocal budget
         if i == len(order):
-            dom = a if cfg.pointed else base_a
-            cod = b if cfg.pointed else base_b
-            found.append(Morphism(dom, cod, dict(mapping)))
+            found.append(Morphism(a, b, dict(mapping)))
             return
         x = order[i]
         for y in candidates_by_state[x]:
@@ -179,7 +176,7 @@ def enumerate_homomorphisms(
 
 
 def count_homomorphisms(
-    a: AnyCoalgebra, b: AnyCoalgebra, cfg: Optional[HomSearchConfig] = None
+    a: Coalgebra, b: Coalgebra, cfg: Optional[HomSearchConfig] = None
 ) -> int:
     return len(enumerate_homomorphisms(a, b, cfg))
 
@@ -189,7 +186,7 @@ def count_homomorphisms(
 # ---------------------------------------------------------------------------
 
 
-def naive_refinement(c: AnyCoalgebra) -> Partition:
+def naive_refinement(c: Coalgebra) -> Partition:
     """Behavioural classes by global refinement rounds, the reference for
     the worklist refinement behind ``behavioural_classes``.
 
@@ -197,14 +194,13 @@ def naive_refinement(c: AnyCoalgebra) -> Partition:
     splits each block by the results, until a round changes nothing.  A
     chain needing n rounds costs n**2 signature evaluations.
     """
-    base = underlying(c)
-    if base.is_empty:
+    if c.is_empty:
         return Partition(())
-    spec = base.functor
-    partition = Partition.single(base.states)
-    for _ in range(len(base.states)):
+    spec = c.functor
+    partition = Partition.single(c.states)
+    for _ in range(len(c.states)):
         kappa = partition.representative_map()
-        signature = {x: fmap(spec, kappa, base.struct_of(x)) for x in base.states}
+        signature = {x: fmap(spec, kappa, c.struct_of(x)) for x in c.states}
         refined = Partition.of(
             group
             for block in partition.blocks
@@ -232,7 +228,7 @@ def _pair_id(x: str, y: str) -> str:
     return f"{x}|{y}"
 
 
-def kernel_pair_coalgebra(c: AnyCoalgebra) -> Optional[tuple[Coalgebra, Morphism, Morphism]]:
+def kernel_pair_coalgebra(c: Coalgebra) -> Optional[tuple[Coalgebra, Morphism, Morphism]]:
     """The behavioural-equivalence relation as a coalgebra with projections.
 
     For functors preserving weak kernel pairs the relation carries a
@@ -241,28 +237,27 @@ def kernel_pair_coalgebra(c: AnyCoalgebra) -> Optional[tuple[Coalgebra, Morphism
     non-simple coalgebra is not subterminal.  Rational weights are excluded:
     cancellation breaks the construction.
     """
-    base = underlying(c)
-    spec = base.functor
+    spec = c.functor
     if not spec.preserves_weak_kernel_pairs:
         return None
-    partition = behavioural_classes(base)
+    partition = behavioural_classes(c)
     kappa = partition.representative_map()
     pairs = [
         (x, y)
-        for x in base.states
-        for y in base.states
+        for x in c.states
+        for y in c.states
         if kappa[x] == kappa[y]
     ]
-    index = base.state_index()
+    index = c.state_index()
     structure = {}
     for x, y in pairs:
         structure[_pair_id(x, y)] = spec.pair_structure(
-            base.struct_of(x), base.struct_of(y), kappa, index, _pair_id
+            c.struct_of(x), c.struct_of(y), kappa, index, _pair_id
         )
     carrier = tuple(_pair_id(x, y) for x, y in pairs)
     kernel = Coalgebra(spec, carrier, structure)
-    pr1 = Morphism(kernel, base, {_pair_id(x, y): x for x, y in pairs})
-    pr2 = Morphism(kernel, base, {_pair_id(x, y): y for x, y in pairs})
+    pr1 = Morphism(kernel, c, {_pair_id(x, y): x for x, y in pairs})
+    pr2 = Morphism(kernel, c, {_pair_id(x, y): y for x, y in pairs})
     require_homomorphism(pr1)
     require_homomorphism(pr2)
     return kernel, pr1, pr2
@@ -276,8 +271,8 @@ _SMALL = 4  # instances up to this size get an extra enumeration cross-check
 
 
 def check_minimal_iff_incoming_epi(
-    c: PointedCoalgebra,
-    pool: Iterable[PointedCoalgebra],
+    c: Coalgebra,
+    pool: Iterable[Coalgebra],
     cfg: Optional[HomSearchConfig] = None,
 ) -> PropertyReport:
     """Reachability = every incoming pointed homomorphism is surjective.
@@ -312,8 +307,8 @@ def check_minimal_iff_incoming_epi(
 
 
 def check_simple_subterminal(
-    c: AnyCoalgebra,
-    pool: Iterable[AnyCoalgebra],
+    c: Coalgebra,
+    pool: Iterable[Coalgebra],
     cfg: Optional[HomSearchConfig] = None,
 ) -> PropertyReport:
     """Simplicity = at most one homomorphism from anywhere into c.
@@ -325,28 +320,27 @@ def check_simple_subterminal(
     counted as a failure.
     """
     cfg = cfg or HomSearchConfig()
-    base = underlying(c)
     failures = []
     witnesses = []
     pool = list(pool)
-    if is_simple(base):
+    if is_simple(c):
         for d in pool:
-            n = count_homomorphisms(underlying(d), base, cfg)
+            n = count_homomorphisms(d, c, cfg)
             if n > 1:
                 failures.append(
                     (stable_digest(d), f"{n} homomorphisms into a simple coalgebra")
                 )
     else:
-        endos = enumerate_homomorphisms(base, base, cfg)
+        endos = enumerate_homomorphisms(c, c, cfg)
         if len(endos) >= 2:
             witnesses.append(f"{len(endos)} endomorphisms of a non-simple coalgebra")
         else:
-            kernel = kernel_pair_coalgebra(base)
+            kernel = kernel_pair_coalgebra(c)
             if kernel is not None and kernel[1].mapping != kernel[2].mapping:
                 witnesses.append(
                     "kernel-pair projections are two distinct incoming homomorphisms"
                 )
-            elif base.functor.preserves_weak_kernel_pairs:
+            elif c.functor.preserves_weak_kernel_pairs:
                 failures.append(
                     (stable_digest(c), "no second incoming homomorphism found")
                 )
@@ -359,13 +353,13 @@ def check_simple_subterminal(
     )
 
 
-def _subcoalgebra_on(c: PointedCoalgebra, states: tuple[str, ...]) -> PointedCoalgebra:
+def _subcoalgebra_on(c: Coalgebra, states: tuple[str, ...]) -> Coalgebra:
     structure = {s: c.struct_of(s) for s in states}
-    return PointedCoalgebra(Coalgebra(c.functor, states, structure), c.point)
+    return Coalgebra(c.functor, states, structure, c.point)
 
 
 def check_least_subobject(
-    c: PointedCoalgebra,
+    c: Coalgebra,
     bound: int = 12,
     cfg: Optional[HomSearchConfig] = None,
 ) -> PropertyReport:
@@ -402,14 +396,13 @@ def check_least_subobject(
 
 
 def check_greatest_quotient(
-    c: AnyCoalgebra,
+    c: Coalgebra,
     bound: int = 8,
     cfg: Optional[HomSearchConfig] = None,
 ) -> PropertyReport:
     """Every quotient factors uniquely through the simple quotient."""
     cfg = cfg or HomSearchConfig()
     quotient, projection, _ = simple_quotient(c)
-    base = underlying(c)
     failures = []
     count = 0
     for partition in enumerate_compatible_partitions(c, bound):
@@ -417,7 +410,7 @@ def check_greatest_quotient(
         d, e_prime = apply_partition_quotient(c, partition)
         u_map: dict[str, str] = {}
         conflict = None
-        for x in base.states:
+        for x in c.states:
             source, target = e_prime.mapping[x], projection.mapping[x]
             if u_map.setdefault(source, target) != target:
                 conflict = x
@@ -427,19 +420,19 @@ def check_greatest_quotient(
                 (stable_digest(d), f"no mediating map: conflict at {conflict!r}")
             )
             continue
-        mediating = Morphism(underlying(d), underlying(quotient), u_map)
+        mediating = Morphism(d, quotient, u_map)
         if not check_homomorphism(mediating):
             failures.append((stable_digest(d), "forced mediating map is not a hom"))
             continue
         # uniqueness is forced because the quotient projection is surjective;
         # cross-check by enumeration on tiny instances
-        if len(underlying(d).states) <= _SMALL:
+        if len(d.states) <= _SMALL:
             matching = [
                 h
-                for h in enumerate_homomorphisms(underlying(d), underlying(quotient), cfg)
+                for h in enumerate_homomorphisms(d, quotient, cfg)
                 if all(
                     h.mapping[e_prime.mapping[x]] == projection.mapping[x]
-                    for x in base.states
+                    for x in c.states
                 )
             ]
             if len(matching) != 1:
@@ -470,7 +463,7 @@ def check_minimization_functorial(
             continue
         part, _ = reachable_part(h.cod)
         inside = set(part.states)
-        escaping = [x for x in underlying(h.dom).states if h.mapping[x] not in inside]
+        escaping = [x for x in h.dom.states if h.mapping[x] not in inside]
         if escaping:
             failures.append(
                 (digest, f"image escapes the reachable part at {escaping[0]!r}")
@@ -483,7 +476,7 @@ def check_minimization_functorial(
 
 
 def check_quotient_closure(
-    c: PointedCoalgebra,
+    c: Coalgebra,
     bound: int = 8,
 ) -> PropertyReport:
     """Quotients of reachable coalgebras stay reachable, functor permitting.
@@ -496,7 +489,7 @@ def check_quotient_closure(
     failures = []
     witnesses = []
     count = 0
-    flagged = underlying(c).functor.preserves_inverse_images
+    flagged = c.functor.preserves_inverse_images
     if not is_reachable(c):
         return PropertyReport(
             "quotient-closure", 0, ((stable_digest(c), "input is not reachable"),)
@@ -527,7 +520,7 @@ def random_coalgebra(
     weight_pool: Optional[Sequence] = None,
     density: float = 0.5,
     pointed: bool = False,
-) -> AnyCoalgebra:
+) -> Coalgebra:
     """A pseudo-random coalgebra, a pure function of all its arguments.
 
     The generator is seeded with a string derived from every parameter, so
@@ -544,7 +537,4 @@ def random_coalgebra(
     structure = {}
     for s in states:
         structure[s] = spec.random_structure(states, rng, pool, density)
-    base = Coalgebra(spec, states, structure)
-    if pointed:
-        return PointedCoalgebra(base, rng.choice(states))
-    return base
+    return Coalgebra(spec, states, structure, rng.choice(states) if pointed else None)

@@ -9,20 +9,21 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import Coalgebra, Morphism, PointedCoalgebra, require_valid
-from .errors import OracleBoundExceeded
-from .functors import restrict_structure
+from .core import Coalgebra, Morphism, require_valid
+from .errors import NotPointed, OracleBoundExceeded
 
 DEFAULT_SUBCOALGEBRA_BOUND = 12
 
 
-def reachable_part(c: PointedCoalgebra) -> tuple[PointedCoalgebra, Morphism]:
-    """The least pointed subcoalgebra of c and its inclusion.
+def reachable_part(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
+    """The least pointed subcoalgebra of pointed c and its inclusion.
 
     States are discovered breadth-first from the point, expanding successor
     supports in carrier order, so the carrier of the result is a canonical
     BFS order.  Applying this to its own result is the identity.
     """
+    if c.point is None:
+        raise NotPointed("the reachable part needs a pointed coalgebra")
     require_valid(c)
     index = c.state_index()
     spec = c.functor
@@ -38,25 +39,20 @@ def reachable_part(c: PointedCoalgebra) -> tuple[PointedCoalgebra, Morphism]:
                 order.append(y)
                 queue.append(y)
     states = tuple(order)
-    # frozenset() of a frozenset is the same object, so restrict_structure
-    # does not copy the carrier for every state.
-    kept = frozenset(seen)
-    structure = {
-        s: restrict_structure(spec, c.struct_of(s), kept) for s in states
-    }
-    part = PointedCoalgebra(Coalgebra(spec, states, structure), c.point)
+    structure = {s: c.struct_of(s) for s in states}
+    part = Coalgebra(spec, states, structure, c.point)
     inclusion = Morphism(part, c, {s: s for s in states})
     return part, inclusion
 
 
-def is_reachable(c: PointedCoalgebra) -> bool:
+def is_reachable(c: Coalgebra) -> bool:
     """True iff no state can be dropped: the BFS closure is the whole carrier."""
     part, _ = reachable_part(c)
     return set(part.states) == set(c.states)
 
 
 def enumerate_pointed_subcoalgebras(
-    c: PointedCoalgebra, bound: int = DEFAULT_SUBCOALGEBRA_BOUND
+    c: Coalgebra, bound: int = DEFAULT_SUBCOALGEBRA_BOUND
 ) -> list[tuple[str, ...]]:
     """All carriers of pointed subcoalgebras, exhaustively.
 
@@ -64,6 +60,8 @@ def enumerate_pointed_subcoalgebras(
     successor support.  Subsets are reported in ascending bitmask order over
     the carrier, each as a tuple in carrier order.
     """
+    if c.point is None:
+        raise NotPointed("pointed subcoalgebras need a pointed coalgebra")
     require_valid(c)
     n = len(c.states)
     if n > bound:

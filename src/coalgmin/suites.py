@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .core import Morphism, PointedCoalgebra, apply_partition_quotient
+from .core import Coalgebra, Morphism, apply_partition_quotient
 from .errors import UnknownSuite
 from .functors import (
     DfaFunctor,
@@ -61,7 +61,7 @@ DEFAULT_SEEDS = tuple(range(200))
 MAX_SEED_STATES = 6
 
 
-def seeded_instance(spec, pool, seed: int) -> PointedCoalgebra:
+def seeded_instance(spec, pool, seed: int) -> Coalgebra:
     """The fixed pointed instance for one (functor family, seed) pair."""
     n = 1 + seed % MAX_SEED_STATES
     density = (0.25, 0.5, 0.75)[seed % 3]
@@ -78,7 +78,7 @@ def _run_per_instance(
     name: str,
     seeds: Sequence[int],
     flagged_only: bool,
-    fn: Callable[[PointedCoalgebra], Iterable[tuple[str, str]]],
+    fn: Callable[[Coalgebra], Iterable[tuple[str, str]]],
 ) -> list[PropertyReport]:
     reports = []
     for family, spec, pool in _families(flagged_only):

@@ -7,7 +7,7 @@ them in sync.
 
 from __future__ import annotations
 
-from .core import Coalgebra, PointedCoalgebra
+from .core import Coalgebra
 from .functors import (
     DfaFunctor,
     LabelledFunctor,
@@ -24,10 +24,10 @@ BAG = WeightedFunctor(NATURALS)
 RATIONAL_WEIGHTS = WeightedFunctor(RATIONALS)
 
 
-def dfa_no_trailing_b() -> PointedCoalgebra:
+def dfa_no_trailing_b() -> Coalgebra:
     """Four-state DFA over {a,b}; q, p and s accept the words not ending in b."""
     f = DFA_AB
-    return PointedCoalgebra.make(
+    return Coalgebra.make(
         f,
         ("q", "p", "s", "r"),
         {
@@ -40,14 +40,14 @@ def dfa_no_trailing_b() -> PointedCoalgebra:
     )
 
 
-def dfa_merge_target() -> PointedCoalgebra:
+def dfa_merge_target() -> Coalgebra:
     """Codomain for the standard DFA morphism: q and p collapse to p_bar.
 
     Contains the extra state t outside the image, so the canonical morphism
     into it is neither injective nor surjective and factors properly.
     """
     f = DFA_AB
-    return PointedCoalgebra.make(
+    return Coalgebra.make(
         f,
         ("t", "p_bar", "s", "r"),
         {
@@ -69,10 +69,10 @@ def dfa_merge_map_perturbed() -> dict[str, str]:
     return {"q": "p_bar", "p": "p_bar", "s": "s", "r": "s"}
 
 
-def ts_branching() -> PointedCoalgebra:
+def ts_branching() -> Coalgebra:
     """Transition system where x and y have the same branching behaviour."""
     f = POWERSET
-    return PointedCoalgebra.make(
+    return Coalgebra.make(
         f,
         ("x", "y", "z"),
         {
@@ -84,10 +84,10 @@ def ts_branching() -> PointedCoalgebra:
     )
 
 
-def ts_branching_reduced() -> PointedCoalgebra:
+def ts_branching_reduced() -> Coalgebra:
     """The two-state system ts_branching minimizes to, under fresh names."""
     f = POWERSET
-    return PointedCoalgebra.make(
+    return Coalgebra.make(
         f,
         ("u", "v"),
         {"u": f.struct({"u", "v"}), "v": f.struct(())},
@@ -95,10 +95,10 @@ def ts_branching_reduced() -> PointedCoalgebra:
     )
 
 
-def weighted_pair_merge() -> PointedCoalgebra:
+def weighted_pair_merge() -> Coalgebra:
     """Rational-weighted system whose two sinks merge; 4 and -7 sum to -3."""
     f = RATIONAL_WEIGHTS
-    return PointedCoalgebra.make(
+    return Coalgebra.make(
         f,
         ("x", "y1", "y2"),
         {
@@ -141,14 +141,14 @@ def weighted_flow_map() -> dict[str, str]:
     return {"q": "q_bar", "r": "q_bar", "p": "s_bar", "s": "s_bar"}
 
 
-def cancel_fork() -> PointedCoalgebra:
+def cancel_fork() -> Coalgebra:
     """Reachable system whose only quotient cancels its weights (3 - 3 = 0).
 
     Merging b1 and b2 leaves the point without outgoing transitions, so the
     quotient is no longer reachable.
     """
     f = RATIONAL_WEIGHTS
-    return PointedCoalgebra.make(
+    return Coalgebra.make(
         f,
         ("a", "b1", "b2"),
         {
@@ -160,14 +160,14 @@ def cancel_fork() -> PointedCoalgebra:
     )
 
 
-def cancel_fork_loops() -> PointedCoalgebra:
+def cancel_fork_loops() -> Coalgebra:
     """Cancellation system whose minimization orders disagree.
 
     Simple-then-reachable yields one state with no transitions; the reverse
     order leaves a second, unreachable state behind.
     """
     f = RATIONAL_WEIGHTS
-    return PointedCoalgebra.make(
+    return Coalgebra.make(
         f,
         ("a", "b1", "b2"),
         {
@@ -179,10 +179,10 @@ def cancel_fork_loops() -> PointedCoalgebra:
     )
 
 
-def ts_cycle_with_feeder() -> PointedCoalgebra:
+def ts_cycle_with_feeder() -> Coalgebra:
     """A pointed 2-cycle fed by two unreachable states, one of them looping."""
     f = POWERSET
-    return PointedCoalgebra.make(
+    return Coalgebra.make(
         f,
         ("q0", "q1", "q2", "q3"),
         {
@@ -195,9 +195,9 @@ def ts_cycle_with_feeder() -> PointedCoalgebra:
     )
 
 
-def ts_two_cycle() -> PointedCoalgebra:
+def ts_two_cycle() -> Coalgebra:
     f = POWERSET
-    return PointedCoalgebra.make(
+    return Coalgebra.make(
         f,
         ("q0", "q1"),
         {"q0": f.struct({"q1"}), "q1": f.struct({"q0"})},
@@ -205,15 +205,15 @@ def ts_two_cycle() -> PointedCoalgebra:
     )
 
 
-def ts_single_loop() -> PointedCoalgebra:
+def ts_single_loop() -> Coalgebra:
     f = POWERSET
-    return PointedCoalgebra.make(f, ("q0",), {"q0": f.struct({"q0"})}, "q0")
+    return Coalgebra.make(f, ("q0",), {"q0": f.struct({"q0"})}, "q0")
 
 
-def bag_double_edge() -> PointedCoalgebra:
+def bag_double_edge() -> Coalgebra:
     """Two states joined by a single weight-2 edge; unravels into siblings."""
     f = BAG
-    return PointedCoalgebra.make(
+    return Coalgebra.make(
         f,
         ("a", "b"),
         {"a": f.struct({"b": 2}), "b": f.struct({})},
@@ -221,16 +221,16 @@ def bag_double_edge() -> PointedCoalgebra:
     )
 
 
-def bag_self_loop() -> PointedCoalgebra:
+def bag_self_loop() -> Coalgebra:
     """One looping state; its unravelling would be an infinite chain."""
     f = BAG
-    return PointedCoalgebra.make(f, ("a",), {"a": f.struct({"a": 1})}, "a")
+    return Coalgebra.make(f, ("a",), {"a": f.struct({"a": 1})}, "a")
 
 
-def labelled_handshake() -> PointedCoalgebra:
+def labelled_handshake() -> Coalgebra:
     """Small labelled transition system with one merged pair of states."""
     f = LABELLED_AB
-    return PointedCoalgebra.make(
+    return Coalgebra.make(
         f,
         ("g0", "g1", "g2", "g3"),
         {

@@ -13,42 +13,33 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    AnyCoalgebra,
-    Coalgebra,
-    Morphism,
-    PointedCoalgebra,
-    point_of,
-    require_homomorphism,
-    require_valid,
-    underlying,
-)
+from .core import Coalgebra, Morphism, require_homomorphism, require_valid
 from .errors import CyclicReachablePart, SpecMismatch
 from .functors import DfaFunctor
 from .observability import is_simple, simple_quotient
 from .reachability import is_reachable, reachable_part
 
 
-def well_pointed_modification(c: PointedCoalgebra) -> PointedCoalgebra:
+def well_pointed_modification(c: Coalgebra) -> Coalgebra:
     """Simple quotient first, then its reachable part."""
     quotient, _, _ = simple_quotient(c)
     part, _ = reachable_part(quotient)
     return part
 
 
-def is_well_pointed(c: PointedCoalgebra) -> bool:
+def is_well_pointed(c: Coalgebra) -> bool:
     return is_reachable(c) and is_simple(c)
 
 
 @dataclass(frozen=True)
 class CommutationReport:
-    simple_first: PointedCoalgebra
-    reach_first: PointedCoalgebra
+    simple_first: Coalgebra
+    reach_first: Coalgebra
     agree: bool
     iso: Optional[Morphism]
 
 
-def commutation_check(c: PointedCoalgebra) -> CommutationReport:
+def commutation_check(c: Coalgebra) -> CommutationReport:
     """Run both minimization orders and compare the results up to isomorphism.
 
     ``reach_first`` may itself fail to be reachable for rational weights; it
@@ -67,7 +58,7 @@ def commutation_check(c: PointedCoalgebra) -> CommutationReport:
 # ---------------------------------------------------------------------------
 
 
-def are_isomorphic(a: AnyCoalgebra, b: AnyCoalgebra) -> Optional[Morphism]:
+def are_isomorphic(a: Coalgebra, b: Coalgebra) -> Optional[Morphism]:
     """A bijective homomorphism a -> b (point-preserving when pointed), or None.
 
     Pointed reachable deterministic automata are compared through their
@@ -76,15 +67,15 @@ def are_isomorphic(a: AnyCoalgebra, b: AnyCoalgebra) -> Optional[Morphism]:
     """
     require_valid(a)
     require_valid(b)
-    if underlying(a).functor != underlying(b).functor:
+    if a.functor != b.functor:
         raise SpecMismatch("cannot compare coalgebras over different functors")
-    if isinstance(a, PointedCoalgebra) != isinstance(b, PointedCoalgebra):
+    if (a.point is None) != (b.point is None):
         raise SpecMismatch("cannot compare pointed with unpointed coalgebras")
-    if len(underlying(a).states) != len(underlying(b).states):
+    if len(a.states) != len(b.states):
         return None
     if (
-        isinstance(underlying(a).functor, DfaFunctor)
-        and isinstance(a, PointedCoalgebra)
+        isinstance(a.functor, DfaFunctor)
+        and a.point is not None
         and is_reachable(a)
         and is_reachable(b)
     ):
@@ -100,10 +91,10 @@ def are_isomorphic(a: AnyCoalgebra, b: AnyCoalgebra) -> Optional[Morphism]:
     return forward
 
 
-def _dfa_canonical_match(a: PointedCoalgebra, b: PointedCoalgebra) -> Optional[dict]:
+def _dfa_canonical_match(a: Coalgebra, b: Coalgebra) -> Optional[dict]:
     """Match two reachable pointed DFAs along symbol-order BFS from the points."""
 
-    def bfs(c: PointedCoalgebra) -> list[str]:
+    def bfs(c: Coalgebra) -> list[str]:
         seen = {c.point}
         order = [c.point]
         queue = deque([c.point])
@@ -130,27 +121,26 @@ def _dfa_canonical_match(a: PointedCoalgebra, b: PointedCoalgebra) -> Optional[d
     return mapping
 
 
-def _backtrack_iso(a: AnyCoalgebra, b: AnyCoalgebra) -> Optional[dict]:
-    base_a, base_b = underlying(a), underlying(b)
-    spec = base_a.functor
-    sig_a = {x: spec.local_signature(base_a.struct_of(x)) for x in base_a.states}
-    sig_b = {y: spec.local_signature(base_b.struct_of(y)) for y in base_b.states}
+def _backtrack_iso(a: Coalgebra, b: Coalgebra) -> Optional[dict]:
+    spec = a.functor
+    sig_a = {x: spec.local_signature(a.struct_of(x)) for x in a.states}
+    sig_b = {y: spec.local_signature(b.struct_of(y)) for y in b.states}
     if Counter(sig_a.values()) != Counter(sig_b.values()):
         return None
-    order = list(base_a.states)
-    pa, pb = point_of(a), point_of(b)
+    order = list(a.states)
+    pa, pb = a.point, b.point
     if pa is not None:
         if sig_a[pa] != sig_b[pb]:
             return None
         order.remove(pa)
         order.insert(0, pa)
-    supports = {x: spec.support(base_a.struct_of(x)) for x in base_a.states}
+    supports = {x: spec.support(a.struct_of(x)) for x in a.states}
 
     def consistent(mapping: dict) -> bool:
         for x in mapping:
             if supports[x] <= mapping.keys():
-                image = spec.fmap(mapping, base_a.struct_of(x))
-                if image != base_b.struct_of(mapping[x]):
+                image = spec.fmap(mapping, a.struct_of(x))
+                if image != b.struct_of(mapping[x]):
                     return False
         return True
 
@@ -160,7 +150,7 @@ def _backtrack_iso(a: AnyCoalgebra, b: AnyCoalgebra) -> Optional[dict]:
         x = order[i]
         candidates = (
             [pb] if x == pa else
-            [y for y in base_b.states if y not in used and sig_b[y] == sig_a[x]]
+            [y for y in b.states if y not in used and sig_b[y] == sig_a[x]]
         )
         for y in candidates:
             if y in used:
@@ -183,7 +173,7 @@ def _backtrack_iso(a: AnyCoalgebra, b: AnyCoalgebra) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 
 
-def tree_unravel(c: PointedCoalgebra) -> tuple[PointedCoalgebra, Morphism]:
+def tree_unravel(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
     """Unfold the reachable part into its tree of edge paths.
 
     State ids of the tree are path strings rooted at the point, one segment
@@ -215,39 +205,43 @@ def tree_unravel(c: PointedCoalgebra) -> tuple[PointedCoalgebra, Morphism]:
     if len(set(states)) != len(states):
         # only possible when state ids already contain the path separator
         raise SpecMismatch("path ids collide; rename states containing '/'")
-    tree = PointedCoalgebra(Coalgebra(spec, tuple(states), structure), root)
+    tree = Coalgebra(spec, tuple(states), structure, root)
     covering = Morphism(tree, part, endpoint)
     require_homomorphism(covering)
     assert covering.is_surjective()
     return tree, covering
 
 
-def _find_cycle(c: PointedCoalgebra) -> Optional[list[str]]:
-    """A cycle in the successor graph, as a state sequence, or None."""
+def _find_cycle(c: Coalgebra) -> Optional[list[str]]:
+    """A cycle in the successor graph, as a state sequence, or None.
+
+    Depth-first search with an explicit stack, so deep chains need no
+    recursion; successors are visited in carrier order.
+    """
     spec = c.functor
     index = c.state_index()
     white, grey, black = 0, 1, 2
     colour = {s: white for s in c.states}
-    stack_trace: list[str] = []
 
-    def visit(x: str) -> Optional[list[str]]:
-        colour[x] = grey
-        stack_trace.append(x)
-        for y in sorted(spec.support(c.struct_of(x)), key=index.__getitem__):
-            if colour[y] == grey:
-                at = stack_trace.index(y)
-                return stack_trace[at:] + [y]
-            if colour[y] == white:
-                found = visit(y)
-                if found is not None:
-                    return found
-        colour[x] = black
-        stack_trace.pop()
-        return None
+    def successors(x: str):
+        return iter(sorted(spec.support(c.struct_of(x)), key=index.__getitem__))
 
     for s in c.states:
-        if colour[s] == white:
-            found = visit(s)
-            if found is not None:
-                return found
+        if colour[s] != white:
+            continue
+        colour[s] = grey
+        path = [s]
+        pending = [successors(s)]
+        while pending:
+            for y in pending[-1]:
+                if colour[y] == grey:
+                    return path[path.index(y):] + [y]
+                if colour[y] == white:
+                    colour[y] = grey
+                    path.append(y)
+                    pending.append(successors(y))
+                    break
+            else:
+                colour[path.pop()] = black
+                pending.pop()
     return None

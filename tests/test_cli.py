@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from coalgmin import Coalgebra, PowersetFunctor, serialize_coalgebra
 from coalgmin.cli import run_command
 
-from conftest import corpus_path
+from conftest import chains, corpus_path
 
 
 def doc(name: str) -> str:
@@ -190,6 +191,13 @@ def test_unravel_writes_tree_and_covering(tmp_path, capsys):
     assert covering["map"]["a/b#1"] == "b"
     assert run_command(["unravel", doc("bag_self_loop")]) == 2
     assert "cycle" in capsys.readouterr().err
+
+
+def test_unravel_of_a_deep_chain_exits_0(tmp_path):
+    c = chains(PowersetFunctor(), 1500)
+    chain = tmp_path / "chain.json"
+    chain.write_text(serialize_coalgebra(Coalgebra(c.functor, c.states, c.structure, "c0_0")))
+    assert run_command(["unravel", str(chain), "--out-dir", str(tmp_path)]) == 0
 
 
 def test_dot_emits_to_stdout(capsys):

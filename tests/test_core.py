@@ -1,6 +1,8 @@
 """Coalgebra validation, homomorphism law, fill-in, factorization, quotients."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -8,7 +10,6 @@ from coalgmin import (
     Coalgebra,
     Morphism,
     Partition,
-    PointedCoalgebra,
     PowersetFunctor,
     WeightedFunctor,
     apply_partition_quotient,
@@ -21,6 +22,7 @@ from coalgmin import (
     identity_morphism,
     kernel_partition,
     simple_quotient,
+    underlying,
     validate_coalgebra,
 )
 from coalgmin import systems
@@ -66,8 +68,24 @@ def test_stored_zero_weight_is_reported():
 
 
 def test_point_outside_carrier_is_reported():
-    c = PointedCoalgebra(Coalgebra(PS, ("x",), {"x": PS.struct(())}), "nope")
+    c = Coalgebra(PS, ("x",), {"x": PS.struct(())}, "nope")
     assert any(v.code == "point-not-in-carrier" for v in validate_coalgebra(c))
+
+
+def test_structure_is_a_read_only_private_copy():
+    structure = {"x": PS.struct(())}
+    c = Coalgebra.make(PS, ("x",), structure)
+    with pytest.raises(TypeError):
+        c.structure["x"] = PS.struct(["x"])
+    structure["x"] = PS.struct(["x"])
+    structure["y"] = PS.struct(())
+    assert dict(c.structure) == {"x": PS.struct(())}
+
+
+def test_coalgebras_pickle_and_deep_copy():
+    c = systems.dfa_no_trailing_b()
+    assert pickle.loads(pickle.dumps(c)) == c
+    assert copy.deepcopy(c) == c
 
 
 def test_empty_coalgebra_is_legal():
@@ -78,8 +96,8 @@ def test_empty_coalgebra_is_legal():
 
 
 def dfa_pair():
-    dom = systems.dfa_no_trailing_b().base
-    cod = systems.dfa_merge_target().base
+    dom = underlying(systems.dfa_no_trailing_b())
+    cod = underlying(systems.dfa_merge_target())
     return dom, cod
 
 
@@ -276,7 +294,7 @@ def test_kernel_partition_identity_and_constant():
     c = systems.ts_branching()
     assert kernel_partition(identity_morphism(c)).is_discrete
     target = systems.ts_single_loop()
-    const = Morphism(c.base, target.base, {s: "q0" for s in c.states})
+    const = Morphism(underlying(c), underlying(target), {s: "q0" for s in c.states})
     assert kernel_partition(const).blocks == (("x", "y", "z"),)
 
 

@@ -12,14 +12,12 @@ from coalgmin import (
     WeightedFunctor,
     enumerate_structures,
     fmap,
-    restrict_structure,
     structures_equal,
     support,
 )
 from coalgmin.errors import (
     MalformedStructure,
     SpecMismatch,
-    SupportEscapesSubset,
     WeightedWithoutPool,
 )
 
@@ -144,14 +142,6 @@ def test_dfa_struct_requires_total_moves():
         DFA.struct(True, {"a": "p"})
     with pytest.raises(MalformedStructure):
         DFA.struct(True, {"a": "p", "b": "r", "c": "q"})
-
-
-def test_restrict_structure_checks_support():
-    t = PS.struct({"p", "r"})
-    assert restrict_structure(PS, t, {"p", "r", "s"}) == t
-    with pytest.raises(SupportEscapesSubset) as err:
-        restrict_structure(PS, t, {"p"})
-    assert err.value.state == "r"
 
 
 def test_enumerate_powerset_structures():

@@ -49,7 +49,7 @@ def naive_homs(a, b, pointed=False):
 
 def test_single_loop_has_only_the_identity_endomorphism():
     c = systems.ts_single_loop()
-    homs = enumerate_homomorphisms(c.base, c.base)
+    homs = enumerate_homomorphisms(underlying(c), underlying(c))
     assert [h.mapping for h in homs] == [{"q0": "q0"}]
 
 
@@ -145,10 +145,10 @@ def test_minimal_iff_incoming_epi_flags_the_non_reachable_input():
 
 
 def test_minimal_iff_incoming_epi_trivial_singleton():
-    from coalgmin import PointedCoalgebra, Coalgebra
+    from coalgmin import Coalgebra
 
     ps = PowersetFunctor()
-    c = PointedCoalgebra(Coalgebra(ps, ("x",), {"x": ps.struct(())}), "x")
+    c = Coalgebra(ps, ("x",), {"x": ps.struct(())}, "x")
     assert check_minimal_iff_incoming_epi(c, [c]).passed
 
 

@@ -4,13 +4,19 @@ import pytest
 
 from coalgmin import (
     check_homomorphism,
+    check_least_subobject,
+    check_minimal_iff_incoming_epi,
+    commutation_check,
     enumerate_pointed_subcoalgebras,
     is_reachable,
     random_coalgebra,
     reachable_part,
+    tree_unravel,
+    underlying,
+    well_pointed_modification,
 )
 from coalgmin import systems
-from coalgmin.errors import OracleBoundExceeded
+from coalgmin.errors import NotPointed, OracleBoundExceeded
 from coalgmin.functors import PowersetFunctor
 
 
@@ -77,10 +83,38 @@ def test_reachable_input_has_only_the_full_subcoalgebra():
 
 def test_lonely_point_has_one_subcoalgebra():
     ps = PowersetFunctor()
-    from coalgmin import PointedCoalgebra, Coalgebra
+    from coalgmin import Coalgebra
 
-    c = PointedCoalgebra(Coalgebra(ps, ("x",), {"x": ps.struct(())}), "x")
+    c = Coalgebra(ps, ("x",), {"x": ps.struct(())}, "x")
     assert enumerate_pointed_subcoalgebras(c) == [("x",)]
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        reachable_part,
+        enumerate_pointed_subcoalgebras,
+        is_reachable,
+        well_pointed_modification,
+        commutation_check,
+        tree_unravel,
+        lambda c: check_minimal_iff_incoming_epi(c, [c]),
+        check_least_subobject,
+    ],
+    ids=[
+        "reachable_part",
+        "enumerate_pointed_subcoalgebras",
+        "is_reachable",
+        "well_pointed_modification",
+        "commutation_check",
+        "tree_unravel",
+        "check_minimal_iff_incoming_epi",
+        "check_least_subobject",
+    ],
+)
+def test_pointed_only_operations_reject_an_unpointed_coalgebra(operation):
+    with pytest.raises(NotPointed):
+        operation(underlying(systems.ts_branching()))
 
 
 def test_oracle_bound_is_enforced():

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from coalgmin import (
+    Coalgebra,
     DfaFunctor,
     LabelledFunctor,
     Partition,
-    PointedCoalgebra,
     PowersetFunctor,
     WeightedFunctor,
     apply_partition_quotient,
@@ -107,7 +107,7 @@ def test_simple_quotient_of_the_cancellation_corpus_matches_the_oracle(name):
 def test_simple_quotient_of_chains_matches_the_oracle(family):
     c = chains(CHAIN_FUNCTORS[family], 60, 2)
     _assert_simple_quotient_matches_the_oracle(c)
-    _assert_simple_quotient_matches_the_oracle(PointedCoalgebra(c, "c1_0"))
+    _assert_simple_quotient_matches_the_oracle(Coalgebra(c.functor, c.states, c.structure, "c1_0"))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -4,7 +4,6 @@ import pytest
 
 from coalgmin import (
     Coalgebra,
-    PointedCoalgebra,
     are_isomorphic,
     check_homomorphism,
     commutation_check,
@@ -13,6 +12,7 @@ from coalgmin import (
     is_well_pointed,
     random_coalgebra,
     tree_unravel,
+    underlying,
     well_pointed_modification,
 )
 from coalgmin import systems
@@ -20,6 +20,8 @@ from coalgmin.errors import CyclicReachablePart, SpecMismatch
 from coalgmin.functors import DfaFunctor, PowersetFunctor, WeightedFunctor
 from coalgmin.oracles import HomSearchConfig, enumerate_homomorphisms
 from coalgmin.suites import FLAGGED_FAMILIES, seeded_instance
+
+from conftest import chains
 
 
 def test_feeder_cycle_modification_is_the_single_loop():
@@ -54,7 +56,7 @@ def test_is_well_pointed_endpoints():
     assert is_well_pointed(systems.ts_single_loop())
     assert not is_well_pointed(systems.ts_cycle_with_feeder())
     ps = PowersetFunctor()
-    singleton = PointedCoalgebra(Coalgebra(ps, ("x",), {"x": ps.struct(())}), "x")
+    singleton = Coalgebra(ps, ("x",), {"x": ps.struct(())}, "x")
     assert is_well_pointed(singleton)
 
 
@@ -119,9 +121,9 @@ def simple_quotient_of_branching():
 
 def test_iso_rejects_mixed_kinds_and_functors():
     with pytest.raises(SpecMismatch):
-        are_isomorphic(systems.ts_branching(), systems.ts_branching().base)
+        are_isomorphic(systems.ts_branching(), underlying(systems.ts_branching()))
     with pytest.raises(SpecMismatch):
-        are_isomorphic(systems.ts_branching().base, systems.weighted_flow())
+        are_isomorphic(underlying(systems.ts_branching()), systems.weighted_flow())
 
 
 def test_iso_absent_for_different_behaviour():
@@ -164,7 +166,7 @@ def _iso_by_enumeration(a, b):
 def test_backtracking_iso_agrees_with_naive_bijection_search(spec, pool):
     import itertools
 
-    from coalgmin import random_coalgebra, underlying
+    from coalgmin import random_coalgebra
     from coalgmin.core import Morphism
     from coalgmin.core import check_homomorphism as is_hom
 
@@ -185,12 +187,10 @@ def test_backtracking_iso_agrees_with_naive_bijection_search(spec, pool):
         b = random_coalgebra(spec, n, seed + 7, weight_pool=pool, density=0.5, pointed=True)
         # a renamed copy of a must always be found
         renaming = {s: f"r_{s}" for s in a.states}
-        copy = PointedCoalgebra(
-            Coalgebra(
-                spec,
-                tuple(renaming[s] for s in a.states),
-                {renaming[s]: spec.fmap(renaming, a.struct_of(s)) for s in a.states},
-            ),
+        copy = Coalgebra(
+            spec,
+            tuple(renaming[s] for s in a.states),
+            {renaming[s]: spec.fmap(renaming, a.struct_of(s)) for s in a.states},
             renaming[a.point],
         )
         assert are_isomorphic(a, copy) is not None
@@ -207,9 +207,7 @@ def test_renamed_copy_is_isomorphic_in_exactly_two_ways():
     structure = {
         renaming[s]: f.fmap(renaming, tree.struct_of(s)) for s in tree.states
     }
-    renamed = PointedCoalgebra(
-        Coalgebra(f, ("n0", "n1", "n2"), structure), "n0"
-    )
+    renamed = Coalgebra(f, ("n0", "n1", "n2"), structure, "n0")
     assert are_isomorphic(tree, renamed) is not None
     isos = [
         h
@@ -242,6 +240,21 @@ def test_self_loop_is_rejected_with_its_cycle():
     with pytest.raises(CyclicReachablePart) as err:
         tree_unravel(systems.bag_self_loop())
     assert err.value.cycle == ("a", "a")
+
+
+def test_a_deep_chain_unravels_without_recursion():
+    c = chains(PowersetFunctor(), 1500)
+    tree, _ = tree_unravel(Coalgebra(c.functor, c.states, c.structure, "c0_0"))
+    assert len(tree.states) == 1500
+
+
+def test_a_deep_cycle_is_named_by_its_witness():
+    ps = PowersetFunctor()
+    c = chains(ps, 3000)
+    structure = dict(c.structure, c0_2999=ps.struct(["c0_1500"]))
+    with pytest.raises(CyclicReachablePart) as err:
+        tree_unravel(Coalgebra.make(ps, c.states, structure, "c0_0"))
+    assert err.value.cycle == tuple(f"c0_{i}" for i in range(1500, 3000)) + ("c0_1500",)
 
 
 def test_dfa_unravelling_is_always_cyclic():
