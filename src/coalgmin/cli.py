@@ -9,6 +9,7 @@ is canonical JSON, byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -175,7 +176,10 @@ def _cmd_props(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared afterwards: building
+    it costs far more than a parse, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="coalgmin",
         description="Minimize finite coalgebraic state systems and verify their laws.",
@@ -254,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CoalgminError, FileNotFoundError) as exc:

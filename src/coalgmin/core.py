@@ -133,9 +133,19 @@ def validate_coalgebra(c: Coalgebra) -> list[Violation]:
 
 
 def require_valid(c: Coalgebra) -> None:
+    """Raise ValidationError unless c is valid.
+
+    A coalgebra is immutable, so a success is recorded on c, outside its
+    dataclass fields (equality and pickling ignore it), and later
+    calls return at once: a document is checked once however many
+    operations it passes through.
+    """
+    if "_valid" in c.__dict__:
+        return
     violations = validate_coalgebra(c)
     if violations:
         raise ValidationError(violations)
+    object.__setattr__(c, "_valid", True)
 
 
 # ---------------------------------------------------------------------------

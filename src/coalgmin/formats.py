@@ -2,16 +2,17 @@
 
 Serialization is canonical: object keys are sorted, weights are normalized
 fraction strings ("3", "-1/2"), state lists inside structures follow carrier
-order, and every emitter is deterministic byte for byte.  ``parse`` validates
-through :func:`coalgmin.core.validate_coalgebra` and reports every violation
-at once.
+order, and every emitter is deterministic byte for byte.  ``parse_coalgebra``
+validates through :func:`coalgmin.core.require_valid`, which reports every
+violation at once and records the success, so later operations on the parsed
+coalgebra do not validate it again.
 """
 
 from __future__ import annotations
 
 import json
 
-from .core import Coalgebra, Morphism, Partition, Violation, validate_coalgebra
+from .core import Coalgebra, Morphism, Partition, Violation, require_valid
 from .errors import ParseError, ValidationError
 from .functors import FunctorSpec, string_list
 
@@ -73,9 +74,7 @@ def parse_coalgebra(text: str) -> Coalgebra:
     if point is not None and not isinstance(point, str):
         raise ParseError(None, "'point' must be a string")
     result = Coalgebra(spec, states, structure, point)
-    violations = validate_coalgebra(result)
-    if violations:
-        raise ValidationError(violations)
+    require_valid(result)
     return result
 
 

@@ -7,13 +7,14 @@ generic over :class:`FunctorSpec`.  Adding a functor means subclassing it
 directly with a new ``kind``, which ``formats.parse_functor`` looks up, and
 implementing ``check_structure``, ``fmap``, ``support`` (the action),
 ``enumerate_structures``, ``local_signature`` (oracles and iso search),
-``edges`` (canonical edge order), ``encode``/``decode`` (documents),
-``unravel`` and ``random_structure``; ``payload``/``from_payload``,
+``refinement_edges`` (partition refinement), ``edges`` (canonical edge
+order), ``encode``/``decode`` (documents), ``unravel`` and
+``random_structure``; ``observe``, ``payload``/``from_payload``,
 ``node_shape``, ``random_pool`` and ``pair_structure`` have defaults.
 
 Structures are immutable, canonical and hashable: two structures are
-semantically equal iff they compare equal, which is what lets the refinement
-loop group states by their successor signatures with a plain dict.
+semantically equal iff they compare equal, which is what lets the quotient
+and the oracles compare successor structures with ``==``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     MalformedStructure,
@@ -129,6 +130,23 @@ class FunctorSpec:
     def local_signature(self, t: FStructure):
         """Invariant of t under renaming of states; used to prune iso search."""
         raise NotImplementedError
+
+    # -- partition refinement ----------------------------------------------
+
+    def refinement_edges(self, t: FStructure, index: Mapping[str, int]) -> tuple[Hashable, list]:
+        """t as partition refinement sees it: a hashable constant part and a
+        list of (label, target position, weight) edges, ``index`` giving
+        carrier positions.  Weights add up within a label.  Two states are
+        behaviourally equal exactly when their constants agree and, for every
+        label and every class, :meth:`observe` of their summed weights into
+        the class agrees."""
+        raise NotImplementedError
+
+    @staticmethod
+    def observe(weight):
+        """What refinement sees of a sum of edge weights: by default the sum
+        itself.  It must be falsy exactly when the sum is zero."""
+        return weight
 
     # -- documents and rendering -------------------------------------------
 
@@ -245,6 +263,9 @@ class DfaFunctor(FunctorSpec):
     def local_signature(self, t):
         return t.accepting
 
+    def refinement_edges(self, t, index):
+        return t.accepting, [(sym, index[tgt], 1) for sym, tgt in t.moves]
+
     def payload(self):
         return {"kind": self.kind, "alphabet": list(self.alphabet)}
 
@@ -323,6 +344,11 @@ class PowersetFunctor(FunctorSpec):
     def local_signature(self, t):
         return len(t.successors)
 
+    def refinement_edges(self, t, index):
+        return None, [(None, index[s], 1) for s in t.successors]
+
+    observe = staticmethod(bool)  # a set sees whether an edge exists, not how many
+
     def edges(self, t, index):
         return [(None, s) for s in sorted(t.successors, key=index.__getitem__)]
 
@@ -392,6 +418,11 @@ class LabelledFunctor(FunctorSpec):
 
     def local_signature(self, t):
         return tuple(sorted(l for l, _ in t.edges))
+
+    def refinement_edges(self, t, index):
+        return None, [(l, index[s], 1) for l, s in t.edges]
+
+    observe = staticmethod(bool)
 
     def payload(self):
         return {"kind": self.kind, "labels": list(self.labels)}
@@ -554,6 +585,13 @@ class WeightedFunctor(FunctorSpec):
 
     def local_signature(self, t):
         return tuple(sorted(w for _, w in t.weights))
+
+    def refinement_edges(self, t, index):
+        # Integral weights as int: int sums are far cheaper than Fraction
+        # sums, and an int equals and hashes like the equal Fraction.
+        return None, [
+            (None, index[s], w.numerator if w.denominator == 1 else w) for s, w in t.weights
+        ]
 
     def payload(self):
         return {"kind": self.kind, "monoid": self.monoid}

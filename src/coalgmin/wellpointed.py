@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Coalgebra, Morphism, require_homomorphism, require_valid
-from .errors import CyclicReachablePart, SpecMismatch
+from .errors import CyclicReachablePart, NotPointed, SpecMismatch
 from .functors import DfaFunctor
 from .observability import is_simple, simple_quotient
 from .reachability import is_reachable, reachable_part
@@ -22,6 +22,8 @@ from .reachability import is_reachable, reachable_part
 
 def well_pointed_modification(c: Coalgebra) -> Coalgebra:
     """Simple quotient first, then its reachable part."""
+    if c.point is None:
+        raise NotPointed("the well-pointed modification needs a pointed coalgebra")
     quotient, _, _ = simple_quotient(c)
     part, _ = reachable_part(quotient)
     return part

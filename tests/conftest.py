@@ -39,3 +39,18 @@ def chains(spec, length: int, copies: int = 1) -> Coalgebra:
                 t = spec.struct({nxt: "-1/2"} if nxt else {})
             structure[f"c{k}_{i}"] = t
     return Coalgebra.make(spec, sorted(structure), structure)
+
+
+def hubs(spec, length: int, count: int = 10) -> Coalgebra:
+    """A powerset chain of ``length`` states plus ``count`` hub states
+    h0, h1, ... with an edge to every chain state.
+
+    The hubs are behaviourally equal, and every chain state is alone in its
+    class, so the classes number ``length + 1``.  A hub has out-degree
+    ``length``, which is what makes re-evaluating whole signatures quadratic.
+    """
+    chain = chains(spec, length)
+    structure = dict(chain.structure)
+    for h in range(count):
+        structure[f"h{h}"] = spec.struct(chain.states)
+    return Coalgebra.make(spec, sorted(structure), structure)

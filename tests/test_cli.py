@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from coalgmin import Coalgebra, PowersetFunctor, serialize_coalgebra
-from coalgmin.cli import run_command
+from coalgmin import Coalgebra, PowersetFunctor, core, serialize_coalgebra
+from coalgmin.cli import build_parser, run_command
 
 from conftest import chains, corpus_path
 
@@ -95,6 +95,29 @@ def test_minimize_writes_quotient_projection_partition(tmp_path):
     assert quotient["structure"]["x"] == {"y1": "-3"}
     assert quotient["structure"]["y1"] == {"y1": "5"}
     assert partition["blocks"] == [["x"], ["y1", "y2"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["minimize", doc("weighted_pair_merge")], ["reach", doc("dfa_no_trailing_b")]],
+    ids=["minimize", "reach"],
+)
+def test_a_document_is_validated_once(tmp_path, monkeypatch, argv):
+    validated = []
+    validate = core.validate_coalgebra
+    monkeypatch.setattr(core, "validate_coalgebra", lambda c: validated.append(c) or validate(c))
+    assert run_command(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert len(validated) == 1
+
+
+def test_the_parser_is_built_once_and_survives_a_bad_argv(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    assert run_command(["validate", doc("dfa_no_trailing_b")]) == 0
+    with pytest.raises(SystemExit) as err:
+        run_command(["minimize", doc("weighted_pair_merge"), "--no-such-flag"])
+    assert err.value.code == 2
+    assert run_command(["minimize", doc("weighted_pair_merge"), "--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "partition.json").read_text())["blocks"] == [["x"], ["y1", "y2"]]
 
 
 def test_quotient_by_explicit_partition(tmp_path):

@@ -21,6 +21,9 @@ from coalgmin import (
     hom_failures,
     identity_morphism,
     kernel_partition,
+    parse_coalgebra,
+    reachable_part,
+    serialize_coalgebra,
     simple_quotient,
     underlying,
     validate_coalgebra,
@@ -34,6 +37,7 @@ from coalgmin.errors import (
     NotInjective,
     NotSurjective,
     SquareDoesNotCommute,
+    ValidationError,
 )
 from coalgmin.functors import WeightedStruct
 from fractions import Fraction
@@ -86,6 +90,31 @@ def test_coalgebras_pickle_and_deep_copy():
     c = systems.dfa_no_trailing_b()
     assert pickle.loads(pickle.dumps(c)) == c
     assert copy.deepcopy(c) == c
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        simple_quotient,
+        reachable_part,
+        lambda c: apply_partition_quotient(c, Partition.discrete(c.states)),
+    ],
+    ids=["simple_quotient", "reachable_part", "apply_partition_quotient"],
+)
+def test_a_raw_invalid_coalgebra_is_rejected_every_time(operation):
+    c = Coalgebra(PS, ("x", "y"), {"x": PS.struct(["ghost"]), "y": PS.struct([])}, "x")
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            operation(c)
+
+
+def test_a_recorded_validation_changes_no_value():
+    text = serialize_coalgebra(systems.dfa_no_trailing_b())
+    checked = parse_coalgebra(text)
+    raw = Coalgebra(checked.functor, checked.states, checked.structure, checked.point)
+    assert checked == raw
+    assert pickle.loads(pickle.dumps(checked)) == raw
+    assert copy.deepcopy(checked) == raw
 
 
 def test_empty_coalgebra_is_legal():

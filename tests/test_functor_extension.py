@@ -68,6 +68,9 @@ class MaybeFunctor(FunctorSpec):
     def local_signature(self, t):
         return t.successor is None
 
+    def refinement_edges(self, t, index):
+        return None, ([] if t.successor is None else [(None, index[t.successor], 1)])
+
     def edges(self, t, index):
         return [] if t.successor is None else [(None, t.successor)]
 

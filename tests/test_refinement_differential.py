@@ -1,5 +1,5 @@
-"""Worklist refinement against the naive global-round oracle and closed forms,
-and the one-pass quotient of ``simple_quotient`` against the public
+"""Compound-block refinement against the naive global-round oracle and closed
+forms, and the one-pass quotient of ``simple_quotient`` against the public
 ``apply_partition_quotient`` of the oracle's partition."""
 
 from fractions import Fraction
@@ -25,7 +25,8 @@ from coalgmin import (
 )
 from coalgmin.core import Coalgebra, partition_compatible
 from coalgmin.errors import IncompatiblePartition, ValidationError
-from conftest import chains, corpus_path
+from conftest import chains, corpus_path, hubs
+from test_functor_extension import MaybeFunctor
 
 # The rational pool has negative weights, so mapped weights cancel.
 FAMILIES = {
@@ -46,6 +47,37 @@ def test_random_systems_match_naive_refinement(family, n, sparse):
     density = 3 / n if sparse else 0.05
     for seed in SEEDS[n]:
         c = random_coalgebra(spec, n, seed, weight_pool=pool, density=density)
+        assert behavioural_classes(c) == naive_refinement(c), seed
+
+
+def test_hubs_match_naive_refinement():
+    c = hubs(PowersetFunctor(), 300)
+    classes = naive_refinement(c)
+    assert behavioural_classes(c) == classes
+    assert len(classes.blocks) == 301
+
+
+@pytest.mark.parametrize("degree", [1.5, 3])
+def test_cancelling_rational_systems_match_naive_refinement(degree):
+    spec = WeightedFunctor("rational")
+    pool = (1, -1, Fraction(1, 2), Fraction(-1, 2))
+    n = 300
+    cancelled = 0
+    for seed in range(3):
+        c = random_coalgebra(spec, n, seed, weight_pool=pool, density=degree / n)
+        classes = naive_refinement(c)
+        assert behavioural_classes(c) == classes, seed
+        kappa = classes.representative_map()
+        for x in c.states:
+            t = c.struct_of(x)
+            cancelled += len({kappa[y] for y in spec.support(t)}) > len(spec.fmap(kappa, t).weights)
+    assert cancelled  # some state's weights into some class sum to 0
+
+
+@pytest.mark.parametrize("density", [0.5, 0.9])
+def test_the_test_only_maybe_functor_matches_naive_refinement(density):
+    for seed in range(3):
+        c = random_coalgebra(MaybeFunctor(), 300, seed, density=density)
         assert behavioural_classes(c) == naive_refinement(c), seed
 
 

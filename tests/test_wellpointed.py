@@ -15,8 +15,8 @@ from coalgmin import (
     underlying,
     well_pointed_modification,
 )
-from coalgmin import systems
-from coalgmin.errors import CyclicReachablePart, SpecMismatch
+from coalgmin import core, systems, wellpointed
+from coalgmin.errors import CyclicReachablePart, NotPointed, SpecMismatch
 from coalgmin.functors import DfaFunctor, PowersetFunctor, WeightedFunctor
 from coalgmin.oracles import HomSearchConfig, enumerate_homomorphisms
 from coalgmin.suites import FLAGGED_FAMILIES, seeded_instance
@@ -50,6 +50,25 @@ def test_modification_is_idempotent_up_to_iso():
         m = well_pointed_modification(builder())
         again = well_pointed_modification(m)
         assert are_isomorphic(m, again) is not None
+
+
+def test_modification_rejects_an_unpointed_coalgebra_before_refining(monkeypatch):
+    def refine(c):
+        raise AssertionError("refined a coalgebra that has no point")
+
+    monkeypatch.setattr(wellpointed, "simple_quotient", refine)
+    with pytest.raises(NotPointed):
+        well_pointed_modification(underlying(systems.ts_branching()))
+
+
+def test_commutation_check_validates_its_input_once(monkeypatch):
+    c = systems.ts_cycle_with_feeder()
+    raw = Coalgebra(c.functor, c.states, c.structure, c.point)
+    validated = []
+    validate = core.validate_coalgebra
+    monkeypatch.setattr(core, "validate_coalgebra", lambda x: validated.append(x) or validate(x))
+    assert commutation_check(raw).agree
+    assert sum(x is raw for x in validated) == 1
 
 
 def test_is_well_pointed_endpoints():
