@@ -82,8 +82,9 @@ class Coalgebra:
 
 
 def underlying(c: Coalgebra) -> Coalgebra:
-    """c without its point."""
-    return replace(c, point=None)
+    """c without its point; recorded as valid when c is."""
+    u = replace(c, point=None)
+    return _record_valid(u) if "_valid" in c.__dict__ else u
 
 
 def point_of(c: Coalgebra) -> Optional[str]:
@@ -145,7 +146,14 @@ def require_valid(c: Coalgebra) -> None:
     violations = validate_coalgebra(c)
     if violations:
         raise ValidationError(violations)
+    _record_valid(c)
+
+
+def _record_valid(c: Coalgebra) -> Coalgebra:
+    """Record on c that it is valid: checked, or derived from a valid input
+    by a construction that keeps validity."""
     object.__setattr__(c, "_valid", True)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -465,5 +473,5 @@ def _quotient(c: Coalgebra, p: Partition) -> tuple[Coalgebra, Morphism]:
             if spec.fmap(kappa, c.struct_of(x)) != first:
                 raise IncompatiblePartition(block, block[0], x)
         q_structure[block[0]] = first
-    q = Coalgebra(spec, tuple(q_structure), q_structure, kappa.get(c.point))
+    q = _record_valid(Coalgebra(spec, tuple(q_structure), q_structure, kappa.get(c.point)))
     return q, Morphism(c, q, kappa)

@@ -95,7 +95,8 @@ class OracleBoundExceeded(CoalgminError):
 
 
 class SearchBoundExceeded(CoalgminError):
-    """Homomorphism search exceeded its configured candidate budget."""
+    """A search passed its budget: homomorphism enumeration its candidate
+    bound, or the isomorphism search its refinement work bound."""
 
 
 class CyclicReachablePart(CoalgminError):

@@ -6,11 +6,11 @@ homomorphisms, refinement, reachability, unravelling, the oracle lab) is
 generic over :class:`FunctorSpec`.  Adding a functor means subclassing it
 directly with a new ``kind``, which ``formats.parse_functor`` looks up, and
 implementing ``check_structure``, ``fmap``, ``support`` (the action),
-``enumerate_structures``, ``local_signature`` (oracles and iso search),
-``refinement_edges`` (partition refinement), ``edges`` (canonical edge
-order), ``encode``/``decode`` (documents), ``unravel`` and
-``random_structure``; ``observe``, ``payload``/``from_payload``,
-``node_shape``, ``random_pool`` and ``pair_structure`` have defaults.
+``enumerate_structures`` (oracles), ``refinement_edges`` (partition
+refinement and isomorphism search), ``edges`` (canonical edge order),
+``encode``/``decode`` (documents), ``unravel`` and ``random_structure``;
+``observe``, ``payload``/``from_payload``, ``node_shape``, ``random_pool``
+and ``pair_structure`` have defaults.
 
 Structures are immutable, canonical and hashable: two structures are
 semantically equal iff they compare equal, which is what lets the quotient
@@ -125,10 +125,6 @@ class FunctorSpec:
         carrier: Sequence[str],
         weight_pool: Optional[Iterable] = None,
     ) -> Iterator[FStructure]:
-        raise NotImplementedError
-
-    def local_signature(self, t: FStructure):
-        """Invariant of t under renaming of states; used to prune iso search."""
         raise NotImplementedError
 
     # -- partition refinement ----------------------------------------------
@@ -260,9 +256,6 @@ class DfaFunctor(FunctorSpec):
             for targets in itertools.product(carrier, repeat=len(self.alphabet)):
                 yield DfaStruct(accepting, tuple(zip(self.alphabet, targets)))
 
-    def local_signature(self, t):
-        return t.accepting
-
     def refinement_edges(self, t, index):
         return t.accepting, [(sym, index[tgt], 1) for sym, tgt in t.moves]
 
@@ -341,9 +334,6 @@ class PowersetFunctor(FunctorSpec):
                 frozenset(s for i, s in enumerate(carrier) if mask >> i & 1)
             )
 
-    def local_signature(self, t):
-        return len(t.successors)
-
     def refinement_edges(self, t, index):
         return None, [(None, index[s], 1) for s in t.successors]
 
@@ -415,9 +405,6 @@ class LabelledFunctor(FunctorSpec):
             yield LabelledStruct(
                 frozenset(e for i, e in enumerate(slots) if mask >> i & 1)
             )
-
-    def local_signature(self, t):
-        return tuple(sorted(l for l, _ in t.edges))
 
     def refinement_edges(self, t, index):
         return None, [(l, index[s], 1) for l, s in t.edges]
@@ -582,9 +569,6 @@ class WeightedFunctor(FunctorSpec):
             yield WeightedStruct(
                 tuple((s, w) for s, w in zip(carrier, picks) if w is not None)
             )
-
-    def local_signature(self, t):
-        return tuple(sorted(w for _, w in t.weights))
 
     def refinement_edges(self, t, index):
         # Integral weights as int: int sums are far cheaper than Fraction

@@ -8,9 +8,11 @@ with the refinement interface of Wißmann, Dorsch, Milius & Schröder,
 weighted splitting of Valmari & Franceschinis, *Simple O(m log n) Time Markov
 Chain Lumping* (TACAS 2010).
 
-The functor's ``refinement_edges`` hook turns each structure, once per call,
-into a constant part and (label, target, weight) edges over int state
-positions; ``observe`` says what refinement sees of a weight sum.  The first
+One engine, ``_refine``, serves both minimization and the isomorphism
+search of :mod:`coalgmin.wellpointed`.  It reads rows of a constant part and
+(label, target, weight) edges over int state positions, and ``observe`` says
+what it sees of a weight sum.  For minimization the rows are the functor's
+``refinement_edges``, made once per state as the engine reads them.  The first
 partition groups states by their constant and the observed per-label sums
 into the whole carrier.  Blocks are then grouped into compound blocks, and
 every block is stable with respect to every compound block: its members have
@@ -42,27 +44,20 @@ from .functors import DfaFunctor
 DEFAULT_PARTITION_BOUND = 8
 
 
-def _refinement_fixpoint(c: Coalgebra) -> tuple[Partition, int]:
-    """Behavioural classes of a validated c, and the number of edge visits:
-    each edge once to build the first partition, plus each edge into a split
-    off block."""
-    if c.is_empty:
-        return Partition(()), 0
-    spec = c.functor
-    observe = spec.observe
-    states = c.states
-    n = len(states)
-    index = c.state_index()
+def _refine(n: int, rows, observe) -> tuple[list[set[int]], int]:
+    """The coarsest stable partition of states 0 .. n-1, as sets of indices,
+    and the edge visits: each edge once to build the first partition, plus
+    each edge into a split-off block.  ``rows`` yields, once and in order,
+    each state's constant part and (label, target index, weight) edges."""
     # The l-th label seen and a state or compound block x share one int key,
     # l * n + x; there are at most n compound blocks.  into[x] maps the key
     # of a compound block and label to x's summed weight into that block.
     label_keys: dict = {}
-    preds: list[list[tuple[int, object]]] = [[] for _ in states]
+    preds: list[list[tuple[int, object]]] = [[] for _ in range(n)]
     into: list[dict[int, object]] = []
     first: dict[object, list[int]] = {}
     visits = 0
-    for x, state in enumerate(states):
-        constant, edges = spec.refinement_edges(c.struct_of(state), index)
+    for x, (constant, edges) in enumerate(rows):
         visits += len(edges)
         sums: dict[int, object] = {}
         for label, y, w in edges:
@@ -131,6 +126,16 @@ def _refinement_fixpoint(c: Coalgebra) -> tuple[Partition, int]:
                 blocks_in[compound].append(new)
                 if len(blocks_in[compound]) == 2:
                     worklist.append(compound)
+    return members, visits
+
+
+def _refinement_fixpoint(c: Coalgebra) -> tuple[Partition, int]:
+    """Behavioural classes of a validated c, and the engine's edge visits."""
+    spec = c.functor
+    states = c.states
+    index = c.state_index()
+    rows = (spec.refinement_edges(c.struct_of(s), index) for s in states)
+    members, visits = _refine(len(states), rows, spec.observe)
     return Partition.of([states[i] for i in m] for m in members), visits
 
 

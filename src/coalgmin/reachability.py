@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import Coalgebra, Morphism, require_valid
+from .core import Coalgebra, Morphism, _record_valid, require_valid
 from .errors import NotPointed, OracleBoundExceeded
 
 DEFAULT_SUBCOALGEBRA_BOUND = 12
@@ -40,7 +40,7 @@ def reachable_part(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
                 queue.append(y)
     states = tuple(order)
     structure = {s: c.struct_of(s) for s in states}
-    part = Coalgebra(spec, states, structure, c.point)
+    part = _record_valid(Coalgebra(spec, states, structure, c.point))
     inclusion = Morphism(part, c, {s: s for s in states})
     return part, inclusion
 

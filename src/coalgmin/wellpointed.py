@@ -1,23 +1,44 @@
 """Combining both minimization aspects, isomorphism, and tree unravelling.
 
-A pointed coalgebra is well pointed when it is both reachable and simple.
-The modification computes the simple quotient first and then the reachable
-part, which is the order that is correct for every supported functor;
-``commutation_check`` computes both orders and reports whether they agree,
-which can fail for rational weights because transition weights may cancel.
+A pointed coalgebra is well pointed when it is both reachable and simple;
+the modification takes the simple quotient first, then the reachable part.
+``commutation_check`` compares that with the other order without a search.
+With projections q: c -> simple(c) and p: reach(c) -> simple(reach(c)),
+q(z) = q(z') iff p(z) = p(z') on reach(c), since homomorphisms preserve and
+reflect behaviour.  So q(z) |-> p(z) is an isomorphism from the image of
+reach(c) under q, a subcoalgebra of simple(c) that holds the point and
+hence contains reach(simple(c)).  The orders agree iff the results have
+equally many states, and then that map is the (unique) isomorphism.  They
+can disagree for rational weights, which may cancel.
+
+``are_isomorphic`` is individualization-refinement (McKay & Piperno,
+*Practical Graph Isomorphism, II*, J. Symb. Comp. 2014) over the engine of
+:mod:`coalgmin.observability`, run on a + b with the points marked and each
+edge counted by label and weight in both directions.  When every class holds
+one state of each side, that matching is the only candidate.  Otherwise the
+first state of a (the point, then carrier order) in a larger class is paired
+in turn with each b-state of its class, in b's carrier order, and the search
+refines again.  Nothing prunes an isomorphism, so the first one found is the
+least in that order.  Well-pointed and reachable deterministic inputs take
+one engine run; the work of all runs is bounded by ``ISO_SEARCH_BUDGET``,
+past which the search raises ``SearchBoundExceeded``.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Coalgebra, Morphism, require_homomorphism, require_valid
-from .errors import CyclicReachablePart, NotPointed, SpecMismatch
-from .functors import DfaFunctor
-from .observability import is_simple, simple_quotient
+from .core import Coalgebra, Morphism, check_homomorphism, require_homomorphism, require_valid
+from .errors import CyclicReachablePart, NotPointed, SearchBoundExceeded, SpecMismatch
+from .functors import FunctorSpec
+from .observability import _refine, is_simple, simple_quotient
 from .reachability import is_reachable, reachable_part
+
+# States read plus edges visited, summed over the engine runs of one
+# isomorphism search.
+ISO_SEARCH_BUDGET = 5_000_000
 
 
 def well_pointed_modification(c: Coalgebra) -> Coalgebra:
@@ -48,11 +69,16 @@ def commutation_check(c: Coalgebra) -> CommutationReport:
     is still reported as computed.
     """
     require_valid(c)
-    simple_first = well_pointed_modification(c)
     part, _ = reachable_part(c)
-    reach_first, _, _ = simple_quotient(part)
-    iso = are_isomorphic(simple_first, reach_first)
-    return CommutationReport(simple_first, reach_first, iso is not None, iso)
+    quotient, q, _ = simple_quotient(c)
+    simple_first, _ = reachable_part(quotient)
+    reach_first, p, _ = simple_quotient(part)
+    if len(simple_first.states) != len(reach_first.states):
+        return CommutationReport(simple_first, reach_first, False, None)
+    mapping = {q(z): p(z) for z in part.states}
+    iso = require_homomorphism(Morphism(simple_first, reach_first, mapping))
+    require_homomorphism(Morphism(reach_first, simple_first, {v: k for k, v in mapping.items()}))
+    return CommutationReport(simple_first, reach_first, True, iso)
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +87,11 @@ def commutation_check(c: Coalgebra) -> CommutationReport:
 
 
 def are_isomorphic(a: Coalgebra, b: Coalgebra) -> Optional[Morphism]:
-    """A bijective homomorphism a -> b (point-preserving when pointed), or None.
+    """The least bijective homomorphism a -> b (point-preserving when
+    pointed), or None.
 
-    Pointed reachable deterministic automata are compared through their
-    canonical breadth-first orderings in linear time; everything else falls
-    back to backtracking over bijections with signature pruning.
+    "Least" compares images state by state, the point first and then a's
+    carrier order, by position in b's carrier.
     """
     require_valid(a)
     require_valid(b)
@@ -75,99 +101,73 @@ def are_isomorphic(a: Coalgebra, b: Coalgebra) -> Optional[Morphism]:
         raise SpecMismatch("cannot compare pointed with unpointed coalgebras")
     if len(a.states) != len(b.states):
         return None
-    if (
-        isinstance(a.functor, DfaFunctor)
-        and a.point is not None
-        and is_reachable(a)
-        and is_reachable(b)
-    ):
-        mapping = _dfa_canonical_match(a, b)
-    else:
-        mapping = _backtrack_iso(a, b)
-    if mapping is None:
-        return None
-    forward = Morphism(a, b, mapping)
-    backward = Morphism(b, a, {v: k for k, v in mapping.items()})
-    require_homomorphism(forward)
-    require_homomorphism(backward)
-    return forward
+    iso = _individualization_refinement(a, b)
+    if iso is not None:
+        inverse = {v: k for k, v in iso.mapping.items()}
+        require_homomorphism(Morphism(b, a, inverse))
+    return iso
 
 
-def _dfa_canonical_match(a: Coalgebra, b: Coalgebra) -> Optional[dict]:
-    """Match two reachable pointed DFAs along symbol-order BFS from the points."""
-
-    def bfs(c: Coalgebra) -> list[str]:
-        seen = {c.point}
-        order = [c.point]
-        queue = deque([c.point])
-        while queue:
-            x = queue.popleft()
-            for _, tgt in c.struct_of(x).moves:
-                if tgt not in seen:
-                    seen.add(tgt)
-                    order.append(tgt)
-                    queue.append(tgt)
-        return order
-
-    order_a, order_b = bfs(a), bfs(b)
-    if len(order_a) != len(order_b):
-        return None
-    mapping = dict(zip(order_a, order_b))
-    for x in order_a:
-        ta, tb = a.struct_of(x), b.struct_of(mapping[x])
-        if ta.accepting != tb.accepting:
-            return None
-        for (sym, tgt_a), (_, tgt_b) in zip(ta.moves, tb.moves):
-            if mapping[tgt_a] != tgt_b:
-                return None
-    return mapping
-
-
-def _backtrack_iso(a: Coalgebra, b: Coalgebra) -> Optional[dict]:
+def _individualization_refinement(a: Coalgebra, b: Coalgebra) -> Optional[Morphism]:
+    """The search of :func:`are_isomorphic`.  State x of a + b is a's x-th
+    state for x < n and b's (x - n)-th state otherwise."""
     spec = a.functor
-    sig_a = {x: spec.local_signature(a.struct_of(x)) for x in a.states}
-    sig_b = {y: spec.local_signature(b.struct_of(y)) for y in b.states}
-    if Counter(sig_a.values()) != Counter(sig_b.values()):
-        return None
-    order = list(a.states)
-    pa, pb = a.point, b.point
-    if pa is not None:
-        if sig_a[pa] != sig_b[pb]:
-            return None
-        order.remove(pa)
-        order.insert(0, pa)
-    supports = {x: spec.support(a.struct_of(x)) for x in a.states}
+    n = len(a.states)
+    start: list = []
+    edges: list[list] = [[] for _ in range(2 * n)]
+    for offset, c in ((0, a), (n, b)):
+        index = {s: offset + i for i, s in enumerate(c.states)}
+        for x, s in enumerate(c.states, offset):
+            constant, out = spec.refinement_edges(c.struct_of(s), index)
+            start.append((constant, s == c.point))
+            for label, y, w in out:  # counted at y too, so splits also run backwards
+                edges[x].append((("succ", label, w), y, 1))
+                edges[y].append((("pred", label, w), x, 1))
+    order = sorted(range(n), key=lambda x: a.states[x] != a.point)
+    spent = 0
 
-    def consistent(mapping: dict) -> bool:
-        for x in mapping:
-            if supports[x] <= mapping.keys():
-                image = spec.fmap(mapping, a.struct_of(x))
-                if image != b.struct_of(mapping[x]):
-                    return False
-        return True
+    def refine(colours: list) -> Optional[tuple[list[int], list[set[int]]]]:
+        """Each state's class and the classes, or None if a class holds
+        unequally many states of a and b."""
+        nonlocal spent
+        blocks, visits = _refine(2 * n, zip(colours, edges), FunctorSpec.observe)
+        spent += 2 * n + visits
+        if spent > ISO_SEARCH_BUDGET:
+            raise SearchBoundExceeded(
+                f"isomorphism search passed its budget of {ISO_SEARCH_BUDGET} "
+                "refinement steps (states read plus edges visited)"
+            )
+        class_of = [0] * (2 * n)
+        for k, block in enumerate(blocks):
+            if 2 * sum(x < n for x in block) != len(block):
+                return None
+            for x in block:
+                class_of[x] = k
+        return class_of, blocks
 
-    def extend(i: int, mapping: dict, used: set) -> Optional[dict]:
-        if i == len(order):
-            return dict(mapping)
-        x = order[i]
-        candidates = (
-            [pb] if x == pa else
-            [y for y in b.states if y not in used and sig_b[y] == sig_a[x]]
-        )
-        for y in candidates:
-            if y in used:
-                continue
-            mapping[x] = y
-            used.add(y)
-            if consistent(mapping):
-                found = extend(i + 1, mapping, used)
-                if found is not None:
-                    return found
-            del mapping[x]
-            used.discard(y)
-        return None
+    def individualized(class_of: list[int], x: int, ys: list[int], fresh: int):
+        for y in ys:
+            colours = list(class_of)
+            colours[x] = colours[y] = fresh
+            yield refine(colours)
 
-    return extend(0, {}, set())
+    pending = [filter(None, [refine(start)])]
+    while pending:
+        refined = next(pending[-1], None)
+        if refined is None:
+            pending.pop()
+            continue
+        class_of, blocks = refined
+        x = next((x for x in order if len(blocks[class_of[x]]) > 2), None)
+        if x is not None:
+            ys = sorted(y for y in blocks[class_of[x]] if y >= n)
+            pending.append(filter(None, individualized(class_of, x, ys, len(blocks))))
+            continue
+        pairs = (sorted(block) for block in blocks)
+        iso = Morphism(a, b, {a.states[x]: b.states[y - n] for x, y in pairs})
+        if check_homomorphism(iso):
+            return iso
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,33 @@ def hubs(spec, length: int, count: int = 10) -> Coalgebra:
     for h in range(count):
         structure[f"h{h}"] = spec.struct(chain.states)
     return Coalgebra.make(spec, sorted(structure), structure)
+
+
+def renamed_copy(c: Coalgebra, seed: int) -> tuple[Coalgebra, dict]:
+    """c with its states renamed r0, r1, ... in a seeded order and its carrier
+    shuffled, and the renaming."""
+    rng = random.Random(seed)
+    renaming = {s: f"r{k}" for k, s in enumerate(rng.sample(c.states, len(c.states)))}
+    spec = c.functor
+    structure = {renaming[s]: spec.fmap(renaming, c.struct_of(s)) for s in c.states}
+    states = rng.sample([renaming[s] for s in c.states], len(c.states))
+    point = renaming[c.point] if c.point is not None else None
+    return Coalgebra(spec, tuple(states), structure, point), renaming
+
+
+def moved_edge(c: Coalgebra, seed: int) -> Coalgebra:
+    """A near miss of c: one state's edges into one target t now go to another
+    state u (its structure is mapped by t |-> u), chosen by the seed."""
+    rng = random.Random(seed)
+    spec = c.functor
+    sources = [s for s in c.states if spec.support(c.struct_of(s))]
+    if not sources or len(c.states) < 2:
+        return c
+    s = rng.choice(sources)
+    t = rng.choice(sorted(spec.support(c.struct_of(s))))
+    u = rng.choice([v for v in c.states if v != t])
+    mapping = {v: v for v in c.states}
+    mapping[t] = u
+    structure = dict(c.structure)
+    structure[s] = spec.fmap(mapping, c.struct_of(s))
+    return Coalgebra(spec, c.states, structure, c.point)

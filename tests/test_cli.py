@@ -98,16 +98,24 @@ def test_minimize_writes_quotient_projection_partition(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["minimize", doc("weighted_pair_merge")], ["reach", doc("dfa_no_trailing_b")]],
-    ids=["minimize", "reach"],
+    "argv, documents",
+    [
+        (["minimize", doc("weighted_pair_merge"), "--out-dir"], 1),
+        (["reach", doc("dfa_no_trailing_b"), "--out-dir"], 1),
+        (["wellpoint", doc("ts_cycle_with_feeder"), "--order", "both", "--out-dir"], 1),
+        (["iso", doc("ts_branching"), doc("ts_branching")], 2),
+        (["iso", doc("ts_branching"), doc("ts_branching"), "--pointed"], 2),
+    ],
+    ids=["minimize", "reach", "wellpoint-both", "iso", "iso-pointed"],
 )
-def test_a_document_is_validated_once(tmp_path, monkeypatch, argv):
+def test_a_document_is_validated_once(tmp_path, monkeypatch, capsys, argv, documents):
     validated = []
     validate = core.validate_coalgebra
     monkeypatch.setattr(core, "validate_coalgebra", lambda c: validated.append(c) or validate(c))
-    assert run_command(argv + ["--out-dir", str(tmp_path)]) == 0
-    assert len(validated) == 1
+    if argv[-1] == "--out-dir":
+        argv = argv + [str(tmp_path)]
+    assert run_command(argv) == 0
+    assert len(validated) == documents
 
 
 def test_the_parser_is_built_once_and_survives_a_bad_argv(tmp_path, capsys):

@@ -15,6 +15,7 @@ import pytest
 
 from coalgmin import (
     FunctorSpec,
+    are_isomorphic,
     behavioural_classes,
     check_greatest_quotient,
     check_simple_subterminal,
@@ -27,12 +28,14 @@ from coalgmin import (
     serialize_coalgebra,
     simple_quotient,
     tree_unravel,
+    underlying,
     validate_coalgebra,
 )
 from coalgmin.cli import run_command
 from coalgmin.errors import MalformedStructure, ParseError
 from coalgmin.formats import canonical_json
 from coalgmin.oracles import kernel_pair_coalgebra
+from conftest import renamed_copy
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,6 @@ class MaybeFunctor(FunctorSpec):
         yield MaybeStruct(None)
         for s in carrier:
             yield MaybeStruct(s)
-
-    def local_signature(self, t):
-        return t.successor is None
 
     def refinement_edges(self, t, index):
         return None, ([] if t.successor is None else [(None, index[t.successor], 1)])
@@ -144,6 +144,16 @@ def test_reachable_part_and_tree_unravel():
     tree, covering = tree_unravel(c)
     assert tree.states == ("a", "a/next", "a/next/next")
     assert covering.mapping == {"a": "a", "a/next": "b", "a/next/next": "c"}
+
+
+@pytest.mark.parametrize("pointed", [True, False])
+def test_a_renamed_copy_is_found_isomorphic(pointed):
+    c = parse_coalgebra(TEXT)
+    if not pointed:
+        c = underlying(c)
+    copy, renaming = renamed_copy(c, 3)
+    assert are_isomorphic(c, copy).mapping == renaming
+    assert are_isomorphic(copy, c).mapping == {v: k for k, v in renaming.items()}
 
 
 def test_emit_dot_uses_the_functor_shapes_and_edges():

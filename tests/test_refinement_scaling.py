@@ -8,6 +8,10 @@ systems, on a chain that global refinement rounds need n**2 evaluations for,
 and on hub states whose whole signatures a worklist would rebuild every time
 one successor moves.  Building and certifying the quotient afterwards takes
 one ``fmap`` per state.
+
+The isomorphism search runs the same refinement on a + b.  Its engine runs
+are counted too: a renamed copy of a well-pointed system takes one, and
+``commutation_check`` needs no search at all.
 """
 
 import math
@@ -18,15 +22,22 @@ import pytest
 
 from coalgmin import (
     DfaFunctor,
+    LabelledFunctor,
     PowersetFunctor,
     WeightedFunctor,
     apply_partition_quotient,
+    are_isomorphic,
     behavioural_classes,
+    commutation_check,
     random_coalgebra,
     simple_quotient,
+    systems,
+    well_pointed_modification,
+    wellpointed,
 )
 from coalgmin.observability import _refinement_fixpoint
-from conftest import chains, hubs
+from coalgmin.suites import FUNCTOR_FAMILIES, seeded_instance
+from conftest import chains, hubs, renamed_copy
 
 
 @dataclass(frozen=True)
@@ -143,3 +154,76 @@ def test_quotient_of_a_chain_evaluates_each_state_once():
     spec.calls.clear()
     apply_partition_quotient(c, partition)
     assert spec.calls["fmap"] == 2 * n
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """The number of refinement engine runs the isomorphism search makes."""
+    runs = []
+    refine = wellpointed._refine
+
+    def counting(n, rows, observe):
+        runs.append(n)
+        return refine(n, rows, observe)
+
+    monkeypatch.setattr(wellpointed, "_refine", counting)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "spec, pool",
+    [(PowersetFunctor(), None), (WeightedFunctor("rational"), (1, -1, 2, "1/2"))],
+    ids=["powerset", "rational"],
+)
+def test_a_well_pointed_copy_is_matched_in_one_engine_run(spec, pool, engine_runs):
+    n = 3200
+    c = random_coalgebra(spec, n, 0, weight_pool=pool, density=3 / n, pointed=True)
+    minimal = well_pointed_modification(c)
+    copy, renaming = renamed_copy(minimal, 0)
+    assert len(minimal.states) > n // 2
+    assert are_isomorphic(minimal, copy).mapping == renaming
+    assert len(engine_runs) == 1
+
+
+FAMILIES = [
+    (DfaFunctor(("a", "b")), None),
+    (PowersetFunctor(), None),
+    (LabelledFunctor(("a", "b")), None),
+    (WeightedFunctor("natural"), (1, 2, 3)),
+    (WeightedFunctor("rational"), (1, -1, 2, -2)),
+]
+
+
+@pytest.mark.parametrize("spec, pool", FAMILIES, ids=["dfa", "powerset", "labelled", "bag", "rational"])
+@pytest.mark.parametrize("pointed", [True, False])
+def test_200_state_renamed_copies_are_found_within_the_budget(spec, pool, pointed):
+    n = 200
+    for seed in range(2):
+        c = random_coalgebra(spec, n, seed, weight_pool=pool, density=3 / n, pointed=pointed)
+        copy, _ = renamed_copy(c, seed)
+        assert are_isomorphic(c, copy) is not None
+
+
+def _commutation_instances():
+    for _, spec, pool in FUNCTOR_FAMILIES:
+        for seed in range(40):
+            yield seeded_instance(spec, pool, seed)
+    for seed in range(100):  # cancelling weights make some orders disagree
+        yield random_coalgebra(
+            WeightedFunctor("rational"), 4, seed, weight_pool=(1, -1), density=0.6, pointed=True
+        )
+    yield systems.cancel_fork_loops()
+
+
+def test_commutation_check_builds_its_isomorphism_without_a_search(monkeypatch):
+    def search(a, b):
+        raise AssertionError("commutation_check searched for an isomorphism")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(wellpointed, "are_isomorphic", search)
+        reports = [commutation_check(c) for c in _commutation_instances()]
+    assert 0 < sum(not r.agree for r in reports) < len(reports)
+    for report in reports:
+        iso = are_isomorphic(report.simple_first, report.reach_first)
+        assert report.agree == (iso is not None)
+        assert (report.iso and report.iso.mapping) == (iso and iso.mapping)

@@ -1,5 +1,7 @@
 """Well-pointed modifications, order commutation, isomorphism, unravelling."""
 
+import itertools
+
 import pytest
 
 from coalgmin import (
@@ -11,17 +13,21 @@ from coalgmin import (
     is_simple,
     is_well_pointed,
     random_coalgebra,
+    reachable_part,
+    serialize_coalgebra,
     tree_unravel,
     underlying,
     well_pointed_modification,
 )
 from coalgmin import core, systems, wellpointed
-from coalgmin.errors import CyclicReachablePart, NotPointed, SpecMismatch
-from coalgmin.functors import DfaFunctor, PowersetFunctor, WeightedFunctor
+from coalgmin.cli import run_command
+from coalgmin.core import Morphism
+from coalgmin.errors import CyclicReachablePart, NotPointed, SearchBoundExceeded, SpecMismatch
+from coalgmin.functors import DfaFunctor, LabelledFunctor, PowersetFunctor, WeightedFunctor
 from coalgmin.oracles import HomSearchConfig, enumerate_homomorphisms
 from coalgmin.suites import FLAGGED_FAMILIES, seeded_instance
 
-from conftest import chains
+from conftest import chains, moved_edge, renamed_copy
 
 
 def test_feeder_cycle_modification_is_the_single_loop():
@@ -105,8 +111,6 @@ def test_commutation_agrees_on_flagged_functors(family, spec, pool):
 
 def test_modification_receives_a_unique_hom_from_the_reachable_part():
     # there need not be any morphism from the input itself, only from reach(C)
-    from coalgmin import reachable_part
-
     for spec, pool in ((PowersetFunctor(), None), (WeightedFunctor("natural"), (1, 2))):
         for seed in range(10):
             c = seeded_instance(spec, pool, seed)
@@ -149,27 +153,28 @@ def test_iso_absent_for_different_behaviour():
     assert are_isomorphic(systems.ts_two_cycle(), systems.ts_single_loop()) is None
 
 
-def test_dfa_fast_path_agrees_with_backtracking():
-    spec = DfaFunctor(("a", "b"))
-    for seed in range(25):
-        a = seeded_instance(spec, None, seed)
-        b = seeded_instance(spec, None, seed + 1)
-        from coalgmin.reachability import reachable_part
-
-        ra, _ = reachable_part(a)
-        rb, _ = reachable_part(b)
-        fast = are_isomorphic(ra, rb)
-        slow = _iso_by_enumeration(ra, rb)
-        assert (fast is None) == (slow is None)
-
-
-def _iso_by_enumeration(a, b):
+def _naive_iso(a, b):
+    """The first bijective homomorphism a -> b in lexicographic order: images
+    of a's states, in carrier order, by their position in b's carrier."""
     if len(a.states) != len(b.states):
         return None
-    for h in enumerate_homomorphisms(a, b, HomSearchConfig(pointed=True)):
-        if h.is_bijective():
-            return h
+    for perm in itertools.permutations(b.states):
+        mapping = dict(zip(a.states, perm))
+        if a.point is not None and mapping[a.point] != b.point:
+            continue
+        if check_homomorphism(Morphism(a, b, mapping)):
+            return mapping
     return None
+
+
+def test_iso_of_reachable_dfas_matches_the_naive_bijection_search():
+    spec = DfaFunctor(("a", "b"))
+    for seed in range(25):
+        ra, _ = reachable_part(seeded_instance(spec, None, seed))
+        rb, _ = reachable_part(seeded_instance(spec, None, seed + 1))
+        for other in (ra, rb, renamed_copy(ra, seed)[0]):
+            iso = are_isomorphic(ra, other)
+            assert (iso and iso.mapping) == _naive_iso(ra, other), seed
 
 
 @pytest.mark.parametrize(
@@ -177,46 +182,49 @@ def _iso_by_enumeration(a, b):
     [
         (PowersetFunctor(), None),
         (DfaFunctor(("a", "b")), None),
+        (LabelledFunctor(("a", "b")), None),
         (WeightedFunctor("rational"), (3, -3)),
         (WeightedFunctor("natural"), (1, 2)),
     ],
-    ids=("powerset", "dfa", "rational", "bag"),
+    ids=("powerset", "dfa", "labelled", "rational", "bag"),
 )
 def test_backtracking_iso_agrees_with_naive_bijection_search(spec, pool):
-    import itertools
-
-    from coalgmin import random_coalgebra
-    from coalgmin.core import Morphism
-    from coalgmin.core import check_homomorphism as is_hom
-
-    def naive(a, b):
-        if len(a.states) != len(b.states):
-            return None
-        for perm in itertools.permutations(b.states):
-            mapping = dict(zip(a.states, perm))
-            if mapping[a.point] != b.point:
-                continue
-            if is_hom(Morphism(a, b, mapping)):
-                return mapping
-        return None
-
-    for seed in range(20):
-        n = 1 + seed % 4
-        a = random_coalgebra(spec, n, seed, weight_pool=pool, density=0.5, pointed=True)
-        b = random_coalgebra(spec, n, seed + 7, weight_pool=pool, density=0.5, pointed=True)
-        # a renamed copy of a must always be found
-        renaming = {s: f"r_{s}" for s in a.states}
-        copy = Coalgebra(
-            spec,
-            tuple(renaming[s] for s in a.states),
-            {renaming[s]: spec.fmap(renaming, a.struct_of(s)) for s in a.states},
-            renaming[a.point],
-        )
+    # `iso` prints the least isomorphism, so the mappings must be equal
+    for seed in range(36):
+        n = 1 + seed % 6
+        pointed = seed // 6 % 2 == 0
+        a = random_coalgebra(spec, n, seed, weight_pool=pool, density=0.5, pointed=pointed)
+        b = random_coalgebra(spec, n, seed + 7, weight_pool=pool, density=0.5, pointed=pointed)
+        copy, _ = renamed_copy(a, seed)
         assert are_isomorphic(a, copy) is not None
-        for other in (a, b, copy):
-            got = are_isomorphic(a, other)
-            expected = naive(a, other)
-            assert (got is None) == (expected is None), (seed, spec.kind)
+        for other in (a, b, copy, moved_edge(copy, seed)):
+            iso = are_isomorphic(a, other)
+            assert (iso and iso.mapping) == _naive_iso(a, other), (seed, spec.kind)
+
+
+def _cycles(prefix, copies, length):
+    ps = PowersetFunctor()
+    states = [f"{prefix}{k}_{i}" for k in range(copies) for i in range(length)]
+    structure = {
+        f"{prefix}{k}_{i}": ps.struct([f"{prefix}{k}_{(i + 1) % length}"])
+        for k in range(copies)
+        for i in range(length)
+    }
+    return Coalgebra.make(ps, states, structure)
+
+
+def test_a_symmetric_search_past_its_budget_raises(monkeypatch, tmp_path, capsys):
+    a, b = _cycles("a", 2, 5), _cycles("b", 2, 5)
+    assert are_isomorphic(a, b) is not None
+    # refining a + b reads 20 states and visits 40 edges; individualizing
+    # one state and refining again passes the budget
+    monkeypatch.setattr(wellpointed, "ISO_SEARCH_BUDGET", 100)
+    with pytest.raises(SearchBoundExceeded):
+        are_isomorphic(a, b)
+    (tmp_path / "a.json").write_text(serialize_coalgebra(a))
+    (tmp_path / "b.json").write_text(serialize_coalgebra(b))
+    assert run_command(["iso", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_renamed_copy_is_isomorphic_in_exactly_two_ways():
