@@ -48,20 +48,8 @@ from .functors import (
     Weight,
     WeightedFunctor,
     WeightedStruct,
-    enumerate_structures,
-    fmap,
-    structures_equal,
-    support,
-)
-from .observability import (
-    behavioural_classes,
-    dfa_language_oracle,
-    enumerate_compatible_partitions,
-    is_simple,
-    simple_quotient,
 )
 from .oracles import (
-    HomSearchConfig,
     PropertyReport,
     check_greatest_quotient,
     check_least_subobject,
@@ -69,15 +57,15 @@ from .oracles import (
     check_minimization_functorial,
     check_quotient_closure,
     check_simple_subterminal,
+    dfa_language_oracle,
+    enumerate_compatible_partitions,
     enumerate_homomorphisms,
+    enumerate_pointed_subcoalgebras,
     naive_refinement,
     random_coalgebra,
 )
-from .reachability import (
-    enumerate_pointed_subcoalgebras,
-    is_reachable,
-    reachable_part,
-)
+from .quotient import behavioural_classes, is_simple, simple_quotient
+from .reachability import is_reachable, reachable_part
 from .wellpointed import (
     CommutationReport,
     are_isomorphic,

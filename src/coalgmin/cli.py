@@ -2,8 +2,9 @@
 
 Exit codes: 0 for success or a true property, 1 for a false property (a
 failed homomorphism check, a missing isomorphism, disagreeing minimization
-orders, a failing suite), 2 for input or validation errors.  All file output
-is canonical JSON, byte-identical across runs.
+orders, a failing suite), 2 for input or validation errors, including files
+that cannot be read or written.  All file output is canonical JSON,
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .core import apply_partition_quotient, factorize, hom_failures, underlying
-from .errors import CoalgminError, NotPointed
+from .errors import CoalgminError, NotPointed, ParseError
 from .formats import (
     emit_dot,
     parse_coalgebra,
@@ -25,8 +26,8 @@ from .formats import (
     serialize_partition,
     canonical_json,
 )
-from .observability import simple_quotient
-from .oracles import HomSearchConfig, enumerate_homomorphisms
+from .oracles import enumerate_homomorphisms
+from .quotient import simple_quotient
 from .reachability import reachable_part
 from .suites import DEFAULT_SEEDS, SUITES, run_suite
 from .wellpointed import are_isomorphic, commutation_check, tree_unravel, well_pointed_modification
@@ -38,7 +39,7 @@ def _load(path: str, pointed: bool | None = None):
     pointed=True demands a point; pointed=False strips one; None keeps the
     document as written.
     """
-    c = parse_coalgebra(Path(path).read_text())
+    c = parse_coalgebra(_read(path))
     if pointed is True:
         if c.point is None:
             raise NotPointed(f"{path}: document has no point but --pointed was given")
@@ -46,6 +47,13 @@ def _load(path: str, pointed: bool | None = None):
     if pointed is False:
         return underlying(c)
     return c
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(None, f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def _write(out_dir: str, name: str, text: str) -> None:
@@ -63,7 +71,7 @@ def _cmd_validate(args) -> int:
 def _cmd_check_hom(args) -> int:
     dom = _load(args.dom, pointed=True if args.pointed else False)
     cod = _load(args.cod, pointed=True if args.pointed else False)
-    h = parse_morphism(Path(args.map).read_text(), dom, cod)
+    h = parse_morphism(_read(args.map), dom, cod)
     failures = hom_failures(h)
     if failures:
         print("not a homomorphism; counterexamples: " + " ".join(failures))
@@ -75,7 +83,7 @@ def _cmd_check_hom(args) -> int:
 def _cmd_factorize(args) -> int:
     dom = _load(args.dom, pointed=True if args.pointed else False)
     cod = _load(args.cod, pointed=True if args.pointed else False)
-    h = parse_morphism(Path(args.map).read_text(), dom, cod)
+    h = parse_morphism(_read(args.map), dom, cod)
     factorization = factorize(h)
     _write(args.out_dir, "e.json", serialize_morphism(factorization.e))
     _write(args.out_dir, "image.json", serialize_coalgebra(factorization.image))
@@ -102,7 +110,7 @@ def _cmd_minimize(args) -> int:
 
 def _cmd_quotient(args) -> int:
     c = _load(args.file)
-    p = parse_partition(Path(args.partition).read_text())
+    p = parse_partition(_read(args.partition))
     quotient, projection = apply_partition_quotient(c, p)
     _write(args.out_dir, "quotient.json", serialize_coalgebra(quotient))
     _write(args.out_dir, "projection.json", serialize_morphism(projection))
@@ -139,10 +147,9 @@ def _cmd_iso(args) -> int:
 def _cmd_homs(args) -> int:
     a = _load(args.a, pointed=True if args.pointed else False)
     b = _load(args.b, pointed=True if args.pointed else False)
-    cfg = HomSearchConfig(pointed=bool(args.pointed))
     if args.max is not None and args.max < 0:
         raise CoalgminError(f"--max must be nonnegative, got {args.max}")
-    homs = enumerate_homomorphisms(a, b, cfg)
+    homs = enumerate_homomorphisms(a, b, pointed=args.pointed)
     listed = homs if args.max is None else homs[: args.max]
     payload = {
         "count": len(homs),
@@ -261,7 +268,7 @@ def run_command(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CoalgminError, FileNotFoundError) as exc:
+    except (CoalgminError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,10 +29,9 @@ from .errors import (
     SpecMismatch,
     SquareDoesNotCommute,
     ValidationError,
-    WellDefinednessViolation,
     ZeroWeightEntry,
 )
-from .functors import FStructure, FunctorSpec, fmap, structures_equal
+from .functors import FStructure, FunctorSpec
 
 
 @dataclass(frozen=True)
@@ -218,19 +217,20 @@ def hom_failures(h: Morphism) -> tuple[str, ...]:
     """States at which the homomorphism law fails, in carrier order.
 
     For pointed endpoints the point is reported first if it is not preserved.
-    Empty result means h is a (pointed) homomorphism.
+    Empty result means h is a (pointed) homomorphism.  Both endpoints are
+    validated (once each, see :func:`require_valid`).
     """
     dom, cod = h.dom, h.cod
     if dom.functor != cod.functor:
         raise SpecMismatch("morphism endpoints use different functors")
+    require_valid(dom)
+    require_valid(cod)
     failures = []
     if h.pointed and h.mapping[h.dom.point] != h.cod.point:
         failures.append(h.dom.point)
     spec = dom.functor
     for x in dom.states:
-        expected = cod.struct_of(h.mapping[x])
-        actual = fmap(spec, h.mapping, dom.struct_of(x))
-        if not structures_equal(spec, expected, actual):
+        if spec.fmap(h.mapping, dom.struct_of(x)) != cod.struct_of(h.mapping[x]):
             if x not in failures:
                 failures.append(x)
     return tuple(failures)
@@ -304,35 +304,21 @@ class Factorization:
 
 
 def factorize(h: Morphism) -> Factorization:
-    """Split a validated homomorphism through its image coalgebra.
+    """Split a homomorphism through its image coalgebra.
 
-    The image carrier is exactly the set of codomain states hit by h, in
-    codomain carrier order; its structure is forced by applying h to the
-    structures of any preimage, with an explicit well-definedness check
-    across each fiber.
+    The image is the subcoalgebra of the codomain on the states h hits, in
+    codomain carrier order.  Since h(x) has structure F h(c(x)), the image
+    is closed under successors, and e and m are homomorphisms because h is.
     """
     require_homomorphism(h)
     dom, cod = h.dom, h.cod
-    spec = dom.functor
     hit = {h.mapping[x] for x in dom.states}
     image_states = tuple(y for y in cod.states if y in hit)
-    structure: dict[str, FStructure] = {}
-    for x in dom.states:
-        y = h.mapping[x]
-        t = fmap(spec, h.mapping, dom.struct_of(x))
-        if y in structure:
-            if not structures_equal(spec, structure[y], t):
-                raise WellDefinednessViolation(
-                    f"fiber over {y!r} induces two different structures"
-                )
-        else:
-            structure[y] = t
+    structure = {y: cod.struct_of(y) for y in image_states}
     point = h.mapping[dom.point] if h.pointed else None
-    image = Coalgebra(spec, image_states, structure, point)
-    e = Morphism(h.dom, image, dict(h.mapping))
-    m = Morphism(image, h.cod, {y: y for y in image_states})
-    require_homomorphism(e)
-    require_homomorphism(m)
+    image = _record_valid(Coalgebra(dom.functor, image_states, structure, point))
+    e = Morphism(dom, image, dict(h.mapping))
+    m = Morphism(image, cod, {y: y for y in image_states})
     return Factorization(e, image, m)
 
 
@@ -389,12 +375,6 @@ class Partition:
     def representative_map(self) -> dict[str, str]:
         return {s: b[0] for b in self.blocks for s in b}
 
-    def block_of(self, state: str) -> tuple[str, ...]:
-        for b in self.blocks:
-            if state in b:
-                return b
-        raise KeyError(state)
-
     @property
     def is_discrete(self) -> bool:
         return all(len(b) == 1 for b in self.blocks)
@@ -434,19 +414,6 @@ def kernel_partition(h: Morphism) -> Partition:
     return Partition.of(fibers.values())
 
 
-def partition_compatible(c: Coalgebra, p: Partition) -> Optional[tuple]:
-    """None if p induces a quotient coalgebra, else a witness (block, x, y)."""
-    kappa = p.representative_map()
-    spec = c.functor
-    for block in p.blocks:
-        first = fmap(spec, kappa, c.struct_of(block[0]))
-        for x in block[1:]:
-            t = fmap(spec, kappa, c.struct_of(x))
-            if not structures_equal(spec, first, t):
-                return (block, block[0], x)
-    return None
-
-
 def apply_partition_quotient(c: Coalgebra, p: Partition) -> tuple[Coalgebra, Morphism]:
     """Quotient c by a compatible partition of its carrier.
 
@@ -457,11 +424,6 @@ def apply_partition_quotient(c: Coalgebra, p: Partition) -> tuple[Coalgebra, Mor
     homomorphism law of the (surjective) projection at every state.
     """
     require_valid(c)
-    return _quotient(c, p)
-
-
-def _quotient(c: Coalgebra, p: Partition) -> tuple[Coalgebra, Morphism]:
-    """:func:`apply_partition_quotient` for a c that is already validated."""
     if p.members() != frozenset(c.states):
         raise NotAPartition("blocks do not cover the carrier exactly")
     kappa = p.representative_map()

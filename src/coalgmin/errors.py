@@ -57,10 +57,6 @@ class NotAHomomorphism(CoalgminError):
         self.witness = witness
 
 
-class WellDefinednessViolation(CoalgminError):
-    """Image structure disagreed across a fiber; indicates a library bug."""
-
-
 class NotAPartition(CoalgminError):
     """Blocks are empty, overlapping, or do not cover the carrier."""
 

@@ -83,6 +83,8 @@ def _loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from None
+    except (RecursionError, ValueError) as exc:  # deep nesting, or too many digits
+        raise ParseError(None, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

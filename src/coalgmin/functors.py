@@ -10,7 +10,13 @@ implementing ``check_structure``, ``fmap``, ``support`` (the action),
 refinement and isomorphism search), ``edges`` (canonical edge order),
 ``encode``/``decode`` (documents), ``unravel`` and ``random_structure``;
 ``observe``, ``payload``/``from_payload``, ``node_shape``, ``random_pool``
-and ``pair_structure`` have defaults.
+and ``pair_structure`` have defaults.  Callers use these methods directly
+(``spec.fmap(m, t)``); there are no module-level wrappers.
+
+Only ``check_structure`` checks the type of a structure.  The other methods
+trust it: coalgebra validation runs ``check_structure`` on every state once,
+and code that takes a coalgebra validates it (``core.require_valid``) before
+handing its structures to them.
 
 Structures are immutable, canonical and hashable: two structures are
 semantically equal iff they compare equal, which is what lets the quotient
@@ -115,9 +121,11 @@ class FunctorSpec:
     # -- the functor's action and queries ----------------------------------
 
     def fmap(self, mapping: Mapping[str, str], t: FStructure) -> FStructure:
+        """Apply a state map to a successor structure (the functor's action)."""
         raise NotImplementedError
 
     def support(self, t: FStructure) -> frozenset[str]:
+        """The state ids occurring in t."""
         raise NotImplementedError
 
     def enumerate_structures(
@@ -125,6 +133,7 @@ class FunctorSpec:
         carrier: Sequence[str],
         weight_pool: Optional[Iterable] = None,
     ) -> Iterator[FStructure]:
+        """Every well-formed structure over the carrier, each once, fixed order."""
         raise NotImplementedError
 
     # -- partition refinement ----------------------------------------------
@@ -646,35 +655,3 @@ class WeightedFunctor(FunctorSpec):
                     j += 1
         return WeightedStruct(tuple(sorted(entries.items())))
 
-
-# ---------------------------------------------------------------------------
-# Spec-level operations.  Thin wrappers so call sites read uniformly.
-# ---------------------------------------------------------------------------
-
-
-def fmap(spec: FunctorSpec, mapping: Mapping[str, str], t: FStructure) -> FStructure:
-    """Apply a state map to a successor structure (the functor's action)."""
-    spec.require_structure(t)
-    return spec.fmap(mapping, t)
-
-
-def support(spec: FunctorSpec, t: FStructure) -> frozenset[str]:
-    """The state ids occurring in t."""
-    spec.require_structure(t)
-    return spec.support(t)
-
-
-def structures_equal(spec: FunctorSpec, t1: FStructure, t2: FStructure) -> bool:
-    """Semantic equality of two structures of the same functor."""
-    spec.require_structure(t1)
-    spec.require_structure(t2)
-    return t1 == t2
-
-
-def enumerate_structures(
-    spec: FunctorSpec,
-    carrier: Sequence[str],
-    weight_pool: Optional[Iterable] = None,
-) -> Iterator[FStructure]:
-    """Every well-formed structure over the carrier, each once, fixed order."""
-    return spec.enumerate_structures(carrier, weight_pool)

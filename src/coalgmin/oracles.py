@@ -1,11 +1,24 @@
 """Brute-force oracles and property checks over small instances.
 
-Everything here exists to cross-examine the production algorithms:
-homomorphism enumeration is an independent backtracking search that never
-calls the reachability or refinement code, and the ``check_*`` functions
-verify universal properties (least subobject, greatest quotient,
-functoriality of minimization, closure under quotients) by exhaustive
-inspection, reporting witnesses instead of relying on the theory.
+Everything here exists to cross-examine the production algorithms, so it is
+deliberately naive and independent of them:
+
+- homomorphism enumeration, a backtracking search that never calls the
+  reachability or refinement code;
+- the enumeration of pointed subcoalgebras (against ``reachable_part``) and
+  of compatible partitions (against ``simple_quotient``);
+- ``naive_refinement``, the global-round fixpoint, and the bounded language
+  of automaton states, two more references for behavioural equivalence;
+- the ``check_*`` functions, which verify universal properties (least
+  subobject, greatest quotient, functoriality of minimization, closure under
+  quotients) by exhaustive inspection, reporting witnesses instead of
+  relying on the theory.
+
+The enumerations are exponential, so each has a fixed bound.  Carriers
+larger than ``SUBCOALGEBRA_BOUND`` or ``PARTITION_BOUND`` raise
+``OracleBoundExceeded``; the homomorphism search raises
+``SearchBoundExceeded`` past ``HOM_SEARCH_STATE_BOUND`` domain states or
+``HOM_SEARCH_BUDGET`` candidate assignments.
 """
 
 from __future__ import annotations
@@ -25,30 +38,15 @@ from .core import (
     require_valid,
     underlying,
 )
-from .errors import SearchBoundExceeded, SpecMismatch
-from .functors import FunctorSpec, fmap, structures_equal
-from .observability import (
-    behavioural_classes,
-    enumerate_compatible_partitions,
-    is_simple,
-    simple_quotient,
-)
-from .reachability import (
-    enumerate_pointed_subcoalgebras,
-    is_reachable,
-    reachable_part,
-)
+from .errors import NotPointed, OracleBoundExceeded, SearchBoundExceeded, SpecMismatch, WrongFunctor
+from .functors import DfaFunctor, FunctorSpec
+from .quotient import behavioural_classes, is_simple, simple_quotient
+from .reachability import is_reachable, reachable_part
 
-
-@dataclass(frozen=True)
-class HomSearchConfig:
-    pointed: bool = False
-    max_candidates: int = 1_000_000
-    state_bound: int = 12
-
-    def __post_init__(self):
-        if self.max_candidates <= 0 or self.state_bound <= 0:
-            raise ValueError("search bounds must be positive")
+SUBCOALGEBRA_BOUND = 12
+PARTITION_BOUND = 8
+HOM_SEARCH_STATE_BOUND = 12
+HOM_SEARCH_BUDGET = 1_000_000  # candidate assignments tried by one search
 
 
 @dataclass(frozen=True)
@@ -89,10 +87,9 @@ def stable_digest(c: Coalgebra) -> str:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_homomorphisms(
-    a: Coalgebra, b: Coalgebra, cfg: Optional[HomSearchConfig] = None
-) -> list[Morphism]:
-    """Every homomorphism a -> b, found by pruned backtracking.
+def enumerate_homomorphisms(a: Coalgebra, b: Coalgebra, pointed: bool = False) -> list[Morphism]:
+    """Every homomorphism a -> b, point-preserving when ``pointed``, found by
+    pruned backtracking.
 
     Maps are extended state by state in carrier order; as soon as a state and
     all its successors are assigned, the homomorphism equation at that state
@@ -100,16 +97,15 @@ def enumerate_homomorphisms(
     lexicographic in codomain carrier positions.  This function deliberately
     never consults the reachability or refinement algorithms.
     """
-    cfg = cfg or HomSearchConfig()
     require_valid(a)
     require_valid(b)
     if a.functor != b.functor:
         raise SpecMismatch("cannot search homomorphisms across functors")
-    if len(a.states) > cfg.state_bound:
+    if len(a.states) > HOM_SEARCH_STATE_BOUND:
         raise SearchBoundExceeded(
-            f"domain has {len(a.states)} states, bound is {cfg.state_bound}"
+            f"domain has {len(a.states)} states, bound is {HOM_SEARCH_STATE_BOUND}"
         )
-    if not cfg.pointed:
+    if not pointed:
         # found maps need not preserve points, so their endpoints carry none
         a, b = underlying(a), underlying(b)
     elif a.point is None or b.point is None:
@@ -117,7 +113,6 @@ def enumerate_homomorphisms(
 
     spec = a.functor
     order = a.states
-    position = {s: i for i, s in enumerate(order)}
     needed = {
         z: frozenset({z} | spec.support(a.struct_of(z))) for z in order
     }
@@ -129,20 +124,17 @@ def enumerate_homomorphisms(
 
     candidates_by_state: dict[str, Sequence[str]] = {}
     for x in order:
-        if cfg.pointed and x == a.point:
+        if pointed and x == a.point:
             candidates_by_state[x] = (b.point,)
         else:
             candidates_by_state[x] = b.states
 
-    budget = cfg.max_candidates
+    budget = HOM_SEARCH_BUDGET
     found: list[Morphism] = []
     mapping: dict[str, str] = {}
 
     def law_holds(z: str) -> bool:
-        expected = b.struct_of(mapping[z])
-        return structures_equal(
-            spec, expected, fmap(spec, mapping, a.struct_of(z))
-        )
+        return spec.fmap(mapping, a.struct_of(z)) == b.struct_of(mapping[z])
 
     def extend(i: int) -> None:
         nonlocal budget
@@ -154,7 +146,7 @@ def enumerate_homomorphisms(
             budget -= 1
             if budget < 0:
                 raise SearchBoundExceeded(
-                    f"homomorphism search exceeded {cfg.max_candidates} candidates"
+                    f"homomorphism search exceeded {HOM_SEARCH_BUDGET} candidates"
                 )
             mapping[x] = y
             completed = []
@@ -175,14 +167,92 @@ def enumerate_homomorphisms(
     return found
 
 
-def count_homomorphisms(
-    a: Coalgebra, b: Coalgebra, cfg: Optional[HomSearchConfig] = None
-) -> int:
-    return len(enumerate_homomorphisms(a, b, cfg))
+# ---------------------------------------------------------------------------
+# Subcoalgebras and quotients by exhaustive enumeration
+# ---------------------------------------------------------------------------
+
+
+def enumerate_pointed_subcoalgebras(c: Coalgebra) -> list[tuple[str, ...]]:
+    """All carriers of pointed subcoalgebras, exhaustively.
+
+    A subset qualifies when it contains the point and is closed under
+    successor support.  Subsets are reported in ascending bitmask order over
+    the carrier, each as a tuple in carrier order.
+    """
+    if c.point is None:
+        raise NotPointed("pointed subcoalgebras need a pointed coalgebra")
+    require_valid(c)
+    n = len(c.states)
+    if n > SUBCOALGEBRA_BOUND:
+        raise OracleBoundExceeded(
+            f"carrier has {n} states, oracle bound is {SUBCOALGEBRA_BOUND}"
+        )
+    spec = c.functor
+    supports = {s: spec.support(c.struct_of(s)) for s in c.states}
+    point_bit = c.states.index(c.point)
+    out = []
+    for mask in range(1 << n):
+        if not mask >> point_bit & 1:
+            continue
+        subset = frozenset(s for i, s in enumerate(c.states) if mask >> i & 1)
+        if all(supports[s] <= subset for s in subset):
+            out.append(tuple(s for s in c.states if s in subset))
+    return out
+
+
+def partition_compatible(c: Coalgebra, p: Partition) -> Optional[tuple]:
+    """None if p induces a quotient coalgebra of the validated c, else a
+    witness (block, x, y)."""
+    kappa = p.representative_map()
+    spec = c.functor
+    for block in p.blocks:
+        first = spec.fmap(kappa, c.struct_of(block[0]))
+        for x in block[1:]:
+            if spec.fmap(kappa, c.struct_of(x)) != first:
+                return (block, block[0], x)
+    return None
+
+
+def enumerate_compatible_partitions(c: Coalgebra) -> list[Partition]:
+    """Every partition of the carrier that induces a quotient coalgebra.
+
+    Partitions are generated by restricted growth strings over the carrier
+    order, so the output order is deterministic.  Bell-number growth makes
+    this an oracle for small instances only.
+    """
+    require_valid(c)
+    n = len(c.states)
+    if n > PARTITION_BOUND:
+        raise OracleBoundExceeded(f"carrier has {n} states, oracle bound is {PARTITION_BOUND}")
+    out = []
+    for assignment in _growth_strings(n):
+        blocks: dict[int, list[str]] = {}
+        for state, b in zip(c.states, assignment):
+            blocks.setdefault(b, []).append(state)
+        partition = Partition.of(blocks.values())
+        if partition_compatible(c, partition) is None:
+            out.append(partition)
+    return out
+
+
+def _growth_strings(n: int):
+    """Restricted growth strings of length n, lexicographically."""
+    if n == 0:
+        yield ()
+        return
+
+    def extend(prefix: tuple[int, ...], used: int):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for b in range(used + 1):
+            yield from extend(prefix + (b,), max(used, b + 1))
+
+    yield from extend((0,), 1)
 
 
 # ---------------------------------------------------------------------------
-# Naive partition refinement
+# Naive partition refinement and the automaton language oracle
 # ---------------------------------------------------------------------------
 
 
@@ -194,13 +264,14 @@ def naive_refinement(c: Coalgebra) -> Partition:
     splits each block by the results, until a round changes nothing.  A
     chain needing n rounds costs n**2 signature evaluations.
     """
+    require_valid(c)
     if c.is_empty:
         return Partition(())
     spec = c.functor
     partition = Partition.single(c.states)
     for _ in range(len(c.states)):
         kappa = partition.representative_map()
-        signature = {x: fmap(spec, kappa, c.struct_of(x)) for x in c.states}
+        signature = {x: spec.fmap(kappa, c.struct_of(x)) for x in c.states}
         refined = Partition.of(
             group
             for block in partition.blocks
@@ -217,6 +288,44 @@ def _split(block: tuple[str, ...], signature) -> list[list[str]]:
     for x in block:
         groups.setdefault(signature[x], []).append(x)
     return list(groups.values())
+
+
+def dfa_language_oracle(c: Coalgebra, max_len: int) -> dict[str, frozenset[str]]:
+    """Accepted words of every state up to a length bound, by direct induction.
+
+    This is an independent ground truth for behavioural equivalence on
+    deterministic automata: two states merged by refinement must accept the
+    same bounded language, and split states must differ on some short word.
+    """
+    require_valid(c)
+    spec = c.functor
+    if not isinstance(spec, DfaFunctor):
+        raise WrongFunctor("language oracle only applies to deterministic automata")
+    accepted: dict[str, set[str]] = {s: set() for s in c.states}
+    # words of length k accepted from x, built back to front over the moves
+    layer = {
+        s: ({""} if c.struct_of(s).accepting else set()) for s in c.states
+    }
+    for s in c.states:
+        accepted[s] |= layer[s]
+    for _ in range(max_len):
+        layer = {
+            s: {
+                sym + w
+                for sym, tgt in c.struct_of(s).moves
+                for w in layer[tgt]
+            }
+            for s in c.states
+        }
+        for s in c.states:
+            accepted[s] |= layer[s]
+    return {s: frozenset(ws) for s, ws in accepted.items()}
+
+
+def language_kernel(c: Coalgebra, max_len: int) -> Partition:
+    """Partition of the carrier by equality of bounded accepted languages."""
+    languages = dfa_language_oracle(c, max_len)
+    return Partition.from_key(c.states, languages.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -270,24 +379,19 @@ def kernel_pair_coalgebra(c: Coalgebra) -> Optional[tuple[Coalgebra, Morphism, M
 _SMALL = 4  # instances up to this size get an extra enumeration cross-check
 
 
-def check_minimal_iff_incoming_epi(
-    c: Coalgebra,
-    pool: Iterable[Coalgebra],
-    cfg: Optional[HomSearchConfig] = None,
-) -> PropertyReport:
+def check_minimal_iff_incoming_epi(c: Coalgebra, pool: Iterable[Coalgebra]) -> PropertyReport:
     """Reachability = every incoming pointed homomorphism is surjective.
 
     For reachable inputs, every pointed homomorphism from every pool member
     must be surjective.  For non-reachable inputs, the inclusion of the
     reachable part is recorded as the witnessing non-surjective morphism.
     """
-    cfg = cfg or HomSearchConfig(pointed=True)
     failures = []
     witnesses = []
     pool = list(pool)
     if is_reachable(c):
         for d in pool:
-            for h in enumerate_homomorphisms(d, c, cfg):
+            for h in enumerate_homomorphisms(d, c, pointed=True):
                 if not h.is_surjective():
                     failures.append(
                         (stable_digest(d), f"non-surjective hom {sorted(h.mapping.items())}")
@@ -306,11 +410,7 @@ def check_minimal_iff_incoming_epi(
     )
 
 
-def check_simple_subterminal(
-    c: Coalgebra,
-    pool: Iterable[Coalgebra],
-    cfg: Optional[HomSearchConfig] = None,
-) -> PropertyReport:
+def check_simple_subterminal(c: Coalgebra, pool: Iterable[Coalgebra]) -> PropertyReport:
     """Simplicity = at most one homomorphism from anywhere into c.
 
     The converse direction looks for two distinct morphisms into a non-simple
@@ -319,19 +419,18 @@ def check_simple_subterminal(
     theorem (weights may cancel), so a missing witness is noted rather than
     counted as a failure.
     """
-    cfg = cfg or HomSearchConfig()
     failures = []
     witnesses = []
     pool = list(pool)
     if is_simple(c):
         for d in pool:
-            n = count_homomorphisms(d, c, cfg)
+            n = len(enumerate_homomorphisms(d, c))
             if n > 1:
                 failures.append(
                     (stable_digest(d), f"{n} homomorphisms into a simple coalgebra")
                 )
     else:
-        endos = enumerate_homomorphisms(c, c, cfg)
+        endos = enumerate_homomorphisms(c, c)
         if len(endos) >= 2:
             witnesses.append(f"{len(endos)} endomorphisms of a non-simple coalgebra")
         else:
@@ -358,17 +457,12 @@ def _subcoalgebra_on(c: Coalgebra, states: tuple[str, ...]) -> Coalgebra:
     return Coalgebra(c.functor, states, structure, c.point)
 
 
-def check_least_subobject(
-    c: Coalgebra,
-    bound: int = 12,
-    cfg: Optional[HomSearchConfig] = None,
-) -> PropertyReport:
+def check_least_subobject(c: Coalgebra) -> PropertyReport:
     """The reachable part embeds uniquely into every pointed subcoalgebra."""
-    cfg = cfg or HomSearchConfig(pointed=True)
     part, inclusion = reachable_part(c)
     failures = []
     count = 0
-    for states in enumerate_pointed_subcoalgebras(c, bound):
+    for states in enumerate_pointed_subcoalgebras(c):
         count += 1
         sub = _subcoalgebra_on(c, states)
         if not set(part.states) <= set(states):
@@ -385,7 +479,7 @@ def check_least_subobject(
         if len(part.states) <= _SMALL:
             matching = [
                 h
-                for h in enumerate_homomorphisms(part, sub, cfg)
+                for h in enumerate_homomorphisms(part, sub, pointed=True)
                 if all(h.mapping[s] == s for s in part.states)
             ]
             if len(matching) != 1:
@@ -395,17 +489,12 @@ def check_least_subobject(
     return PropertyReport("least-subobject", count, tuple(failures))
 
 
-def check_greatest_quotient(
-    c: Coalgebra,
-    bound: int = 8,
-    cfg: Optional[HomSearchConfig] = None,
-) -> PropertyReport:
+def check_greatest_quotient(c: Coalgebra) -> PropertyReport:
     """Every quotient factors uniquely through the simple quotient."""
-    cfg = cfg or HomSearchConfig()
     quotient, projection, _ = simple_quotient(c)
     failures = []
     count = 0
-    for partition in enumerate_compatible_partitions(c, bound):
+    for partition in enumerate_compatible_partitions(c):
         count += 1
         d, e_prime = apply_partition_quotient(c, partition)
         u_map: dict[str, str] = {}
@@ -429,7 +518,7 @@ def check_greatest_quotient(
         if len(d.states) <= _SMALL:
             matching = [
                 h
-                for h in enumerate_homomorphisms(d, quotient, cfg)
+                for h in enumerate_homomorphisms(d, quotient)
                 if all(
                     h.mapping[e_prime.mapping[x]] == projection.mapping[x]
                     for x in c.states
@@ -442,17 +531,13 @@ def check_greatest_quotient(
     return PropertyReport("greatest-quotient", count, tuple(failures))
 
 
-def check_minimization_functorial(
-    morphisms: Iterable[Morphism],
-    cfg: Optional[HomSearchConfig] = None,
-) -> PropertyReport:
+def check_minimization_functorial(morphisms: Iterable[Morphism]) -> PropertyReport:
     """Pointed homs from reachable domains land in the codomain's reachable part.
 
     For every pointed homomorphism h: A -> B with A reachable there must be
     exactly one u: A -> reach(B) whose composite with the inclusion is h;
     since the inclusion is injective, u is h itself, corestricted.
     """
-    cfg = cfg or HomSearchConfig(pointed=True)
     failures = []
     count = 0
     for h in morphisms:
@@ -475,10 +560,7 @@ def check_minimization_functorial(
     return PropertyReport("minimization-functorial", count, tuple(failures))
 
 
-def check_quotient_closure(
-    c: Coalgebra,
-    bound: int = 8,
-) -> PropertyReport:
+def check_quotient_closure(c: Coalgebra) -> PropertyReport:
     """Quotients of reachable coalgebras stay reachable, functor permitting.
 
     For functors preserving inverse images a non-reachable quotient is a
@@ -494,7 +576,7 @@ def check_quotient_closure(
         return PropertyReport(
             "quotient-closure", 0, ((stable_digest(c), "input is not reachable"),)
         )
-    for partition in enumerate_compatible_partitions(c, bound):
+    for partition in enumerate_compatible_partitions(c):
         count += 1
         q, _ = apply_partition_quotient(c, partition)
         if not is_reachable(q):

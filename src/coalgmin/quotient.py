@@ -1,5 +1,9 @@
 """Simple quotients via functor-generic partition refinement.
 
+This is the paper's observability aspect of minimization: the greatest
+quotient of a coalgebra, which merges exactly the behaviourally equivalent
+states.
+
 Two states are behaviourally equivalent when their successor structures agree
 after every target is replaced by its class.  The coarsest such partition is
 computed by compound-block splitting in the style of Paige & Tarjan (1987),
@@ -28,20 +32,18 @@ sums into X, which their block already shares.  A state lies in such an S at
 most log2(n) times, so for n states and m edges refinement visits
 O(m log n) edges, against O(sum of squared out-degrees times log n) for
 re-evaluating whole signatures.  The global-round fixpoint is kept as
-``oracles.naive_refinement``, the reference the differential tests use.
+``oracles.naive_refinement``, the reference the differential tests use;
+the brute-force enumeration of compatible partitions lives there too.
 
 Each entry point validates its input once.  ``simple_quotient`` then builds
-the quotient with ``core._quotient``, which checks every state's image
-against its block's quotient structure but does not validate c again.
+the quotient with ``core.apply_partition_quotient``, which checks every
+state's image against its block's quotient structure; its own validation
+returns at once on the already validated c.
 """
 
 from __future__ import annotations
 
-from .core import Coalgebra, Morphism, Partition, _quotient, partition_compatible, require_valid
-from .errors import OracleBoundExceeded, WrongFunctor
-from .functors import DfaFunctor
-
-DEFAULT_PARTITION_BOUND = 8
+from .core import Coalgebra, Morphism, Partition, apply_partition_quotient, require_valid
 
 
 def _refine(n: int, rows, observe) -> tuple[list[set[int]], int]:
@@ -149,7 +151,7 @@ def simple_quotient(c: Coalgebra) -> tuple[Coalgebra, Morphism, Partition]:
     """
     require_valid(c)
     partition, _ = _refinement_fixpoint(c)
-    quotient, projection = _quotient(c, partition)
+    quotient, projection = apply_partition_quotient(c, partition)
     return quotient, projection, partition
 
 
@@ -163,80 +165,3 @@ def is_simple(c: Coalgebra) -> bool:
     """True iff all states are pairwise behaviourally inequivalent."""
     return behavioural_classes(c).is_discrete
 
-
-def enumerate_compatible_partitions(
-    c: Coalgebra, bound: int = DEFAULT_PARTITION_BOUND
-) -> list[Partition]:
-    """Every partition of the carrier that induces a quotient coalgebra.
-
-    Partitions are generated by restricted growth strings over the carrier
-    order, so the output order is deterministic.  Bell-number growth makes
-    this an oracle for small instances only.
-    """
-    require_valid(c)
-    n = len(c.states)
-    if n > bound:
-        raise OracleBoundExceeded(f"carrier has {n} states, oracle bound is {bound}")
-    out = []
-    for assignment in _growth_strings(n):
-        blocks: dict[int, list[str]] = {}
-        for state, b in zip(c.states, assignment):
-            blocks.setdefault(b, []).append(state)
-        partition = Partition.of(blocks.values())
-        if partition_compatible(c, partition) is None:
-            out.append(partition)
-    return out
-
-
-def _growth_strings(n: int):
-    """Restricted growth strings of length n, lexicographically."""
-    if n == 0:
-        yield ()
-        return
-
-    def extend(prefix: tuple[int, ...], used: int):
-        if len(prefix) == n:
-            yield prefix
-            return
-        for b in range(used + 1):
-            yield from extend(prefix + (b,), max(used, b + 1))
-
-    yield from extend((0,), 1)
-
-
-def dfa_language_oracle(c: Coalgebra, max_len: int) -> dict[str, frozenset[str]]:
-    """Accepted words of every state up to a length bound, by direct induction.
-
-    This is an independent ground truth for behavioural equivalence on
-    deterministic automata: two states merged by refinement must accept the
-    same bounded language, and split states must differ on some short word.
-    """
-    require_valid(c)
-    spec = c.functor
-    if not isinstance(spec, DfaFunctor):
-        raise WrongFunctor("language oracle only applies to deterministic automata")
-    accepted: dict[str, set[str]] = {s: set() for s in c.states}
-    # words of length k accepted from x, built back to front over the moves
-    layer = {
-        s: ({""} if c.struct_of(s).accepting else set()) for s in c.states
-    }
-    for s in c.states:
-        accepted[s] |= layer[s]
-    for _ in range(max_len):
-        layer = {
-            s: {
-                sym + w
-                for sym, tgt in c.struct_of(s).moves
-                for w in layer[tgt]
-            }
-            for s in c.states
-        }
-        for s in c.states:
-            accepted[s] |= layer[s]
-    return {s: frozenset(ws) for s, ws in accepted.items()}
-
-
-def language_kernel(c: Coalgebra, max_len: int) -> Partition:
-    """Partition of the carrier by equality of bounded accepted languages."""
-    languages = dfa_language_oracle(c, max_len)
-    return Partition.from_key(c.states, languages.__getitem__)

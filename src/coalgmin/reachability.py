@@ -1,8 +1,8 @@
 """Reachable parts of pointed coalgebras.
 
-The production path is a breadth-first closure of the point under successor
-support; the exponential intersection-of-subcoalgebras construction lives here
-too, as an enumeration oracle for small instances.
+The reachable part is the breadth-first closure of the point under successor
+support.  The exponential intersection-of-subcoalgebras construction it is
+checked against is ``oracles.enumerate_pointed_subcoalgebras``.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from __future__ import annotations
 from collections import deque
 
 from .core import Coalgebra, Morphism, _record_valid, require_valid
-from .errors import NotPointed, OracleBoundExceeded
-
-DEFAULT_SUBCOALGEBRA_BOUND = 12
+from .errors import NotPointed
 
 
 def reachable_part(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
@@ -50,32 +48,3 @@ def is_reachable(c: Coalgebra) -> bool:
     part, _ = reachable_part(c)
     return set(part.states) == set(c.states)
 
-
-def enumerate_pointed_subcoalgebras(
-    c: Coalgebra, bound: int = DEFAULT_SUBCOALGEBRA_BOUND
-) -> list[tuple[str, ...]]:
-    """All carriers of pointed subcoalgebras, exhaustively.
-
-    A subset qualifies when it contains the point and is closed under
-    successor support.  Subsets are reported in ascending bitmask order over
-    the carrier, each as a tuple in carrier order.
-    """
-    if c.point is None:
-        raise NotPointed("pointed subcoalgebras need a pointed coalgebra")
-    require_valid(c)
-    n = len(c.states)
-    if n > bound:
-        raise OracleBoundExceeded(
-            f"carrier has {n} states, oracle bound is {bound}"
-        )
-    spec = c.functor
-    supports = {s: spec.support(c.struct_of(s)) for s in c.states}
-    point_bit = c.states.index(c.point)
-    out = []
-    for mask in range(1 << n):
-        if not mask >> point_bit & 1:
-            continue
-        subset = frozenset(s for i, s in enumerate(c.states) if mask >> i & 1)
-        if all(supports[s] <= subset for s in subset):
-            out.append(tuple(s for s in c.states if s in subset))
-    return out

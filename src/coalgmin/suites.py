@@ -26,12 +26,6 @@ from .functors import (
     RATIONALS,
     WeightedFunctor,
 )
-from .observability import (
-    behavioural_classes,
-    enumerate_compatible_partitions,
-    language_kernel,
-    simple_quotient,
-)
 from .oracles import (
     PropertyReport,
     check_greatest_quotient,
@@ -40,10 +34,14 @@ from .oracles import (
     check_minimization_functorial,
     check_quotient_closure,
     check_simple_subterminal,
+    enumerate_compatible_partitions,
+    enumerate_pointed_subcoalgebras,
+    language_kernel,
     random_coalgebra,
     stable_digest,
 )
-from .reachability import enumerate_pointed_subcoalgebras, reachable_part
+from .quotient import behavioural_classes, simple_quotient
+from .reachability import reachable_part
 from .wellpointed import commutation_check
 from . import systems
 

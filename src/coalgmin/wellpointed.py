@@ -13,7 +13,7 @@ can disagree for rational weights, which may cancel.
 
 ``are_isomorphic`` is individualization-refinement (McKay & Piperno,
 *Practical Graph Isomorphism, II*, J. Symb. Comp. 2014) over the engine of
-:mod:`coalgmin.observability`, run on a + b with the points marked and each
+:mod:`coalgmin.quotient`, run on a + b with the points marked and each
 edge counted by label and weight in both directions.  When every class holds
 one state of each side, that matching is the only candidate.  Otherwise the
 first state of a (the point, then carrier order) in a larger class is paired
@@ -30,10 +30,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Coalgebra, Morphism, check_homomorphism, require_homomorphism, require_valid
+from .core import (
+    Coalgebra,
+    Morphism,
+    _record_valid,
+    check_homomorphism,
+    require_homomorphism,
+    require_valid,
+)
 from .errors import CyclicReachablePart, NotPointed, SearchBoundExceeded, SpecMismatch
 from .functors import FunctorSpec
-from .observability import _refine, is_simple, simple_quotient
+from .quotient import _refine, is_simple, simple_quotient
 from .reachability import is_reachable, reachable_part
 
 # States read plus edges visited, summed over the engine runs of one
@@ -91,7 +98,8 @@ def are_isomorphic(a: Coalgebra, b: Coalgebra) -> Optional[Morphism]:
     pointed), or None.
 
     "Least" compares images state by state, the point first and then a's
-    carrier order, by position in b's carrier.
+    carrier order, by position in b's carrier.  The inverse of a bijective
+    homomorphism is a homomorphism, for every functor, so it is not checked.
     """
     require_valid(a)
     require_valid(b)
@@ -101,11 +109,7 @@ def are_isomorphic(a: Coalgebra, b: Coalgebra) -> Optional[Morphism]:
         raise SpecMismatch("cannot compare pointed with unpointed coalgebras")
     if len(a.states) != len(b.states):
         return None
-    iso = _individualization_refinement(a, b)
-    if iso is not None:
-        inverse = {v: k for k, v in iso.mapping.items()}
-        require_homomorphism(Morphism(b, a, inverse))
-    return iso
+    return _individualization_refinement(a, b)
 
 
 def _individualization_refinement(a: Coalgebra, b: Coalgebra) -> Optional[Morphism]:
@@ -207,7 +211,7 @@ def tree_unravel(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
     if len(set(states)) != len(states):
         # only possible when state ids already contain the path separator
         raise SpecMismatch("path ids collide; rename states containing '/'")
-    tree = Coalgebra(spec, tuple(states), structure, root)
+    tree = _record_valid(Coalgebra(spec, tuple(states), structure, root))
     covering = Morphism(tree, part, endpoint)
     require_homomorphism(covering)
     assert covering.is_surjective()

@@ -34,8 +34,7 @@ from coalgmin import (
 from coalgmin import systems
 from coalgmin.cli import run_command
 from coalgmin.errors import CyclicReachablePart
-from coalgmin.observability import language_kernel
-from coalgmin.oracles import HomSearchConfig, enumerate_homomorphisms
+from coalgmin.oracles import enumerate_homomorphisms, language_kernel
 from coalgmin.suites import (
     DEFAULT_SEEDS,
     suite_commutation,
@@ -178,7 +177,7 @@ def test_criterion_08_tree_unravelling(capsys):
     assert check_homomorphism(covering)
     automorphisms = [
         h
-        for h in enumerate_homomorphisms(tree, tree, HomSearchConfig(pointed=True))
+        for h in enumerate_homomorphisms(tree, tree, pointed=True)
         if h.is_bijective()
         and all(covering.mapping[h.mapping[s]] == covering.mapping[s] for s in tree.states)
     ]

@@ -37,6 +37,29 @@ def test_validate_missing_file_is_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case", ["directory", "not-utf8", "deep-nesting", "huge-integer", "out-dir-is-a-file"]
+)
+def test_unreadable_input_or_output_is_exit_2_with_one_error_line(tmp_path, capsys, case):
+    target = tmp_path / "target"
+    argv = ["validate", str(target)]
+    if case == "directory":
+        target.mkdir()
+    elif case == "not-utf8":
+        target.write_bytes(b'{"states": ["\xff"]}')
+    elif case == "deep-nesting":
+        target.write_text("[" * 100_000)
+    elif case == "huge-integer":
+        target.write_text('{"states": [' + "1" * 5000 + "]}")
+    else:
+        target.write_text("")
+        argv = ["minimize", doc("ts_branching"), "--out-dir", str(target)]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_check_hom_true_false_and_pointed(capsys):
     argv = [
         "check-hom",

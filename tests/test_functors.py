@@ -6,18 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coalgmin import (
+    Coalgebra,
     DfaFunctor,
     LabelledFunctor,
     PowersetFunctor,
     WeightedFunctor,
-    enumerate_structures,
-    fmap,
-    structures_equal,
-    support,
+    check_homomorphism,
+    identity_morphism,
+    naive_refinement,
 )
 from coalgmin.errors import (
     MalformedStructure,
-    SpecMismatch,
+    ValidationError,
     WeightedWithoutPool,
 )
 
@@ -48,31 +48,31 @@ def test_inverse_image_flags():
 def test_weighted_fmap_sums_weights_of_merged_targets():
     # merging p and s: -2 + 3 = 1
     t = RAT.struct({"p": -2, "s": 3})
-    merged = fmap(RAT, {"p": "s_bar", "s": "s_bar"}, t)
+    merged = RAT.fmap({"p": "s_bar", "s": "s_bar"}, t)
     assert merged == RAT.struct({"s_bar": 1})
 
 
 def test_weighted_fmap_drops_cancelled_weights():
     t = RAT.struct({"b1": 3, "b2": -3})
-    merged = fmap(RAT, {"b1": "b", "b2": "b"}, t)
+    merged = RAT.fmap({"b1": "b", "b2": "b"}, t)
     assert merged.weights == ()
-    assert support(RAT, merged) == frozenset()
+    assert RAT.support(merged) == frozenset()
 
 
 def test_weighted_fmap_drops_an_entry_whose_merged_weights_cancel():
     t = RAT.struct({"p": 1, "q": -1, "r": 2})
-    assert fmap(RAT, {"p": "s", "q": "s", "r": "r"}, t).weights == (("r", Fraction(2)),)
+    assert RAT.fmap({"p": "s", "q": "s", "r": "r"}, t).weights == (("r", Fraction(2)),)
 
 
 def test_weighted_fmap_adds_merged_fractions_exactly():
     t = RAT.struct({"p": Fraction(1, 2), "q": Fraction(1, 2)})
-    merged = fmap(RAT, {"p": "s", "q": "s"}, t)
+    merged = RAT.fmap({"p": "s", "q": "s"}, t)
     assert merged.weights == (("s", Fraction(1)),)
 
 
 def test_weighted_fmap_under_an_injective_map_keeps_the_weights():
     t = RAT.struct({"p": Fraction(-1, 3), "q": 4})
-    renamed = fmap(RAT, {"p": "b", "q": "a"}, t)
+    renamed = RAT.fmap({"p": "b", "q": "a"}, t)
     assert renamed.weights == (("a", Fraction(4)), ("b", Fraction(-1, 3)))
 
 
@@ -84,7 +84,7 @@ def test_weighted_fmap_under_an_injective_map_keeps_the_weights():
 ])
 def test_weighted_fmap_weights_are_fractions(spec, mapping):
     t = spec.struct({"p": 1, "q": 2, "r": 3})
-    image = fmap(spec, mapping, t)
+    image = spec.fmap(mapping, t)
     assert image.weights
     assert all(type(w) is Fraction for _, w in image.weights)
     spec.check_structure(image)
@@ -92,29 +92,29 @@ def test_weighted_fmap_weights_are_fractions(spec, mapping):
 
 def test_powerset_fmap_is_set_image():
     t = PS.struct({"q1", "q2"})
-    assert fmap(PS, {"q1": "x", "q2": "x"}, t) == PS.struct({"x"})
+    assert PS.fmap({"q1": "x", "q2": "x"}, t) == PS.struct({"x"})
 
 
 def test_fmap_identity_is_identity():
     t = DFA.struct(True, {"a": "p", "b": "r"})
     ident = {"p": "p", "r": "r"}
-    assert fmap(DFA, ident, t) == t
+    assert DFA.fmap(ident, t) == t
 
 
 def test_support_dfa_is_range_of_moves():
     t = DFA.struct(True, {"a": "p", "b": "r"})
-    assert support(DFA, t) == {"p", "r"}
+    assert DFA.support(t) == {"p", "r"}
 
 
 def test_support_weighted():
-    assert support(RAT, RAT.struct({})) == frozenset()
-    assert support(RAT, RAT.struct({"p": -2, "s": 3})) == {"p", "s"}
+    assert RAT.support(RAT.struct({})) == frozenset()
+    assert RAT.support(RAT.struct({"p": -2, "s": 3})) == {"p", "s"}
 
 
 def test_structures_equal_is_order_insensitive():
-    assert structures_equal(PS, PS.struct(["p", "r"]), PS.struct(["r", "p"]))
+    assert PS.struct(["p", "r"]) == PS.struct(["r", "p"])
     t = LTS.struct([("a", "x"), ("b", "y")])
-    assert structures_equal(LTS, t, LTS.struct([("b", "y"), ("a", "x")]))
+    assert t == LTS.struct([("b", "y"), ("a", "x")])
 
 
 def test_zero_weight_entries_are_rejected_at_construction():
@@ -132,9 +132,22 @@ def test_naturals_reject_negative_and_fractional_weights():
     assert BAG.struct({"p": 2}).weights == (("p", Fraction(2)),)
 
 
-def test_structures_equal_rejects_wrong_variant():
-    with pytest.raises(SpecMismatch):
-        structures_equal(PS, PS.struct({"x"}), DFA.struct(False, {"a": "x", "b": "x"}))
+@pytest.mark.parametrize(
+    "spec, foreign",
+    [
+        (PS, DFA.struct(False, {"a": "x", "b": "x"})),
+        (DFA, PS.struct({"x"})),
+        (RAT, LTS.struct([("a", "x")])),
+    ],
+    ids=["powerset", "dfa", "weighted"],
+)
+def test_another_functors_structures_raise_a_validation_error(spec, foreign):
+    # the functor methods trust their input; the entry points validate it
+    raw = Coalgebra(spec, ("x",), {"x": foreign})
+    with pytest.raises(ValidationError):
+        check_homomorphism(identity_morphism(raw))
+    with pytest.raises(ValidationError):
+        naive_refinement(raw)
 
 
 def test_dfa_struct_requires_total_moves():
@@ -145,7 +158,7 @@ def test_dfa_struct_requires_total_moves():
 
 
 def test_enumerate_powerset_structures():
-    out = list(enumerate_structures(PS, ("x", "y")))
+    out = list(PS.enumerate_structures(("x", "y")))
     assert len(out) == 4
     assert out[0] == PS.struct(())
     assert set(out) == {
@@ -158,7 +171,7 @@ def test_enumerate_powerset_structures():
 
 def test_enumerate_dfa_structures_single_letter():
     single = DfaFunctor(("a",))
-    out = list(enumerate_structures(single, ("x",)))
+    out = list(single.enumerate_structures(("x",)))
     assert len(out) == 2
     assert {t.accepting for t in out} == {False, True}
     assert all(t.moves == (("a", "x"),) for t in out)
@@ -166,15 +179,15 @@ def test_enumerate_dfa_structures_single_letter():
 
 def test_enumerate_labelled_structures():
     single = LabelledFunctor(("l",))
-    out = list(enumerate_structures(single, ("x", "y")))
+    out = list(single.enumerate_structures(("x", "y")))
     assert len(out) == 4  # subsets of {(l,x), (l,y)}
     assert len(set(out)) == 4
 
 
 def test_enumerate_weighted_structures_needs_and_uses_pool():
     with pytest.raises(WeightedWithoutPool):
-        list(enumerate_structures(RAT, ("b1", "b2")))
-    out = list(enumerate_structures(RAT, ("b1", "b2"), weight_pool=(3, -3)))
+        list(RAT.enumerate_structures(("b1", "b2")))
+    out = list(RAT.enumerate_structures(("b1", "b2"), weight_pool=(3, -3)))
     assert len(out) == 9  # (absent, -3, 3) per target
     assert len(set(out)) == 9
 
@@ -224,20 +237,20 @@ def total_map(draw):
 def test_fmap_respects_composition(spec_t, g, h):
     spec, t = spec_t
     composed = {s: g[h[s]] for s in states}
-    assert fmap(spec, composed, t) == fmap(spec, g, fmap(spec, h, t))
+    assert spec.fmap(composed, t) == spec.fmap(g, spec.fmap(h, t))
 
 
 @given(spec_and_structure())
 def test_fmap_respects_identity(spec_t):
     spec, t = spec_t
-    assert fmap(spec, {s: s for s in states}, t) == t
+    assert spec.fmap({s: s for s in states}, t) == t
 
 
 @given(spec_and_structure(), total_map())
 def test_support_of_image_is_bounded_by_image_of_support(spec_t, h):
     spec, t = spec_t
-    image_support = support(spec, fmap(spec, h, t))
-    mapped = {h[s] for s in support(spec, t)}
+    image_support = spec.support(spec.fmap(h, t))
+    mapped = {h[s] for s in spec.support(t)}
     if isinstance(spec, WeightedFunctor):
         assert image_support <= mapped  # weights may cancel
     else:

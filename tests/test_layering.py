@@ -1,0 +1,42 @@
+"""Import layering of the library: the production modules do not depend on
+the oracle lab, and the oracle lab does not depend on the isomorphism and
+well-pointedness code whose results it is used to check."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "coalgmin"
+
+PRODUCTION = ("core", "errors", "functors", "formats", "quotient", "reachability", "wellpointed")
+ORACLE_LAB = ("oracles", "suites", "systems")
+
+
+def imported_modules(name: str) -> set[str]:
+    """The ``coalgmin`` modules that ``<name>.py`` imports anywhere, including
+    inside functions."""
+    dotted = []
+    for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = "coalgmin" + (f".{node.module}" if node.module else "")
+            else:
+                base = node.module or ""
+            dotted += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return {d.split(".")[1] for d in dotted if d.startswith("coalgmin.")}
+
+
+def test_the_layered_modules_exist():
+    assert {p.stem for p in SRC.glob("*.py")} >= set(PRODUCTION) | set(ORACLE_LAB)
+
+
+@pytest.mark.parametrize("name", PRODUCTION)
+def test_production_modules_do_not_import_the_oracle_lab(name):
+    assert not imported_modules(name) & set(ORACLE_LAB)
+
+
+def test_the_oracles_do_not_import_wellpointed():
+    assert "wellpointed" not in imported_modules("oracles")

@@ -18,7 +18,7 @@ from coalgmin import (
 from coalgmin import systems
 from coalgmin.errors import OracleBoundExceeded, WrongFunctor
 from coalgmin.functors import PowersetFunctor
-from coalgmin.observability import language_kernel
+from coalgmin.oracles import language_kernel
 from coalgmin.core import Coalgebra
 
 

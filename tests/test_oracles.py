@@ -29,7 +29,8 @@ from coalgmin.functors import (
     PowersetFunctor,
     WeightedFunctor,
 )
-from coalgmin.oracles import HomSearchConfig, kernel_pair_coalgebra, stable_digest
+from coalgmin import oracles
+from coalgmin.oracles import kernel_pair_coalgebra, stable_digest
 from coalgmin.suites import FUNCTOR_FAMILIES
 
 
@@ -55,7 +56,7 @@ def test_single_loop_has_only_the_identity_endomorphism():
 
 def test_pointed_dfa_search_finds_exactly_the_book_morphism():
     dom, cod = systems.dfa_no_trailing_b(), systems.dfa_merge_target()
-    homs = enumerate_homomorphisms(dom, cod, HomSearchConfig(pointed=True))
+    homs = enumerate_homomorphisms(dom, cod, pointed=True)
     assert [h.mapping for h in homs] == [systems.dfa_merge_map()]
 
 
@@ -88,14 +89,15 @@ def test_enumeration_matches_naive_search(spec, pool):
         a = random_coalgebra(spec, 1 + seed % 3, seed, weight_pool=pool, density=0.5, pointed=True)
         b = random_coalgebra(spec, 1 + (seed + 1) % 3, seed + 100, weight_pool=pool, density=0.5, pointed=True)
         for pointed in (False, True):
-            fast = [h.mapping for h in enumerate_homomorphisms(a, b, HomSearchConfig(pointed=pointed))]
+            fast = [h.mapping for h in enumerate_homomorphisms(a, b, pointed=pointed)]
             assert fast == naive_homs(a, b, pointed=pointed)
 
 
-def test_search_budget_is_enforced():
+def test_search_budget_is_enforced(monkeypatch):
     c = random_coalgebra(PowersetFunctor(), 6, 1, density=0.0)  # all maps are homs
+    monkeypatch.setattr(oracles, "HOM_SEARCH_BUDGET", 10)
     with pytest.raises(SearchBoundExceeded):
-        enumerate_homomorphisms(c, c, HomSearchConfig(max_candidates=10))
+        enumerate_homomorphisms(c, c)
     big = random_coalgebra(PowersetFunctor(), 13, 1, density=0.2)
     with pytest.raises(SearchBoundExceeded):
         enumerate_homomorphisms(big, big)

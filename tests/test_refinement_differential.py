@@ -23,7 +23,8 @@ from coalgmin import (
     serialize_partition,
     simple_quotient,
 )
-from coalgmin.core import Coalgebra, partition_compatible
+from coalgmin.core import Coalgebra
+from coalgmin.oracles import partition_compatible
 from coalgmin.errors import IncompatiblePartition, ValidationError
 from conftest import chains, corpus_path, hubs
 from test_functor_extension import MaybeFunctor

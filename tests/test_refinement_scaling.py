@@ -35,7 +35,7 @@ from coalgmin import (
     well_pointed_modification,
     wellpointed,
 )
-from coalgmin.observability import _refinement_fixpoint
+from coalgmin.quotient import _refinement_fixpoint
 from coalgmin.suites import FUNCTOR_FAMILIES, seeded_instance
 from conftest import chains, hubs, renamed_copy
 

@@ -24,7 +24,7 @@ from coalgmin.cli import run_command
 from coalgmin.core import Morphism
 from coalgmin.errors import CyclicReachablePart, NotPointed, SearchBoundExceeded, SpecMismatch
 from coalgmin.functors import DfaFunctor, LabelledFunctor, PowersetFunctor, WeightedFunctor
-from coalgmin.oracles import HomSearchConfig, enumerate_homomorphisms
+from coalgmin.oracles import enumerate_homomorphisms
 from coalgmin.suites import FLAGGED_FAMILIES, seeded_instance
 
 from conftest import chains, moved_edge, renamed_copy
@@ -116,7 +116,7 @@ def test_modification_receives_a_unique_hom_from_the_reachable_part():
             c = seeded_instance(spec, pool, seed)
             part, _ = reachable_part(c)
             m = well_pointed_modification(c)
-            homs = enumerate_homomorphisms(part, m, HomSearchConfig(pointed=True))
+            homs = enumerate_homomorphisms(part, m, pointed=True)
             assert len(homs) == 1
             assert homs[0].is_surjective()
 
@@ -238,7 +238,7 @@ def test_renamed_copy_is_isomorphic_in_exactly_two_ways():
     assert are_isomorphic(tree, renamed) is not None
     isos = [
         h
-        for h in enumerate_homomorphisms(tree, renamed, HomSearchConfig(pointed=True))
+        for h in enumerate_homomorphisms(tree, renamed, pointed=True)
         if h.is_bijective()
     ]
     assert len(isos) == 2  # unique up to iso, not up to unique iso
