@@ -42,7 +42,7 @@ def _load(path: str, pointed: bool | None = None):
     c = parse_coalgebra(_read(path))
     if pointed is True:
         if c.point is None:
-            raise NotPointed(f"{path}: document has no point but --pointed was given")
+            raise NotPointed(f"{path}: document has no point, and this command needs one")
         return c
     if pointed is False:
         return underlying(c)
@@ -69,8 +69,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_check_hom(args) -> int:
-    dom = _load(args.dom, pointed=True if args.pointed else False)
-    cod = _load(args.cod, pointed=True if args.pointed else False)
+    dom = _load(args.dom, pointed=args.pointed)
+    cod = _load(args.cod, pointed=args.pointed)
     h = parse_morphism(_read(args.map), dom, cod)
     failures = hom_failures(h)
     if failures:
@@ -81,8 +81,8 @@ def _cmd_check_hom(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    dom = _load(args.dom, pointed=True if args.pointed else False)
-    cod = _load(args.cod, pointed=True if args.pointed else False)
+    dom = _load(args.dom, pointed=args.pointed)
+    cod = _load(args.cod, pointed=args.pointed)
     h = parse_morphism(_read(args.map), dom, cod)
     factorization = factorize(h)
     _write(args.out_dir, "e.json", serialize_morphism(factorization.e))
@@ -134,8 +134,8 @@ def _cmd_wellpoint(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    a = _load(args.a, pointed=True if args.pointed else False)
-    b = _load(args.b, pointed=True if args.pointed else False)
+    a = _load(args.a, pointed=args.pointed)
+    b = _load(args.b, pointed=args.pointed)
     iso = are_isomorphic(a, b)
     if iso is None:
         print("no isomorphism", file=sys.stderr)
@@ -145,8 +145,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_homs(args) -> int:
-    a = _load(args.a, pointed=True if args.pointed else False)
-    b = _load(args.b, pointed=True if args.pointed else False)
+    a = _load(args.a, pointed=args.pointed)
+    b = _load(args.b, pointed=args.pointed)
     if args.max is not None and args.max < 0:
         raise CoalgminError(f"--max must be nonnegative, got {args.max}")
     homs = enumerate_homomorphisms(a, b, pointed=args.pointed)

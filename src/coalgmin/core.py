@@ -112,15 +112,14 @@ def validate_coalgebra(c: Coalgebra) -> list[Violation]:
                 code = "zero-weight-entry"
             out.append(Violation(code, f"state {s!r}: {exc}", s))
             continue
-        for tgt in sorted(c.functor.support(t)):
-            if tgt not in carrier:
-                out.append(
-                    Violation(
-                        "dangling-state",
-                        f"structure of {s!r} references unknown state {tgt!r}",
-                        tgt,
-                    )
+        for tgt in sorted(c.functor.support(t) - carrier, key=str):
+            out.append(
+                Violation(
+                    "dangling-state",
+                    f"structure of {s!r} references unknown state {tgt!r}",
+                    tgt,
                 )
+            )
     for s in c.structure:
         if s not in carrier:
             out.append(
@@ -164,8 +163,9 @@ def _record_valid(c: Coalgebra) -> Coalgebra:
 class Morphism:
     """A total state map between two coalgebras of the same kind.
 
-    Construction checks only that the map is a function dom -> cod; whether it
-    is a homomorphism is the business of :func:`check_homomorphism`.
+    Construction checks only that the map is a function dom -> cod, and
+    reports every state where it is not in one ValidationError; whether it is
+    a homomorphism is the business of :func:`check_homomorphism`.
     """
 
     dom: Coalgebra
@@ -174,13 +174,16 @@ class Morphism:
 
     def __post_init__(self):
         cod_states = set(self.cod.states)
+        violations = []
         for s in self.dom.states:
             if s not in self.mapping:
-                raise InvalidMorphism(f"map undefined at state {s!r}")
-            if self.mapping[s] not in cod_states:
-                raise InvalidMorphism(
-                    f"map sends {s!r} to {self.mapping[s]!r}, not a codomain state"
+                violations.append(Violation("partial-map", f"map undefined at {s!r}", s))
+            elif self.mapping[s] not in cod_states:
+                violations.append(
+                    Violation("dangling-state", f"map sends {s!r} outside the codomain", s)
                 )
+        if violations:
+            raise ValidationError(violations)
 
     def __call__(self, state: str) -> str:
         return self.mapping[state]

@@ -23,7 +23,7 @@ class PartialMap(CoalgminError):
 
 
 class InvalidMorphism(CoalgminError):
-    """A morphism's map is not a function between the declared carriers."""
+    """The maps of a fill-in square do not fit the carriers they connect."""
 
 
 class SpecMismatch(CoalgminError):
@@ -35,7 +35,7 @@ class NotPointed(CoalgminError):
 
 
 class WeightedWithoutPool(CoalgminError):
-    """Weighted structure enumeration requires a finite weight pool."""
+    """Weighted random generation needs a finite weight pool."""
 
 
 class ValidationError(CoalgminError):

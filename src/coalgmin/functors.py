@@ -6,17 +6,19 @@ homomorphisms, refinement, reachability, unravelling, the oracle lab) is
 generic over :class:`FunctorSpec`.  Adding a functor means subclassing it
 directly with a new ``kind``, which ``formats.parse_functor`` looks up, and
 implementing ``check_structure``, ``fmap``, ``support`` (the action),
-``enumerate_structures`` (oracles), ``refinement_edges`` (partition
-refinement and isomorphism search), ``edges`` (canonical edge order),
-``encode``/``decode`` (documents), ``unravel`` and ``random_structure``;
-``observe``, ``payload``/``from_payload``, ``node_shape``, ``random_pool``
-and ``pair_structure`` have defaults.  Callers use these methods directly
-(``spec.fmap(m, t)``); there are no module-level wrappers.
+``refinement_edges`` (partition refinement and isomorphism search), ``edges``
+(canonical edge order), ``encode``/``decode`` (documents), ``unravel`` and
+``random_structure``; ``observe``, ``payload``/``from_payload``,
+``node_shape``, ``random_pool`` and ``pair_structure`` have defaults.
+Callers use these methods directly (``spec.fmap(m, t)``); there are no
+module-level wrappers.
 
-Only ``check_structure`` checks the type of a structure.  The other methods
-trust it: coalgebra validation runs ``check_structure`` on every state once,
-and code that takes a coalgebra validates it (``core.require_valid``) before
-handing its structures to them.
+Only ``check_structure`` holds the rules of a structure.  The ``struct``
+builders build the canonical value, coercing nothing, and return it through
+``check_structure``.  The other methods trust their input: coalgebra
+validation runs ``check_structure`` on every state once, and code that takes
+a coalgebra validates it (``core.require_valid``) before handing its
+structures to them.
 
 Structures are immutable, canonical and hashable: two structures are
 semantically equal iff they compare equal, which is what lets the quotient
@@ -25,11 +27,10 @@ and the oracles compare successor structures with ``==``.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     MalformedStructure,
@@ -128,14 +129,6 @@ class FunctorSpec:
         """The state ids occurring in t."""
         raise NotImplementedError
 
-    def enumerate_structures(
-        self,
-        carrier: Sequence[str],
-        weight_pool: Optional[Iterable] = None,
-    ) -> Iterator[FStructure]:
-        """Every well-formed structure over the carrier, each once, fixed order."""
-        raise NotImplementedError
-
     # -- partition refinement ----------------------------------------------
 
     def refinement_edges(self, t: FStructure, index: Mapping[str, int]) -> tuple[Hashable, list]:
@@ -214,6 +207,10 @@ class FunctorSpec:
         except KeyError:
             raise PartialMap(f"map is undefined at state {state!r}") from None
 
+    def _checked(self, t: FStructure) -> FStructure:
+        self.check_structure(t)
+        return t
+
     def require_structure(self, t: FStructure) -> None:
         if not isinstance(t, self.structure_type):
             raise SpecMismatch(
@@ -235,16 +232,18 @@ class DfaFunctor(FunctorSpec):
         object.__setattr__(self, "alphabet", _check_distinct(self.alphabet, "alphabet"))
 
     def struct(self, accepting: bool, moves: Mapping[str, str]) -> DfaStruct:
-        missing = [a for a in self.alphabet if a not in moves]
-        if missing:
-            raise MalformedStructure(f"transition map lacks symbols {missing!r}")
-        extra = [a for a in moves if a not in self.alphabet]
-        if extra:
-            raise MalformedStructure(f"transition map has unknown symbols {extra!r}")
-        return DfaStruct(bool(accepting), tuple((a, moves[a]) for a in self.alphabet))
+        return self._checked(DfaStruct(accepting, self._moves(moves)))
+
+    def _moves(self, moves: Mapping) -> tuple[tuple[str, str], ...]:
+        """The moves in alphabet order, then those of unknown symbols, which
+        ``check_structure`` rejects."""
+        known = [(a, moves[a]) for a in self.alphabet if a in moves]
+        return tuple(known + [(a, t) for a, t in moves.items() if a not in self.alphabet])
 
     def check_structure(self, t: FStructure) -> None:
         self.require_structure(t)
+        if not isinstance(t.accepting, bool):
+            raise MalformedStructure(f"acceptance must be a bool, got {t.accepting!r}")
         if tuple(sym for sym, _ in t.moves) != self.alphabet:
             raise MalformedStructure(
                 f"transition entries {t.moves!r} do not match alphabet {self.alphabet!r}"
@@ -258,12 +257,6 @@ class DfaFunctor(FunctorSpec):
 
     def support(self, t):
         return frozenset(tgt for _, tgt in t.moves)
-
-    def enumerate_structures(self, carrier, weight_pool=None):
-        carrier = tuple(carrier)
-        for accepting in (False, True):
-            for targets in itertools.product(carrier, repeat=len(self.alphabet)):
-                yield DfaStruct(accepting, tuple(zip(self.alphabet, targets)))
 
     def refinement_edges(self, t, index):
         return t.accepting, [(sym, index[tgt], 1) for sym, tgt in t.moves]
@@ -290,11 +283,8 @@ class DfaFunctor(FunctorSpec):
             raise ParseError(
                 None, f"dfa structure of {state!r} needs a boolean 'accepting' and a 'next' object"
             )
-        nxt = payload["next"]
-        string_list(list(nxt.values()), f"'next' targets of {state!r}")
-        moves = [(a, nxt[a]) for a in self.alphabet if a in nxt]
-        moves += sorted((a, v) for a, v in nxt.items() if a not in self.alphabet)
-        return DfaStruct(payload["accepting"], tuple(moves))
+        string_list(list(payload["next"].values()), f"'next' targets of {state!r}")
+        return DfaStruct(payload["accepting"], self._moves(payload["next"]))
 
     def node_shape(self, t):
         return "doublecircle" if t.accepting else "circle"
@@ -325,7 +315,7 @@ class PowersetFunctor(FunctorSpec):
     structure_type = SetStruct
 
     def struct(self, successors: Iterable[str]) -> SetStruct:
-        return SetStruct(frozenset(successors))
+        return self._checked(SetStruct(frozenset(successors)))
 
     def check_structure(self, t: FStructure) -> None:
         self.require_structure(t)
@@ -335,13 +325,6 @@ class PowersetFunctor(FunctorSpec):
 
     def support(self, t):
         return t.successors
-
-    def enumerate_structures(self, carrier, weight_pool=None):
-        carrier = tuple(carrier)
-        for mask in range(1 << len(carrier)):
-            yield SetStruct(
-                frozenset(s for i, s in enumerate(carrier) if mask >> i & 1)
-            )
 
     def refinement_edges(self, t, index):
         return None, [(None, index[s], 1) for s in t.successors]
@@ -388,17 +371,13 @@ class LabelledFunctor(FunctorSpec):
         object.__setattr__(self, "labels", _check_distinct(self.labels, "labels"))
 
     def struct(self, edges: Iterable[tuple[str, str]]) -> LabelledStruct:
-        edges = frozenset((str(l), str(s)) for l, s in edges)
-        bad = sorted(l for l, _ in edges if l not in self.labels)
-        if bad:
-            raise MalformedStructure(f"unknown labels {bad!r}")
-        return LabelledStruct(edges)
+        return self._checked(LabelledStruct(frozenset((l, s) for l, s in edges)))
 
     def check_structure(self, t: FStructure) -> None:
         self.require_structure(t)
-        bad = sorted(l for l, _ in t.edges if l not in self.labels)
+        bad = {l for l, _ in t.edges if l not in self.labels}
         if bad:
-            raise MalformedStructure(f"unknown labels {bad!r}")
+            raise MalformedStructure(f"unknown labels {sorted(bad, key=repr)!r}")
 
     def fmap(self, mapping, t):
         return LabelledStruct(
@@ -407,13 +386,6 @@ class LabelledFunctor(FunctorSpec):
 
     def support(self, t):
         return frozenset(s for _, s in t.edges)
-
-    def enumerate_structures(self, carrier, weight_pool=None):
-        slots = [(l, s) for l in self.labels for s in carrier]
-        for mask in range(1 << len(slots)):
-            yield LabelledStruct(
-                frozenset(e for i, e in enumerate(slots) if mask >> i & 1)
-            )
 
     def refinement_edges(self, t, index):
         return None, [(l, index[s], 1) for l, s in t.edges]
@@ -468,32 +440,45 @@ class LabelledFunctor(FunctorSpec):
         )
 
 
-def _as_weight(value) -> Weight:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedStructure(f"bad weight literal {value!r}: {exc}") from None
-    raise MalformedStructure(f"weights must be exact rationals, got {value!r}")
-
-
 _WEIGHT_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_weight(text, state: str) -> Weight:
-    """A weight written as the serializer writes it: ``-?digits(/digits)?``."""
+def _literal_weight(text) -> Optional[Weight]:
+    """``text`` read as a weight literal as the serializer writes it,
+    ``-?digits(/digits)?`` with a nonzero denominator, or None if it is not
+    one.  Documents and Python callers share this one grammar."""
     match = _WEIGHT_LITERAL.fullmatch(text) if isinstance(text, str) else None
     if match is None:
-        raise ParseError(None, f"weight for {state!r} must be a string n or n/d, got {text!r}")
+        return None
     numerator, denominator = match.groups()
     try:
         return Fraction(int(numerator), int(denominator or 1))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(None, f"bad weight {text!r} for {state!r}: {exc}") from None
+    except (ValueError, ZeroDivisionError):  # past the integer digit limit, or n/0
+        return None
+
+
+def _as_weight(value) -> Weight:
+    """A weight given in Python: a Fraction, an int that is not a bool, or a
+    literal string."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    weight = _literal_weight(value)
+    if weight is None:
+        raise MalformedStructure(
+            f"a weight must be a Fraction, an int or a string n or n/d with d > 0, got {value!r}"
+        )
+    return weight
+
+
+def _parse_weight(text, state: str) -> Weight:
+    weight = _literal_weight(text)
+    if weight is None:
+        raise ParseError(
+            None, f"weight for {state!r} must be a string n or n/d with d > 0, got {text!r}"
+        )
+    return weight
 
 
 @dataclass(frozen=True)
@@ -532,12 +517,8 @@ class WeightedFunctor(FunctorSpec):
             )
 
     def struct(self, weights: Mapping[str, object]) -> WeightedStruct:
-        entries = []
-        for state in sorted(weights):
-            w = _as_weight(weights[state])
-            self.check_weight(w)
-            entries.append((str(state), w))
-        return WeightedStruct(tuple(entries))
+        entries = sorted((s, _as_weight(w)) for s, w in weights.items())
+        return self._checked(WeightedStruct(tuple(entries)))
 
     def check_structure(self, t: FStructure) -> None:
         self.require_structure(t)
@@ -563,21 +544,6 @@ class WeightedFunctor(FunctorSpec):
 
     def support(self, t):
         return frozenset(s for s, _ in t.weights)
-
-    def enumerate_structures(self, carrier, weight_pool=None):
-        if weight_pool is None:
-            raise WeightedWithoutPool(
-                "enumerating weighted structures needs a finite weight pool"
-            )
-        pool = sorted({_as_weight(w) for w in weight_pool})
-        for w in pool:
-            self.check_weight(w)
-        choices = (None, *pool)
-        carrier = tuple(carrier)
-        for picks in itertools.product(choices, repeat=len(carrier)):
-            yield WeightedStruct(
-                tuple((s, w) for s, w in zip(carrier, picks) if w is not None)
-            )
 
     def refinement_edges(self, t, index):
         # Integral weights as int: int sums are far cheaper than Fraction
@@ -623,7 +589,7 @@ class WeightedFunctor(FunctorSpec):
     def random_pool(self, weight_pool):
         if not weight_pool:
             raise WeightedWithoutPool("weighted generation needs a weight pool")
-        pool = sorted(Fraction(w) for w in weight_pool)
+        pool = sorted(_as_weight(w) for w in weight_pool)
         for w in pool:
             self.check_weight(w)
         return pool

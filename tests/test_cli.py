@@ -109,6 +109,34 @@ def test_reach_on_an_unpointed_document_is_exit_2(capsys):
     assert "point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["reach", "wellpoint", "unravel"])
+def test_a_command_that_needs_a_point_names_the_file(tmp_path, capsys, command):
+    path = doc("weighted_flow")
+    assert run_command([command, path, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: document has no point, and this command needs one\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["validate", "dot", "check-hom"])
+def test_a_lone_surrogate_id_is_exit_2_with_one_error_line(tmp_path, capsys, command):
+    lone = "\ud800"
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({
+        "functor": {"kind": "powerset"},
+        "states": [lone, "y"],
+        "structure": {lone: ["y"], "y": []},
+    }))
+    argv = [command, str(system)]
+    if command == "check-hom":
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"map": {lone: "y", "y": "y"}}))
+        argv = [command, "--dom", str(system), "--cod", str(system), "--map", str(mapping)]
+    assert run_command(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_minimize_writes_quotient_projection_partition(tmp_path):
     assert run_command([
         "minimize", doc("weighted_pair_merge"), "--out-dir", str(tmp_path)

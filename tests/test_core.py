@@ -157,6 +157,18 @@ def test_perturbed_map_fails_with_counterexamples():
     assert failures == tuple(s for s in dom.states if s in failures)  # carrier order
 
 
+def test_a_morphism_reports_every_state_where_it_is_not_a_map():
+    dom, cod = dfa_pair()
+    mapping = dict(systems.dfa_merge_map(), s="ghost")
+    del mapping["p"]
+    with pytest.raises(ValidationError) as err:
+        Morphism(dom, cod, mapping)
+    assert [(v.code, v.witness) for v in err.value.violations] == [
+        ("partial-map", "p"),
+        ("dangling-state", "s"),
+    ]
+
+
 def test_pointed_morphism_must_preserve_the_point():
     a = systems.ts_two_cycle()
     h = Morphism(a, a, {"q0": "q1", "q1": "q0"})

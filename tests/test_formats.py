@@ -128,6 +128,23 @@ def test_state_ids_and_labels_must_be_strings(functor, structure):
         parse_coalgebra(json.dumps(doc))
 
 
+@pytest.mark.parametrize("functor, structure", [
+    ({"kind": "powerset"}, {"1": ["\ud800"]}),
+    ({"kind": "labelled-powerset", "labels": ["\udc00"]}, {"1": [["\udc00", "1"]]}),
+], ids=["state-id", "label"])
+def test_lone_surrogates_are_rejected(functor, structure):
+    doc = {"functor": functor, "states": ["1", "\ud800"], "structure": structure}
+    with pytest.raises(ParseError):
+        parse_coalgebra(json.dumps(doc))
+
+
+def test_a_surrogate_pair_is_one_character():
+    smiley = "\U0001f600"
+    doc = {"functor": {"kind": "powerset"}, "states": [smiley], "structure": {smiley: []}}
+    assert "\\ud83d\\ude00" in json.dumps(doc)
+    assert parse_coalgebra(json.dumps(doc)).states == (smiley,)
+
+
 @pytest.mark.parametrize("functor", [
     {"kind": "dfa", "alphabet": []},
     {"kind": "labelled-powerset", "labels": ["a", "a"]},

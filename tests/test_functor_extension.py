@@ -63,11 +63,6 @@ class MaybeFunctor(FunctorSpec):
     def support(self, t):
         return frozenset() if t.successor is None else frozenset({t.successor})
 
-    def enumerate_structures(self, carrier, weight_pool=None):
-        yield MaybeStruct(None)
-        for s in carrier:
-            yield MaybeStruct(s)
-
     def refinement_edges(self, t, index):
         return None, ([] if t.successor is None else [(None, index[t.successor], 1)])
 

@@ -1,4 +1,4 @@
-"""Functor kernel: structure construction, fmap, support, enumeration."""
+"""Functor kernel: structure construction, fmap, support."""
 
 from fractions import Fraction
 
@@ -14,12 +14,12 @@ from coalgmin import (
     check_homomorphism,
     identity_morphism,
     naive_refinement,
+    parse_coalgebra,
+    serialize_coalgebra,
+    validate_coalgebra,
 )
-from coalgmin.errors import (
-    MalformedStructure,
-    ValidationError,
-    WeightedWithoutPool,
-)
+from coalgmin.errors import MalformedStructure, ValidationError
+from coalgmin.functors import DfaStruct
 
 DFA = DfaFunctor(("a", "b"))
 PS = PowersetFunctor()
@@ -157,39 +157,47 @@ def test_dfa_struct_requires_total_moves():
         DFA.struct(True, {"a": "p", "b": "r", "c": "q"})
 
 
-def test_enumerate_powerset_structures():
-    out = list(PS.enumerate_structures(("x", "y")))
-    assert len(out) == 4
-    assert out[0] == PS.struct(())
-    assert set(out) == {
-        PS.struct(()),
-        PS.struct({"x"}),
-        PS.struct({"y"}),
-        PS.struct({"x", "y"}),
-    }
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RAT.struct({"p": "1e400"}),
+        lambda: RAT.struct({"p": "0.5"}),
+        lambda: RAT.struct({"p": True}),
+        lambda: BAG.struct({"p": True}),
+        lambda: RAT.random_pool(["0.5"]),
+        lambda: LTS.struct([("c", "x")]),
+        lambda: DFA.struct("no", {"a": "x", "b": "x"}),
+        lambda: DFA.struct(1, {"a": "x", "b": "x"}),
+    ],
+    ids=[
+        "exponent-weight", "decimal-weight", "bool-weight", "bool-bag-weight",
+        "decimal-pool-weight", "unknown-label", "string-acceptance", "int-acceptance",
+    ],
+)
+def test_builders_reject_what_documents_reject(build):
+    with pytest.raises(MalformedStructure):
+        build()
 
 
-def test_enumerate_dfa_structures_single_letter():
-    single = DfaFunctor(("a",))
-    out = list(single.enumerate_structures(("x",)))
-    assert len(out) == 2
-    assert {t.accepting for t in out} == {False, True}
-    assert all(t.moves == (("a", "x"),) for t in out)
+def test_a_raw_non_boolean_acceptance_fails_validation():
+    raw = Coalgebra(DFA, ("x",), {"x": DfaStruct(1, (("a", "x"), ("b", "x")))})
+    assert [v.code for v in validate_coalgebra(raw)] == ["malformed-structure"]
 
 
-def test_enumerate_labelled_structures():
-    single = LabelledFunctor(("l",))
-    out = list(single.enumerate_structures(("x", "y")))
-    assert len(out) == 4  # subsets of {(l,x), (l,y)}
-    assert len(set(out)) == 4
-
-
-def test_enumerate_weighted_structures_needs_and_uses_pool():
-    with pytest.raises(WeightedWithoutPool):
-        list(RAT.enumerate_structures(("b1", "b2")))
-    out = list(RAT.enumerate_structures(("b1", "b2"), weight_pool=(3, -3)))
-    assert len(out) == 9  # (absent, -3, 3) per target
-    assert len(set(out)) == 9
+@pytest.mark.parametrize(
+    "spec, build",
+    [
+        (DFA, lambda: DFA.struct(True, {"a": 5, "b": "5"})),
+        (PS, lambda: PS.struct([5])),
+        (LTS, lambda: LTS.struct([("a", 5)])),
+        (RAT, lambda: RAT.struct({5: 1})),
+    ],
+    ids=["dfa", "powerset", "labelled", "weighted"],
+)
+def test_make_rejects_a_non_string_target_as_dangling(spec, build):
+    with pytest.raises(ValidationError) as err:
+        Coalgebra.make(spec, ("5",), {"5": build()})
+    assert [(v.code, v.witness) for v in err.value.violations] == [("dangling-state", 5)]
 
 
 # -- algebraic laws ----------------------------------------------------------
@@ -214,7 +222,7 @@ def _arbitrary_structure(spec, draw):
                 )
             )
         )
-    pool = [1, 2] if spec.monoid == "natural" else [3, -3, Fraction(1, 2)]
+    pool = [1, 2, "4"] if spec.monoid == "natural" else [3, -3, Fraction(1, 2), "-5/7"]
     weights = {}
     for s in states:
         if draw(st.booleans()):
@@ -255,6 +263,16 @@ def test_support_of_image_is_bounded_by_image_of_support(spec_t, h):
         assert image_support <= mapped  # weights may cancel
     else:
         assert image_support == mapped
+
+
+@given(specs, st.data())
+def test_built_coalgebras_round_trip_through_documents(spec, data):
+    structure = {s: _arbitrary_structure(spec, data.draw) for s in states}
+    point = data.draw(st.sampled_from((None,) + states))
+    c = Coalgebra.make(spec, states, structure, point)
+    text = serialize_coalgebra(c)
+    assert parse_coalgebra(text) == c
+    assert serialize_coalgebra(parse_coalgebra(text)) == text
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 12), st.integers(1, 12))

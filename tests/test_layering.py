@@ -1,6 +1,7 @@
 """Import layering of the library: the production modules do not depend on
 the oracle lab, and the oracle lab does not depend on the isomorphism and
-well-pointedness code whose results it is used to check."""
+well-pointedness code whose results it is used to check.  Also: every method
+a functor must implement has a caller outside ``functors.py``."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,32 @@ def test_production_modules_do_not_import_the_oracle_lab(name):
 
 def test_the_oracles_do_not_import_wellpointed():
     assert "wellpointed" not in imported_modules("oracles")
+
+
+def abstract_functor_methods() -> set[str]:
+    """The methods whose body in ``FunctorSpec`` raises NotImplementedError."""
+    tree = ast.parse((SRC / "functors.py").read_text())
+    spec = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FunctorSpec")
+    return {
+        method.name
+        for method in spec.body
+        if isinstance(method, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Raise) and "NotImplementedError" in ast.unparse(node.exc)
+            for node in ast.walk(method)
+        )
+    }
+
+
+def test_every_abstract_functor_method_is_called_outside_functors():
+    called = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "functors.py":
+            called |= {
+                node.func.attr
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            }
+    abstract = abstract_functor_methods()
+    assert "fmap" in abstract
+    assert abstract - called == set()
