@@ -13,7 +13,7 @@ carriers.  ``factorize`` splits a homomorphism through its image coalgebra and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -45,10 +45,10 @@ class Violation:
 class Coalgebra:
     """A carrier plus one successor structure per state, and an optional point.
 
-    The raw constructor performs no checking so that invalid values can be
-    built and then inspected by :func:`validate_coalgebra`; use
-    :meth:`Coalgebra.make` in normal code.  The structure is stored as a
-    read-only view of a private copy.
+    Construction checks every invariant and raises ValidationError listing
+    each violation (see :func:`validate_coalgebra`), so every value is a
+    coalgebra.  The structure is stored as a read-only view of a private
+    copy.
     """
 
     functor: FunctorSpec
@@ -57,17 +57,15 @@ class Coalgebra:
     point: Optional[str] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "structure", MappingProxyType(dict(self.structure)))
+        violations = validate_coalgebra(self)
+        if violations:
+            raise ValidationError(violations)
 
     def __reduce__(self):
         # a mappingproxy cannot be pickled or deep-copied; rebuild from a dict
         return type(self), (self.functor, self.states, dict(self.structure), self.point)
-
-    @classmethod
-    def make(cls, functor, states, structure, point=None) -> "Coalgebra":
-        c = cls(functor, tuple(states), structure, point)
-        require_valid(c)
-        return c
 
     def struct_of(self, state: str) -> FStructure:
         return self.structure[state]
@@ -80,10 +78,20 @@ class Coalgebra:
         return {s: i for i, s in enumerate(self.states)}
 
 
+def _derived(functor, states: tuple, structure: Mapping, point=None) -> Coalgebra:
+    """A coalgebra made from parts of valid ones by a construction that keeps
+    validity, so it is not checked again.  ``structure`` passes to the
+    result, which must be its only holder."""
+    c = object.__new__(Coalgebra)
+    c.__dict__.update(
+        functor=functor, states=states, structure=MappingProxyType(structure), point=point
+    )
+    return c
+
+
 def underlying(c: Coalgebra) -> Coalgebra:
-    """c without its point; recorded as valid when c is."""
-    u = replace(c, point=None)
-    return _record_valid(u) if "_valid" in c.__dict__ else u
+    """c without its point."""
+    return _derived(c.functor, c.states, c.structure.copy())
 
 
 def point_of(c: Coalgebra) -> Optional[str]:
@@ -129,29 +137,6 @@ def validate_coalgebra(c: Coalgebra) -> list[Violation]:
     if p is not None and p not in carrier:
         out.append(Violation("point-not-in-carrier", f"point {p!r} not a state", p))
     return out
-
-
-def require_valid(c: Coalgebra) -> None:
-    """Raise ValidationError unless c is valid.
-
-    A coalgebra is immutable, so a success is recorded on c, outside its
-    dataclass fields (equality and pickling ignore it), and later
-    calls return at once: a document is checked once however many
-    operations it passes through.
-    """
-    if "_valid" in c.__dict__:
-        return
-    violations = validate_coalgebra(c)
-    if violations:
-        raise ValidationError(violations)
-    _record_valid(c)
-
-
-def _record_valid(c: Coalgebra) -> Coalgebra:
-    """Record on c that it is valid: checked, or derived from a valid input
-    by a construction that keeps validity."""
-    object.__setattr__(c, "_valid", True)
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +205,11 @@ def hom_failures(h: Morphism) -> tuple[str, ...]:
     """States at which the homomorphism law fails, in carrier order.
 
     For pointed endpoints the point is reported first if it is not preserved.
-    Empty result means h is a (pointed) homomorphism.  Both endpoints are
-    validated (once each, see :func:`require_valid`).
+    Empty result means h is a (pointed) homomorphism.
     """
     dom, cod = h.dom, h.cod
     if dom.functor != cod.functor:
         raise SpecMismatch("morphism endpoints use different functors")
-    require_valid(dom)
-    require_valid(cod)
     failures = []
     if h.pointed and h.mapping[h.dom.point] != h.cod.point:
         failures.append(h.dom.point)
@@ -319,7 +301,7 @@ def factorize(h: Morphism) -> Factorization:
     image_states = tuple(y for y in cod.states if y in hit)
     structure = {y: cod.struct_of(y) for y in image_states}
     point = h.mapping[dom.point] if h.pointed else None
-    image = _record_valid(Coalgebra(dom.functor, image_states, structure, point))
+    image = _derived(dom.functor, image_states, structure, point)
     e = Morphism(dom, image, dict(h.mapping))
     m = Morphism(image, cod, {y: y for y in image_states})
     return Factorization(e, image, m)
@@ -426,7 +408,6 @@ def apply_partition_quotient(c: Coalgebra, p: Partition) -> tuple[Coalgebra, Mor
     image must equal it, which is both the compatibility of p and the
     homomorphism law of the (surjective) projection at every state.
     """
-    require_valid(c)
     if p.members() != frozenset(c.states):
         raise NotAPartition("blocks do not cover the carrier exactly")
     kappa = p.representative_map()
@@ -438,5 +419,5 @@ def apply_partition_quotient(c: Coalgebra, p: Partition) -> tuple[Coalgebra, Mor
             if spec.fmap(kappa, c.struct_of(x)) != first:
                 raise IncompatiblePartition(block, block[0], x)
         q_structure[block[0]] = first
-    q = _record_valid(Coalgebra(spec, tuple(q_structure), q_structure, kappa.get(c.point)))
+    q = _derived(spec, tuple(q_structure), q_structure, kappa.get(c.point))
     return q, Morphism(c, q, kappa)

@@ -3,8 +3,8 @@
 Serialization is canonical: object keys are sorted, weights are normalized
 fraction strings ("3", "-1/2"), state lists inside structures follow carrier
 order, and every emitter is deterministic byte for byte.  ``parse_coalgebra``
-validates through :func:`coalgmin.core.require_valid`, which reports every
-violation at once and records the success, so later operations on the parsed
+validates by building the :class:`coalgmin.core.Coalgebra`, whose
+constructor reports every violation at once; later operations on the parsed
 coalgebra do not validate it again.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 
-from .core import Coalgebra, Morphism, Partition, require_valid
+from .core import Coalgebra, Morphism, Partition
 from .errors import ParseError
 from .functors import FunctorSpec, string_list
 
@@ -74,9 +74,7 @@ def parse_coalgebra(text: str) -> Coalgebra:
     point = doc.get("point")
     if point is not None and not isinstance(point, str):
         raise ParseError(None, "'point' must be a string")
-    result = Coalgebra(spec, states, structure, point)
-    require_valid(result)
-    return result
+    return Coalgebra(spec, states, structure, point)
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")

@@ -7,18 +7,18 @@ generic over :class:`FunctorSpec`.  Adding a functor means subclassing it
 directly with a new ``kind``, which ``formats.parse_functor`` looks up, and
 implementing ``check_structure``, ``fmap``, ``support`` (the action),
 ``refinement_edges`` (partition refinement and isomorphism search), ``edges``
-(canonical edge order), ``encode``/``decode`` (documents), ``unravel`` and
-``random_structure``; ``observe``, ``payload``/``from_payload``,
-``node_shape``, ``random_pool`` and ``pair_structure`` have defaults.
+(canonical edge order), ``encode``/``decode`` (documents), ``unravel``
+(unless every reachable part is cyclic) and ``random_structure``;
+``observe``, ``payload``/``from_payload``, ``node_shape``, ``random_pool``
+and ``pair_structure`` have defaults.
 Callers use these methods directly (``spec.fmap(m, t)``); there are no
 module-level wrappers.
 
 Only ``check_structure`` holds the rules of a structure.  The ``struct``
 builders build the canonical value, coercing nothing, and return it through
-``check_structure``.  The other methods trust their input: coalgebra
-validation runs ``check_structure`` on every state once, and code that takes
-a coalgebra validates it (``core.require_valid``) before handing its
-structures to them.
+``check_structure``.  The other methods trust their input: the
+``core.Coalgebra`` constructor runs ``check_structure`` on every state once,
+so the structures of a coalgebra are always well formed.
 
 Structures are immutable, canonical and hashable: two structures are
 semantically equal iff they compare equal, which is what lets the quotient
@@ -89,6 +89,15 @@ def _check_distinct(symbols: Sequence[str], what: str) -> tuple[str, ...]:
     if not all(isinstance(s, str) for s in symbols):
         raise ValueError(f"{what} entries must be strings")
     return symbols
+
+
+def _require_pairs(entries, container: type, what: str) -> None:
+    """Raise MalformedStructure unless ``entries`` is a ``container`` of
+    2-tuples, so that the rest of ``check_structure`` can unpack them."""
+    if not isinstance(entries, container) or not all(
+        type(e) is tuple and len(e) == 2 for e in entries
+    ):
+        raise MalformedStructure(f"{what} must be a {container.__name__} of pairs, got {entries!r}")
 
 
 def string_list(value, what: str) -> list[str]:
@@ -183,7 +192,10 @@ class FunctorSpec:
         self, t: FStructure, path: str, index: Mapping[str, int]
     ) -> tuple[FStructure, list[tuple[str, str]]]:
         """One unravelling step at tree node ``path``, whose state has t: the
-        node's structure over child paths and the (child path, state) list."""
+        node's structure over child paths and the (child path, state) list.
+        A functor whose structures all have successors, like the DFA's, has
+        only cyclic reachable parts, which ``tree_unravel`` rejects first, so
+        it leaves this out."""
         raise NotImplementedError
 
     def random_pool(self, weight_pool: Optional[Sequence]):
@@ -242,6 +254,7 @@ class DfaFunctor(FunctorSpec):
 
     def check_structure(self, t: FStructure) -> None:
         self.require_structure(t)
+        _require_pairs(t.moves, tuple, "moves")
         if not isinstance(t.accepting, bool):
             raise MalformedStructure(f"acceptance must be a bool, got {t.accepting!r}")
         if tuple(sym for sym, _ in t.moves) != self.alphabet:
@@ -289,11 +302,6 @@ class DfaFunctor(FunctorSpec):
     def node_shape(self, t):
         return "doublecircle" if t.accepting else "circle"
 
-    def unravel(self, t, path, index):
-        children = [(f"{path}/{sym}", tgt) for sym, tgt in t.moves]
-        moves = tuple((sym, child) for (sym, _), (child, _) in zip(t.moves, children))
-        return DfaStruct(t.accepting, moves), children
-
     def random_structure(self, states, rng, pool, density):
         return DfaStruct(
             rng.random() < 0.5,
@@ -319,6 +327,8 @@ class PowersetFunctor(FunctorSpec):
 
     def check_structure(self, t: FStructure) -> None:
         self.require_structure(t)
+        if not isinstance(t.successors, frozenset):
+            raise MalformedStructure(f"successors must be a frozenset, got {t.successors!r}")
 
     def fmap(self, mapping, t):
         return SetStruct(frozenset(self._applied(mapping, s) for s in t.successors))
@@ -375,6 +385,7 @@ class LabelledFunctor(FunctorSpec):
 
     def check_structure(self, t: FStructure) -> None:
         self.require_structure(t)
+        _require_pairs(t.edges, frozenset, "edges")
         bad = {l for l, _ in t.edges if l not in self.labels}
         if bad:
             raise MalformedStructure(f"unknown labels {sorted(bad, key=repr)!r}")
@@ -522,8 +533,13 @@ class WeightedFunctor(FunctorSpec):
 
     def check_structure(self, t: FStructure) -> None:
         self.require_structure(t)
+        _require_pairs(t.weights, tuple, "weights")
         targets = [s for s, _ in t.weights]
-        if targets != sorted(set(targets)):
+        try:
+            canonical = targets == sorted(set(targets))
+        except TypeError:  # targets that cannot be hashed or ordered together
+            canonical = False
+        if not canonical:
             raise MalformedStructure(f"weight entries not canonical: {t.weights!r}")
         for _, w in t.weights:
             if not isinstance(w, Fraction):

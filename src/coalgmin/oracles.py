@@ -35,7 +35,6 @@ from .core import (
     check_homomorphism,
     apply_partition_quotient,
     require_homomorphism,
-    require_valid,
     underlying,
 )
 from .errors import NotPointed, OracleBoundExceeded, SearchBoundExceeded, SpecMismatch, WrongFunctor
@@ -97,8 +96,6 @@ def enumerate_homomorphisms(a: Coalgebra, b: Coalgebra, pointed: bool = False) -
     lexicographic in codomain carrier positions.  This function deliberately
     never consults the reachability or refinement algorithms.
     """
-    require_valid(a)
-    require_valid(b)
     if a.functor != b.functor:
         raise SpecMismatch("cannot search homomorphisms across functors")
     if len(a.states) > HOM_SEARCH_STATE_BOUND:
@@ -181,7 +178,6 @@ def enumerate_pointed_subcoalgebras(c: Coalgebra) -> list[tuple[str, ...]]:
     """
     if c.point is None:
         raise NotPointed("pointed subcoalgebras need a pointed coalgebra")
-    require_valid(c)
     n = len(c.states)
     if n > SUBCOALGEBRA_BOUND:
         raise OracleBoundExceeded(
@@ -220,7 +216,6 @@ def enumerate_compatible_partitions(c: Coalgebra) -> list[Partition]:
     order, so the output order is deterministic.  Bell-number growth makes
     this an oracle for small instances only.
     """
-    require_valid(c)
     n = len(c.states)
     if n > PARTITION_BOUND:
         raise OracleBoundExceeded(f"carrier has {n} states, oracle bound is {PARTITION_BOUND}")
@@ -264,7 +259,6 @@ def naive_refinement(c: Coalgebra) -> Partition:
     splits each block by the results, until a round changes nothing.  A
     chain needing n rounds costs n**2 signature evaluations.
     """
-    require_valid(c)
     if c.is_empty:
         return Partition(())
     spec = c.functor
@@ -297,7 +291,6 @@ def dfa_language_oracle(c: Coalgebra, max_len: int) -> dict[str, frozenset[str]]
     deterministic automata: two states merged by refinement must accept the
     same bounded language, and split states must differ on some short word.
     """
-    require_valid(c)
     spec = c.functor
     if not isinstance(spec, DfaFunctor):
         raise WrongFunctor("language oracle only applies to deterministic automata")
@@ -567,7 +560,6 @@ def check_quotient_closure(c: Coalgebra) -> PropertyReport:
     failure; for rational weights it is an expected cancellation effect and
     is recorded as a witness.
     """
-    require_valid(c)
     failures = []
     witnesses = []
     count = 0

@@ -35,15 +35,14 @@ re-evaluating whole signatures.  The global-round fixpoint is kept as
 ``oracles.naive_refinement``, the reference the differential tests use;
 the brute-force enumeration of compatible partitions lives there too.
 
-Each entry point validates its input once.  ``simple_quotient`` then builds
-the quotient with ``core.apply_partition_quotient``, which checks every
-state's image against its block's quotient structure; its own validation
-returns at once on the already validated c.
+Every ``Coalgebra`` is valid when built, so nothing here validates.
+``simple_quotient`` builds the quotient with ``core.apply_partition_quotient``,
+which checks every state's image against its block's quotient structure.
 """
 
 from __future__ import annotations
 
-from .core import Coalgebra, Morphism, Partition, apply_partition_quotient, require_valid
+from .core import Coalgebra, Morphism, Partition, apply_partition_quotient
 
 
 def _refine(n: int, rows, observe) -> tuple[list[set[int]], int]:
@@ -149,7 +148,6 @@ def simple_quotient(c: Coalgebra) -> tuple[Coalgebra, Morphism, Partition]:
     and the underlying partition.  Quotienting the result again is the
     identity up to state naming, since its partition is discrete.
     """
-    require_valid(c)
     partition, _ = _refinement_fixpoint(c)
     quotient, projection = apply_partition_quotient(c, partition)
     return quotient, projection, partition
@@ -157,7 +155,6 @@ def simple_quotient(c: Coalgebra) -> tuple[Coalgebra, Morphism, Partition]:
 
 def behavioural_classes(c: Coalgebra) -> Partition:
     """The partition of the carrier into behavioural equivalence classes."""
-    require_valid(c)
     return _refinement_fixpoint(c)[0]
 
 

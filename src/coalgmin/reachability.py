@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import Coalgebra, Morphism, _record_valid, require_valid
+from .core import Coalgebra, Morphism, _derived
 from .errors import NotPointed
 
 
@@ -22,7 +22,6 @@ def reachable_part(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
     """
     if c.point is None:
         raise NotPointed("the reachable part needs a pointed coalgebra")
-    require_valid(c)
     index = c.state_index()
     spec = c.functor
     seen = {c.point}
@@ -38,7 +37,7 @@ def reachable_part(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
                 queue.append(y)
     states = tuple(order)
     structure = {s: c.struct_of(s) for s in states}
-    part = _record_valid(Coalgebra(spec, states, structure, c.point))
+    part = _derived(spec, states, structure, c.point)
     inclusion = Morphism(part, c, {s: s for s in states})
     return part, inclusion
 

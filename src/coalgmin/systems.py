@@ -27,7 +27,7 @@ RATIONAL_WEIGHTS = WeightedFunctor(RATIONALS)
 def dfa_no_trailing_b() -> Coalgebra:
     """Four-state DFA over {a,b}; q, p and s accept the words not ending in b."""
     f = DFA_AB
-    return Coalgebra.make(
+    return Coalgebra(
         f,
         ("q", "p", "s", "r"),
         {
@@ -47,7 +47,7 @@ def dfa_merge_target() -> Coalgebra:
     into it is neither injective nor surjective and factors properly.
     """
     f = DFA_AB
-    return Coalgebra.make(
+    return Coalgebra(
         f,
         ("t", "p_bar", "s", "r"),
         {
@@ -72,7 +72,7 @@ def dfa_merge_map_perturbed() -> dict[str, str]:
 def ts_branching() -> Coalgebra:
     """Transition system where x and y have the same branching behaviour."""
     f = POWERSET
-    return Coalgebra.make(
+    return Coalgebra(
         f,
         ("x", "y", "z"),
         {
@@ -87,7 +87,7 @@ def ts_branching() -> Coalgebra:
 def ts_branching_reduced() -> Coalgebra:
     """The two-state system ts_branching minimizes to, under fresh names."""
     f = POWERSET
-    return Coalgebra.make(
+    return Coalgebra(
         f,
         ("u", "v"),
         {"u": f.struct({"u", "v"}), "v": f.struct(())},
@@ -98,7 +98,7 @@ def ts_branching_reduced() -> Coalgebra:
 def weighted_pair_merge() -> Coalgebra:
     """Rational-weighted system whose two sinks merge; 4 and -7 sum to -3."""
     f = RATIONAL_WEIGHTS
-    return Coalgebra.make(
+    return Coalgebra(
         f,
         ("x", "y1", "y2"),
         {
@@ -113,7 +113,7 @@ def weighted_pair_merge() -> Coalgebra:
 def weighted_flow() -> Coalgebra:
     """Four-state rational-weighted system with a two-state quotient."""
     f = RATIONAL_WEIGHTS
-    return Coalgebra.make(
+    return Coalgebra(
         f,
         ("q", "p", "r", "s"),
         {
@@ -127,7 +127,7 @@ def weighted_flow() -> Coalgebra:
 
 def weighted_flow_target() -> Coalgebra:
     f = RATIONAL_WEIGHTS
-    return Coalgebra.make(
+    return Coalgebra(
         f,
         ("q_bar", "s_bar"),
         {
@@ -148,7 +148,7 @@ def cancel_fork() -> Coalgebra:
     quotient is no longer reachable.
     """
     f = RATIONAL_WEIGHTS
-    return Coalgebra.make(
+    return Coalgebra(
         f,
         ("a", "b1", "b2"),
         {
@@ -167,7 +167,7 @@ def cancel_fork_loops() -> Coalgebra:
     order leaves a second, unreachable state behind.
     """
     f = RATIONAL_WEIGHTS
-    return Coalgebra.make(
+    return Coalgebra(
         f,
         ("a", "b1", "b2"),
         {
@@ -182,7 +182,7 @@ def cancel_fork_loops() -> Coalgebra:
 def ts_cycle_with_feeder() -> Coalgebra:
     """A pointed 2-cycle fed by two unreachable states, one of them looping."""
     f = POWERSET
-    return Coalgebra.make(
+    return Coalgebra(
         f,
         ("q0", "q1", "q2", "q3"),
         {
@@ -197,7 +197,7 @@ def ts_cycle_with_feeder() -> Coalgebra:
 
 def ts_two_cycle() -> Coalgebra:
     f = POWERSET
-    return Coalgebra.make(
+    return Coalgebra(
         f,
         ("q0", "q1"),
         {"q0": f.struct({"q1"}), "q1": f.struct({"q0"})},
@@ -207,13 +207,13 @@ def ts_two_cycle() -> Coalgebra:
 
 def ts_single_loop() -> Coalgebra:
     f = POWERSET
-    return Coalgebra.make(f, ("q0",), {"q0": f.struct({"q0"})}, "q0")
+    return Coalgebra(f, ("q0",), {"q0": f.struct({"q0"})}, "q0")
 
 
 def bag_double_edge() -> Coalgebra:
     """Two states joined by a single weight-2 edge; unravels into siblings."""
     f = BAG
-    return Coalgebra.make(
+    return Coalgebra(
         f,
         ("a", "b"),
         {"a": f.struct({"b": 2}), "b": f.struct({})},
@@ -224,13 +224,13 @@ def bag_double_edge() -> Coalgebra:
 def bag_self_loop() -> Coalgebra:
     """One looping state; its unravelling would be an infinite chain."""
     f = BAG
-    return Coalgebra.make(f, ("a",), {"a": f.struct({"a": 1})}, "a")
+    return Coalgebra(f, ("a",), {"a": f.struct({"a": 1})}, "a")
 
 
 def labelled_handshake() -> Coalgebra:
     """Small labelled transition system with one merged pair of states."""
     f = LABELLED_AB
-    return Coalgebra.make(
+    return Coalgebra(
         f,
         ("g0", "g1", "g2", "g3"),
         {

@@ -30,14 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    Coalgebra,
-    Morphism,
-    _record_valid,
-    check_homomorphism,
-    require_homomorphism,
-    require_valid,
-)
+from .core import Coalgebra, Morphism, check_homomorphism, require_homomorphism
 from .errors import CyclicReachablePart, NotPointed, SearchBoundExceeded, SpecMismatch
 from .functors import FunctorSpec
 from .quotient import _refine, is_simple, simple_quotient
@@ -75,7 +68,6 @@ def commutation_check(c: Coalgebra) -> CommutationReport:
     ``reach_first`` may itself fail to be reachable for rational weights; it
     is still reported as computed.
     """
-    require_valid(c)
     part, _ = reachable_part(c)
     quotient, q, _ = simple_quotient(c)
     simple_first, _ = reachable_part(quotient)
@@ -101,8 +93,6 @@ def are_isomorphic(a: Coalgebra, b: Coalgebra) -> Optional[Morphism]:
     carrier order, by position in b's carrier.  The inverse of a bijective
     homomorphism is a homomorphism, for every functor, so it is not checked.
     """
-    require_valid(a)
-    require_valid(b)
     if a.functor != b.functor:
         raise SpecMismatch("cannot compare coalgebras over different functors")
     if (a.point is None) != (b.point is None):
@@ -211,7 +201,7 @@ def tree_unravel(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
     if len(set(states)) != len(states):
         # only possible when state ids already contain the path separator
         raise SpecMismatch("path ids collide; rename states containing '/'")
-    tree = _record_valid(Coalgebra(spec, tuple(states), structure, root))
+    tree = Coalgebra(spec, states, structure, root)
     covering = Morphism(tree, part, endpoint)
     require_homomorphism(covering)
     assert covering.is_surjective()

@@ -2,7 +2,9 @@
 
 Invoked as a subprocess by the acceptance suite under different
 PYTHONHASHSEED values; equal fingerprints mean every byte of stdout, stderr,
-exit codes and written files is reproducible.
+exit codes and written files is reproducible.  The hashed argv names corpus
+files as ``corpus/<name>.json``, so the fingerprint does not depend on where
+the checkout lives.
 """
 
 import hashlib
@@ -15,7 +17,8 @@ from pathlib import Path
 
 from coalgmin.cli import run_command
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 def corpus_names():
@@ -34,53 +37,54 @@ def is_pointed_doc(name: str) -> bool:
 
 def main() -> None:
     fingerprint = hashlib.sha256()
-    workdir = Path(tempfile.mkdtemp(prefix="coalgmin-determinism-"))
     coalgebras = [n for n in corpus_names() if is_coalgebra_doc(n)]
     pointed = [n for n in coalgebras if is_pointed_doc(n)]
 
     commands: list[list[str]] = []
     for name in coalgebras:
-        path = str(CORPUS / f"{name}.json")
+        path = f"corpus/{name}.json"
         commands.append(["validate", path])
         commands.append(["dot", path])
         commands.append(["minimize", path, "--out-dir", f"min-{name}"])
     for name in pointed:
-        path = str(CORPUS / f"{name}.json")
+        path = f"corpus/{name}.json"
         commands.append(["reach", path, "--out-dir", f"reach-{name}"])
         commands.append(["wellpoint", path, "--order", "both", "--out-dir", f"wp-{name}"])
         commands.append(["unravel", path, "--out-dir", f"tree-{name}"])
-    dfa_dom = str(CORPUS / "dfa_no_trailing_b.json")
-    dfa_cod = str(CORPUS / "dfa_merge_target.json")
+    dfa_dom = "corpus/dfa_no_trailing_b.json"
+    dfa_cod = "corpus/dfa_merge_target.json"
     commands += [
         ["check-hom", "--dom", dfa_dom, "--cod", dfa_cod,
-         "--map", str(CORPUS / "dfa_merge_map.json")],
+         "--map", "corpus/dfa_merge_map.json"],
         ["check-hom", "--dom", dfa_dom, "--cod", dfa_cod,
-         "--map", str(CORPUS / "dfa_merge_map_perturbed.json")],
+         "--map", "corpus/dfa_merge_map_perturbed.json"],
         ["factorize", "--dom", dfa_dom, "--cod", dfa_cod,
-         "--map", str(CORPUS / "dfa_merge_map.json"), "--out-dir", "fact"],
-        ["quotient", str(CORPUS / "cancel_fork.json"),
-         "--partition", str(CORPUS / "cancel_fork_partition.json"), "--out-dir", "quot"],
-        ["iso", str(CORPUS / "ts_branching.json"),
-         str(CORPUS / "ts_branching_reduced.json"), "--pointed"],
-        ["homs", str(CORPUS / "ts_branching.json"), str(CORPUS / "ts_branching.json")],
+         "--map", "corpus/dfa_merge_map.json", "--out-dir", "fact"],
+        ["quotient", "corpus/cancel_fork.json",
+         "--partition", "corpus/cancel_fork_partition.json", "--out-dir", "quot"],
+        ["iso", "corpus/ts_branching.json",
+         "corpus/ts_branching_reduced.json", "--pointed"],
+        ["homs", "corpus/ts_branching.json", "corpus/ts_branching.json"],
         ["props", "--suite", "commutation", "--seeds", "3"],
     ]
 
-    for argv in commands:
-        out, err = io.StringIO(), io.StringIO()
-        full = list(argv)
-        if "--out-dir" in full:
-            at = full.index("--out-dir") + 1
-            full[at] = str(workdir / full[at])
-        with redirect_stdout(out), redirect_stderr(err):
-            code = run_command(full)
-        fingerprint.update(repr(argv).encode())
-        fingerprint.update(str(code).encode())
-        fingerprint.update(out.getvalue().encode())
-        fingerprint.update(err.getvalue().encode())
-    for path in sorted(workdir.rglob("*.json")):
-        fingerprint.update(str(path.relative_to(workdir)).encode())
-        fingerprint.update(path.read_bytes())
+    with tempfile.TemporaryDirectory(prefix="coalgmin-determinism-") as tmp:
+        workdir = Path(tmp)
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            full = [str(ROOT / a) if a.startswith("corpus/") else a for a in argv]
+            if "--out-dir" in full:
+                at = full.index("--out-dir") + 1
+                full[at] = str(workdir / full[at])
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run_command(full)
+            fingerprint.update(repr(argv).encode())
+            fingerprint.update(str(code).encode())
+            fingerprint.update(out.getvalue().encode())
+            fingerprint.update(err.getvalue().encode())
+        for path in sorted(workdir.rglob("*.json")):
+            fingerprint.update(str(path.relative_to(workdir)).encode())
+            fingerprint.update(path.read_bytes())
 
     # instance digests feed property reports; they must not depend on the
     # interpreter's hash seed either

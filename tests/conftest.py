@@ -39,7 +39,7 @@ def chains(spec, length: int, copies: int = 1) -> Coalgebra:
             else:
                 t = spec.struct({nxt: "-1/2"} if nxt else {})
             structure[f"c{k}_{i}"] = t
-    return Coalgebra.make(spec, sorted(structure), structure)
+    return Coalgebra(spec, sorted(structure), structure)
 
 
 def hubs(spec, length: int, count: int = 10) -> Coalgebra:
@@ -54,7 +54,7 @@ def hubs(spec, length: int, count: int = 10) -> Coalgebra:
     structure = dict(chain.structure)
     for h in range(count):
         structure[f"h{h}"] = spec.struct(chain.states)
-    return Coalgebra.make(spec, sorted(structure), structure)
+    return Coalgebra(spec, sorted(structure), structure)
 
 
 def renamed_copy(c: Coalgebra, seed: int) -> tuple[Coalgebra, dict]:

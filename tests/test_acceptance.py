@@ -103,7 +103,7 @@ def test_criterion_02_factorization_regression(capsys):
 def test_criterion_03_simple_quotient_regressions(capsys):
     ps_quotient, _, _ = simple_quotient(systems.ts_branching())
     ps = ps_quotient.functor
-    expected_ps = Coalgebra.make(
+    expected_ps = Coalgebra(
         ps,
         ("x", "z"),
         {"x": ps.struct({"x", "z"}), "z": ps.struct(())},
@@ -112,7 +112,7 @@ def test_criterion_03_simple_quotient_regressions(capsys):
     assert ps_quotient == expected_ps
     w_quotient, _, _ = simple_quotient(systems.weighted_pair_merge())
     wf = w_quotient.functor
-    expected_w = Coalgebra.make(
+    expected_w = Coalgebra(
         wf,
         ("x", "y1"),
         {"x": wf.struct({"y1": -3}), "y1": wf.struct({"y1": 5})},

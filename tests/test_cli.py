@@ -229,6 +229,26 @@ def test_wellpoint_orders_and_disagreement(tmp_path, capsys):
     assert capsys.readouterr().out == "agree: true\n"
 
 
+def test_wellpoint_defaults_to_simple_first(tmp_path, capsys):
+    default, both = tmp_path / "default", tmp_path / "both"
+    assert run_command(["wellpoint", doc("cancel_fork_loops"), "--out-dir", str(default)]) == 0
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in default.iterdir()) == ["wellpoint-simple-first.json"]
+    assert run_command([
+        "wellpoint", doc("cancel_fork_loops"), "--order", "both", "--out-dir", str(both),
+    ]) == 1
+    written = (default / "wellpoint-simple-first.json").read_bytes()
+    assert written == (both / "wellpoint-simple-first.json").read_bytes()
+
+
+def test_wellpoint_reach_first_writes_only_its_result(tmp_path, capsys):
+    assert run_command([
+        "wellpoint", doc("cancel_fork_loops"), "--order", "reach-first",
+        "--out-dir", str(tmp_path),
+    ]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wellpoint-reach-first.json"]
+
+
 def test_iso_found_and_absent(capsys):
     assert run_command([
         "iso", doc("ts_branching"), doc("ts_branching"), "--pointed"
@@ -294,6 +314,17 @@ def test_props_runs_a_small_suite(capsys):
     out = capsys.readouterr().out
     assert out.count("ok commutation[") == 4
     assert run_command(["props", "--suite", "nonsense", "--seeds", "1"]) == 2
+
+
+def test_props_runs_every_suite_by_default(capsys):
+    assert run_command(["props", "--seeds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("ok ") for line in lines)
+
+
+def test_props_runs_the_dfa_language_suite(capsys):
+    assert run_command(["props", "--suite", "dfa-language", "--seeds", "5"]) == 0
+    assert capsys.readouterr().out == "ok dfa-language instances=5\n"
 
 
 def test_reach_and_minimize_are_idempotent_on_their_own_outputs(tmp_path, capsys):

@@ -19,7 +19,7 @@ from coalgmin import (
     underlying,
 )
 from coalgmin import systems
-from coalgmin.core import Morphism
+from coalgmin.core import Coalgebra, Morphism
 from coalgmin.errors import ParseError, ValidationError
 from coalgmin.formats import canonical_json
 from coalgmin.functors import (
@@ -244,6 +244,15 @@ def test_dot_for_a_pointed_singleton_loop():
     assert dot.count("->") == 2  # the point arrow and the loop
     assert '"__point" -> "q0";' in dot
     assert '"q0" -> "q0";' in dot
+
+
+def test_dot_start_node_avoids_a_state_named_like_it():
+    ps = PowersetFunctor()
+    c = Coalgebra(ps, ("__point",), {"__point": ps.struct(["__point"])}, "__point")
+    dot = emit_dot(c)
+    assert '"__point_" [shape=none' in dot
+    assert '"__point_" -> "__point";' in dot
+    assert '"__point" [shape=circle];' in dot
 
 
 def test_dot_marks_accepting_states_with_double_circles():

@@ -11,15 +11,11 @@ from coalgmin import (
     LabelledFunctor,
     PowersetFunctor,
     WeightedFunctor,
-    check_homomorphism,
-    identity_morphism,
-    naive_refinement,
     parse_coalgebra,
     serialize_coalgebra,
-    validate_coalgebra,
 )
 from coalgmin.errors import MalformedStructure, ValidationError
-from coalgmin.functors import DfaStruct
+from coalgmin.functors import DfaStruct, LabelledStruct, SetStruct, WeightedStruct
 
 DFA = DfaFunctor(("a", "b"))
 PS = PowersetFunctor()
@@ -142,12 +138,10 @@ def test_naturals_reject_negative_and_fractional_weights():
     ids=["powerset", "dfa", "weighted"],
 )
 def test_another_functors_structures_raise_a_validation_error(spec, foreign):
-    # the functor methods trust their input; the entry points validate it
-    raw = Coalgebra(spec, ("x",), {"x": foreign})
-    with pytest.raises(ValidationError):
-        check_homomorphism(identity_morphism(raw))
-    with pytest.raises(ValidationError):
-        naive_refinement(raw)
+    # the functor methods trust their input; the constructor validates it
+    with pytest.raises(ValidationError) as err:
+        Coalgebra(spec, ("x",), {"x": foreign})
+    assert [(v.code, v.witness) for v in err.value.violations] == [("malformed-structure", "x")]
 
 
 def test_dfa_struct_requires_total_moves():
@@ -180,8 +174,27 @@ def test_builders_reject_what_documents_reject(build):
 
 
 def test_a_raw_non_boolean_acceptance_fails_validation():
-    raw = Coalgebra(DFA, ("x",), {"x": DfaStruct(1, (("a", "x"), ("b", "x")))})
-    assert [v.code for v in validate_coalgebra(raw)] == ["malformed-structure"]
+    with pytest.raises(ValidationError) as err:
+        Coalgebra(DFA, ("x",), {"x": DfaStruct(1, (("a", "x"), ("b", "x")))})
+    assert [v.code for v in err.value.violations] == ["malformed-structure"]
+
+
+@pytest.mark.parametrize(
+    "spec, raw",
+    [
+        (LTS, LabelledStruct(frozenset({("a", "x", "y")}))),
+        (RAT, WeightedStruct(((5, Fraction(1)), ("x", Fraction(1))))),
+        (PS, SetStruct(["x"])),
+        (DFA, DfaStruct(True, (("a",),))),
+        (RAT, WeightedStruct((("x",),))),
+    ],
+    ids=["labelled-triple", "weighted-mixed-targets", "powerset-list", "dfa-short-move",
+         "weighted-short-entry"],
+)
+def test_malformed_raw_structures_are_violations(spec, raw):
+    with pytest.raises(ValidationError) as err:
+        Coalgebra(spec, ("x",), {"x": raw})
+    assert [(v.code, v.witness) for v in err.value.violations] == [("malformed-structure", "x")]
 
 
 @pytest.mark.parametrize(
@@ -196,7 +209,7 @@ def test_a_raw_non_boolean_acceptance_fails_validation():
 )
 def test_make_rejects_a_non_string_target_as_dangling(spec, build):
     with pytest.raises(ValidationError) as err:
-        Coalgebra.make(spec, ("5",), {"5": build()})
+        Coalgebra(spec, ("5",), {"5": build()})
     assert [(v.code, v.witness) for v in err.value.violations] == [("dangling-state", 5)]
 
 
@@ -269,7 +282,7 @@ def test_support_of_image_is_bounded_by_image_of_support(spec_t, h):
 def test_built_coalgebras_round_trip_through_documents(spec, data):
     structure = {s: _arbitrary_structure(spec, data.draw) for s in states}
     point = data.draw(st.sampled_from((None,) + states))
-    c = Coalgebra.make(spec, states, structure, point)
+    c = Coalgebra(spec, states, structure, point)
     text = serialize_coalgebra(c)
     assert parse_coalgebra(text) == c
     assert serialize_coalgebra(parse_coalgebra(text)) == text

@@ -1,7 +1,8 @@
 """Import layering of the library: the production modules do not depend on
 the oracle lab, and the oracle lab does not depend on the isomorphism and
 well-pointedness code whose results it is used to check.  Also: every method
-a functor must implement has a caller outside ``functors.py``."""
+a functor must implement has a caller outside ``functors.py``, and only
+``core`` and ``reachability`` build coalgebras without validating them."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,9 @@ def test_every_abstract_functor_method_is_called_outside_functors():
     abstract = abstract_functor_methods()
     assert "fmap" in abstract
     assert abstract - called == set()
+
+
+def test_only_core_and_reachability_build_unchecked_coalgebras():
+    # core._derived skips validation; only constructions that keep validity use it
+    users = {path.stem for path in SRC.glob("*.py") if "_derived" in path.read_text()}
+    assert users == {"core", "reachability"}

@@ -165,7 +165,8 @@ def test_incompatible_partitions_raise_the_witness_of_partition_compatible(famil
 
 
 def test_apply_partition_quotient_still_validates_its_input():
+    # its input is a Coalgebra, and no invalid one can be built
     spec = PowersetFunctor()
-    c = Coalgebra(spec, ("x", "y"), {"x": spec.struct(["ghost"]), "y": spec.struct([])})
-    with pytest.raises(ValidationError):
-        apply_partition_quotient(c, Partition.discrete(c.states))
+    with pytest.raises(ValidationError) as err:
+        Coalgebra(spec, ("x", "y"), {"x": spec.struct(["ghost"]), "y": spec.struct([])})
+    assert [(v.code, v.witness) for v in err.value.violations] == [("dangling-state", "ghost")]

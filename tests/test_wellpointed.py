@@ -69,12 +69,14 @@ def test_modification_rejects_an_unpointed_coalgebra_before_refining(monkeypatch
 
 def test_commutation_check_validates_its_input_once(monkeypatch):
     c = systems.ts_cycle_with_feeder()
-    raw = Coalgebra(c.functor, c.states, c.structure, c.point)
     validated = []
     validate = core.validate_coalgebra
     monkeypatch.setattr(core, "validate_coalgebra", lambda x: validated.append(x) or validate(x))
+    raw = Coalgebra(c.functor, c.states, c.structure, c.point)
+    assert len(validated) == 1 and validated[0] is raw
+    # construction validated raw; commutation_check itself validates nothing
     assert commutation_check(raw).agree
-    assert sum(x is raw for x in validated) == 1
+    assert len(validated) == 1
 
 
 def test_is_well_pointed_endpoints():
@@ -210,7 +212,7 @@ def _cycles(prefix, copies, length):
         for k in range(copies)
         for i in range(length)
     }
-    return Coalgebra.make(ps, states, structure)
+    return Coalgebra(ps, states, structure)
 
 
 def test_a_symmetric_search_past_its_budget_raises(monkeypatch, tmp_path, capsys):
@@ -256,6 +258,38 @@ def test_double_edge_unravels_into_two_unit_siblings():
     assert check_homomorphism(covering)
 
 
+def test_rational_weights_unravel_into_one_edge_each():
+    tree, covering = tree_unravel(systems.cancel_fork())
+    assert tree.states == ("a", "a/b1", "a/b2")
+    assert tree.struct_of("a").weight_dict() == {"a/b1": 3, "a/b2": -3}
+    assert covering.mapping == {"a": "a", "a/b1": "b1", "a/b2": "b2"}
+    assert check_homomorphism(covering)
+
+
+def path_collision() -> Coalgebra:
+    """r reaches b along the edge path r/a/b twice: once through the state
+    named a/b, once through a and then b."""
+    ps = PowersetFunctor()
+    structure = {
+        "r": ps.struct(["a/b", "a"]),
+        "a/b": ps.struct([]),
+        "a": ps.struct(["b"]),
+        "b": ps.struct([]),
+    }
+    return Coalgebra(ps, ("r", "a/b", "a", "b"), structure, "r")
+
+
+def test_colliding_path_ids_are_a_spec_mismatch(tmp_path, capsys):
+    with pytest.raises(SpecMismatch):
+        tree_unravel(path_collision())
+    document = tmp_path / "collision.json"
+    document.write_text(serialize_coalgebra(path_collision()))
+    assert run_command(["unravel", str(document), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "tree.json").exists()
+
+
 def test_unravelling_a_tree_is_an_isomorphism():
     tree, _ = tree_unravel(systems.bag_double_edge())
     again, covering = tree_unravel(tree)
@@ -280,7 +314,7 @@ def test_a_deep_cycle_is_named_by_its_witness():
     c = chains(ps, 3000)
     structure = dict(c.structure, c0_2999=ps.struct(["c0_1500"]))
     with pytest.raises(CyclicReachablePart) as err:
-        tree_unravel(Coalgebra.make(ps, c.states, structure, "c0_0"))
+        tree_unravel(Coalgebra(ps, c.states, structure, "c0_0"))
     assert err.value.cycle == tuple(f"c0_{i}" for i in range(1500, 3000)) + ("c0_1500",)
 
 
