@@ -58,7 +58,8 @@ class Coalgebra:
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "structure", MappingProxyType(dict(self.structure)))
+        if isinstance(self.structure, Mapping):
+            object.__setattr__(self, "structure", MappingProxyType(dict(self.structure)))
         violations = validate_coalgebra(self)
         if violations:
             raise ValidationError(violations)
@@ -101,17 +102,25 @@ def point_of(c: Coalgebra) -> Optional[str]:
 def validate_coalgebra(c: Coalgebra) -> list[Violation]:
     """Check all invariants; return one violation per problem found."""
     out: list[Violation] = []
-    seen = set()
+    seen: set[str] = set()
     for s in c.states:
-        if s in seen:
+        if not isinstance(s, str):
+            out.append(Violation("non-string-id", f"state id {s!r} is not a string"))
+        elif s in seen:
             out.append(Violation("duplicate-state", f"state {s!r} listed twice", s))
-        seen.add(s)
-    carrier = frozenset(c.states)
-    for s in c.states:
-        if s not in c.structure:
+        else:
+            seen.add(s)
+    states = [s for s in c.states if isinstance(s, str)]
+    carrier = frozenset(seen)
+    structure = c.structure
+    if not isinstance(structure, Mapping):
+        out.append(Violation("malformed-structure", f"structure {structure!r} is not a mapping"))
+        structure = {}
+    for s in states:
+        if s not in structure:
             out.append(Violation("missing-structure", f"state {s!r} has no structure", s))
             continue
-        t = c.structure[s]
+        t = structure[s]
         try:
             c.functor.check_structure(t)
         except (MalformedStructure, SpecMismatch) as exc:
@@ -128,13 +137,15 @@ def validate_coalgebra(c: Coalgebra) -> list[Violation]:
                     tgt,
                 )
             )
-    for s in c.structure:
+    for s in structure:
         if s not in carrier:
             out.append(
                 Violation("dangling-state", f"structure given for unknown state {s!r}", s)
             )
     p = c.point
-    if p is not None and p not in carrier:
+    if p is not None and not isinstance(p, str):
+        out.append(Violation("non-string-id", f"point {p!r} is not a string"))
+    elif p is not None and p not in carrier:
         out.append(Violation("point-not-in-carrier", f"point {p!r} not a state", p))
     return out
 
@@ -150,7 +161,8 @@ class Morphism:
 
     Construction checks only that the map is a function dom -> cod, and
     reports every state where it is not in one ValidationError; whether it is
-    a homomorphism is the business of :func:`check_homomorphism`.
+    a homomorphism is the business of :func:`check_homomorphism`.  The map
+    is stored as a read-only view of a private copy.
     """
 
     dom: Coalgebra
@@ -158,6 +170,7 @@ class Morphism:
     mapping: Mapping[str, str]
 
     def __post_init__(self):
+        object.__setattr__(self, "mapping", MappingProxyType(dict(self.mapping)))
         cod_states = set(self.cod.states)
         violations = []
         for s in self.dom.states:
@@ -169,6 +182,9 @@ class Morphism:
                 )
         if violations:
             raise ValidationError(violations)
+
+    def __reduce__(self):  # as for Coalgebra
+        return type(self), (self.dom, self.cod, dict(self.mapping))
 
     def __call__(self, state: str) -> str:
         return self.mapping[state]
@@ -264,14 +280,8 @@ def diagonal_fill_in(
     for a in sorted(a_states):
         if g[e[a]] != m[f[a]]:
             raise SquareDoesNotCommute(a)
-    d: dict[str, str] = {}
-    for a in sorted(a_states):
-        b = e[a]
-        if b in d and d[b] != f[a]:
-            # cannot happen: m injective forces f constant on e-fibers
-            raise SquareDoesNotCommute(a)
-        d[b] = f[a]
-    return d
+    # the square and m injective force f to be constant on e-fibres
+    return {e[a]: f[a] for a in sorted(a_states)}
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +312,7 @@ def factorize(h: Morphism) -> Factorization:
     structure = {y: cod.struct_of(y) for y in image_states}
     point = h.mapping[dom.point] if h.pointed else None
     image = _derived(dom.functor, image_states, structure, point)
-    e = Morphism(dom, image, dict(h.mapping))
+    e = Morphism(dom, image, h.mapping)
     m = Morphism(image, cod, {y: y for y in image_states})
     return Factorization(e, image, m)
 
@@ -368,27 +378,6 @@ class Partition:
         """Every block of self lies inside a block of other."""
         rep = other.representative_map()
         return all(len({rep[s] for s in b}) == 1 for b in self.blocks)
-
-    def join(self, other: "Partition") -> "Partition":
-        """Least partition refined by both: transitive closure of block unions."""
-        parent: dict[str, str] = {}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for s in self.members() | other.members():
-            parent[s] = s
-        for part in (self, other):
-            for b in part.blocks:
-                for s in b[1:]:
-                    parent[find(s)] = find(b[0])
-        groups: dict[str, list[str]] = {}
-        for s in parent:
-            groups.setdefault(find(s), []).append(s)
-        return Partition.of(groups.values())
 
 
 def kernel_partition(h: Morphism) -> Partition:

@@ -11,7 +11,6 @@ coalgebra do not validate it again.
 from __future__ import annotations
 
 import json
-import re
 
 from .core import Coalgebra, Morphism, Partition
 from .errors import ParseError
@@ -77,9 +76,6 @@ def parse_coalgebra(text: str) -> Coalgebra:
     return Coalgebra(spec, states, structure, point)
 
 
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
 def _loads(text: str):
     try:
         doc = json.loads(text)
@@ -90,24 +86,12 @@ def _loads(text: str):
     # A lone UTF-16 surrogate is not a character: no output can encode it.  It
     # can only enter through a \u escape or a raw non-ASCII character.
     if "\\u" in text or not text.isascii():
-        for string in _strings(doc):
-            if _SURROGATE.search(string):
-                raise ParseError(None, f"string {string!r} holds a lone UTF-16 surrogate")
+        try:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            surrogate = exc.object[exc.start : exc.end]
+            raise ParseError(None, f"{surrogate!r} is a lone UTF-16 surrogate") from None
     return doc
-
-
-def _strings(value):
-    """Every string in a decoded JSON value, object keys included."""
-    stack = [value]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, str):
-            yield value
-        elif isinstance(value, dict):
-            yield from value
-            stack.extend(value.values())
-        elif isinstance(value, list):
-            stack.extend(value)
 
 
 # ---------------------------------------------------------------------------

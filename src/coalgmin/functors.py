@@ -255,6 +255,10 @@ class DfaFunctor(FunctorSpec):
     def check_structure(self, t: FStructure) -> None:
         self.require_structure(t)
         _require_pairs(t.moves, tuple, "moves")
+        try:
+            self.support(t)
+        except TypeError:  # a target that cannot be hashed
+            raise MalformedStructure(f"move targets must be hashable, got {t.moves!r}") from None
         if not isinstance(t.accepting, bool):
             raise MalformedStructure(f"acceptance must be a bool, got {t.accepting!r}")
         if tuple(sym for sym, _ in t.moves) != self.alphabet:

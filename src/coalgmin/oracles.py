@@ -547,7 +547,7 @@ def check_minimization_functorial(morphisms: Iterable[Morphism]) -> PropertyRepo
                 (digest, f"image escapes the reachable part at {escaping[0]!r}")
             )
             continue
-        mediating = Morphism(h.dom, part, dict(h.mapping))
+        mediating = Morphism(h.dom, part, h.mapping)
         if not check_homomorphism(mediating):
             failures.append((digest, "corestriction is not a homomorphism"))
     return PropertyReport("minimization-functorial", count, tuple(failures))

@@ -108,7 +108,7 @@ def suite_reach_oracle(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyRep
 
 
 def suite_simple_oracle(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyReport]:
-    """Refinement partition = coarsest compatible partition = their join."""
+    """Refinement partition = coarsest compatible partition."""
 
     def check(c):
         partition = behavioural_classes(c)
@@ -116,11 +116,6 @@ def suite_simple_oracle(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyRe
         if partition not in compatible:
             yield (stable_digest(c), "refinement partition is not compatible")
             return
-        join = compatible[0]
-        for other in compatible[1:]:
-            join = join.join(other)
-        if join != partition:
-            yield (stable_digest(c), "refinement partition is not the join of all compatible ones")
         for other in compatible:
             if not other.refines(partition):
                 yield (stable_digest(c), "a compatible partition escapes the refinement one")

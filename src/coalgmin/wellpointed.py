@@ -2,14 +2,16 @@
 
 A pointed coalgebra is well pointed when it is both reachable and simple;
 the modification takes the simple quotient first, then the reachable part.
-``commutation_check`` compares that with the other order without a search.
-With projections q: c -> simple(c) and p: reach(c) -> simple(reach(c)),
-q(z) = q(z') iff p(z) = p(z') on reach(c), since homomorphisms preserve and
-reflect behaviour.  So q(z) |-> p(z) is an isomorphism from the image of
-reach(c) under q, a subcoalgebra of simple(c) that holds the point and
-hence contains reach(simple(c)).  The orders agree iff the results have
-equally many states, and then that map is the (unique) isomorphism.  They
-can disagree for rational weights, which may cancel.
+``commutation_check`` gets both orders from one refinement, with no search.
+Homomorphisms preserve and reflect behaviour, so the classes of the
+subcoalgebra reach(c) are those of c restricted to it: with q: c -> simple(c)
+and p: reach(c) -> simple(reach(c)) the quotient by them, q(z) = q(z') iff
+p(z) = p(z').  So q(z) |-> p(z) is a bijection from the image of reach(c)
+under q, a subcoalgebra of simple(c) that holds the point and hence contains
+reach(simple(c)).  The orders agree iff the results have equally many
+states; then that map is the (unique) isomorphism, checked one way only, as
+the inverse of a bijective homomorphism is one.  They can disagree for
+rational weights, which may cancel.
 
 ``are_isomorphic`` is individualization-refinement (McKay & Piperno,
 *Practical Graph Isomorphism, II*, J. Symb. Comp. 2014) over the engine of
@@ -30,7 +32,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Coalgebra, Morphism, check_homomorphism, require_homomorphism
+from .core import (
+    Coalgebra,
+    Morphism,
+    Partition,
+    apply_partition_quotient,
+    check_homomorphism,
+    require_homomorphism,
+)
 from .errors import CyclicReachablePart, NotPointed, SearchBoundExceeded, SpecMismatch
 from .functors import FunctorSpec
 from .quotient import _refine, is_simple, simple_quotient
@@ -71,13 +80,11 @@ def commutation_check(c: Coalgebra) -> CommutationReport:
     part, _ = reachable_part(c)
     quotient, q, _ = simple_quotient(c)
     simple_first, _ = reachable_part(quotient)
-    reach_first, p, _ = simple_quotient(part)
+    reach_first, p = apply_partition_quotient(part, Partition.from_key(part.states, q))
     if len(simple_first.states) != len(reach_first.states):
         return CommutationReport(simple_first, reach_first, False, None)
-    mapping = {q(z): p(z) for z in part.states}
-    iso = require_homomorphism(Morphism(simple_first, reach_first, mapping))
-    require_homomorphism(Morphism(reach_first, simple_first, {v: k for k, v in mapping.items()}))
-    return CommutationReport(simple_first, reach_first, True, iso)
+    iso = Morphism(simple_first, reach_first, {q(z): p(z) for z in part.states})
+    return CommutationReport(simple_first, reach_first, True, require_homomorphism(iso))
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,9 @@ def test_criterion_10_lemma_suites_on_pools(capsys):
         report(10, "lemma pool checks passed, including the mandated failure witnesses")
 
 
+CLI_FINGERPRINT = "072c77ebaedd7bf5dc9939f59b41888c9823c190436bd0b2e61a4e254bbc1b40"
+
+
 def test_criterion_11_cli_determinism(capsys):
     driver = Path(__file__).resolve().parent / "_determinism_driver.py"
     digests = []
@@ -235,5 +238,7 @@ def test_criterion_11_cli_determinism(capsys):
         )
         digests.append(run.stdout.strip())
     assert digests[0] == digests[1]
+    # a change that alters output bytes on purpose updates this pin in CHANGES.md too
+    assert digests[0] == CLI_FINGERPRINT
     with capsys.disabled():
         report(11, "every CLI command is byte-identical across independent runs")

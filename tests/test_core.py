@@ -39,10 +39,11 @@ from coalgmin.errors import (
     SquareDoesNotCommute,
     ValidationError,
 )
-from coalgmin.functors import WeightedStruct
+from coalgmin.functors import DfaFunctor, DfaStruct, WeightedStruct
 from fractions import Fraction
 
 PS = PowersetFunctor()
+DFA = DfaFunctor(("a",))
 RAT = WeightedFunctor("rational")
 
 
@@ -113,6 +114,27 @@ def test_a_recorded_validation_changes_no_value():
     assert copy.deepcopy(checked) == raw
 
 
+@pytest.mark.parametrize(
+    "build, codes",
+    [
+        (lambda: Coalgebra(PS, (["x"],), {}), ["non-string-id"]),
+        (lambda: Coalgebra(PS, ("x",), {"x": PS.struct(())}, ["x"]), ["non-string-id"]),
+        (
+            lambda: Coalgebra(DFA, ("x",), {"x": DfaStruct(True, (("a", ["x"]),))}),
+            ["malformed-structure"],
+        ),
+        (lambda: Coalgebra(PS, ("x",), 5), ["malformed-structure", "missing-structure"]),
+        (lambda: Coalgebra(PS, (1,), {1: PS.struct(())}), ["non-string-id", "dangling-state"]),
+    ],
+    ids=["unhashable-state", "unhashable-point", "unhashable-dfa-target", "non-mapping",
+         "int-state"],
+)
+def test_bad_python_input_is_a_validation_error(build, codes):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert [v.code for v in err.value.violations] == codes
+
+
 def test_empty_coalgebra_is_legal():
     assert validate_coalgebra(Coalgebra(PS, (), {})) == []
 
@@ -163,6 +185,23 @@ def test_a_morphism_reports_every_state_where_it_is_not_a_map():
         ("partial-map", "p"),
         ("dangling-state", "s"),
     ]
+
+
+def test_a_morphism_map_is_a_read_only_private_copy():
+    c = systems.ts_two_cycle()
+    mapping = {"q0": "q0", "q1": "q1"}
+    h = Morphism(c, c, mapping)
+    del mapping["q1"]
+    assert check_homomorphism(h)
+    assert dict(h.mapping) == {"q0": "q0", "q1": "q1"}
+    with pytest.raises(TypeError):
+        h.mapping["q1"] = "q0"
+
+
+def test_morphisms_pickle_and_deep_copy():
+    h = identity_morphism(systems.ts_two_cycle())
+    assert pickle.loads(pickle.dumps(h)) == h
+    assert copy.deepcopy(h) == h
 
 
 def test_pointed_morphism_must_preserve_the_point():
@@ -392,7 +431,5 @@ def test_partition_must_cover_the_carrier():
 def test_partition_canonical_form_and_join():
     p = Partition.of([("c", "b"), ("a",)])
     assert p.blocks == (("a",), ("b", "c"))
-    q = Partition.of([("a", "b"), ("c",)])
-    assert p.join(q).blocks == (("a", "b", "c"),)
     assert Partition.discrete("abc").refines(p)
     assert not p.refines(Partition.discrete("abc"))

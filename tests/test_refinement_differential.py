@@ -18,6 +18,7 @@ from coalgmin import (
     naive_refinement,
     parse_coalgebra,
     random_coalgebra,
+    reachable_part,
     serialize_coalgebra,
     serialize_morphism,
     serialize_partition,
@@ -26,6 +27,7 @@ from coalgmin import (
 from coalgmin.core import Coalgebra
 from coalgmin.oracles import partition_compatible
 from coalgmin.errors import IncompatiblePartition, ValidationError
+from coalgmin.suites import FUNCTOR_FAMILIES, seeded_instance
 from conftest import chains, corpus_path, hubs
 from test_functor_extension import MaybeFunctor
 
@@ -49,6 +51,28 @@ def test_random_systems_match_naive_refinement(family, n, sparse):
     for seed in SEEDS[n]:
         c = random_coalgebra(spec, n, seed, weight_pool=pool, density=density)
         assert behavioural_classes(c) == naive_refinement(c), seed
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_classes_restricted_to_the_reachable_part_are_its_classes(family):
+    # the argument that lets commutation_check refine once; both rational
+    # pools cancel
+    spec, pool = FAMILIES[family]
+    [(suite_spec, suite_pool)] = [(s, p) for name, s, p in FUNCTOR_FAMILIES if name == family]
+    instances = [seeded_instance(suite_spec, suite_pool, seed) for seed in range(40)]
+    for seed in range(90):
+        n = 1 + seed % 30
+        density = (0.05, 0.2, 0.6)[seed % 3]
+        instances.append(
+            random_coalgebra(spec, n, seed, weight_pool=pool, density=density, pointed=True)
+        )
+    for c in instances:
+        part, _ = reachable_part(c)
+        reached = set(part.states)
+        restricted = Partition.of(
+            kept for b in behavioural_classes(c).blocks if (kept := [s for s in b if s in reached])
+        )
+        assert restricted == behavioural_classes(part) == naive_refinement(part)
 
 
 def test_hubs_match_naive_refinement():

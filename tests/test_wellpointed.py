@@ -19,7 +19,7 @@ from coalgmin import (
     underlying,
     well_pointed_modification,
 )
-from coalgmin import core, systems, wellpointed
+from coalgmin import core, quotient, systems, wellpointed
 from coalgmin.cli import run_command
 from coalgmin.core import Morphism
 from coalgmin.errors import CyclicReachablePart, NotPointed, SearchBoundExceeded, SpecMismatch
@@ -77,6 +77,16 @@ def test_commutation_check_validates_its_input_once(monkeypatch):
     # construction validated raw; commutation_check itself validates nothing
     assert commutation_check(raw).agree
     assert len(validated) == 1
+
+
+def test_commutation_check_refines_once(monkeypatch):
+    runs = []
+    refine = quotient._refine
+    monkeypatch.setattr(quotient, "_refine", lambda n, *rest: runs.append(n) or refine(n, *rest))
+    for c in (systems.ts_cycle_with_feeder(), systems.cancel_fork_loops()):
+        runs.clear()
+        commutation_check(c)
+        assert runs == [len(c.states)]  # c itself, never its reachable part
 
 
 def test_is_well_pointed_endpoints():
