@@ -170,13 +170,15 @@ class Morphism:
     mapping: Mapping[str, str]
 
     def __post_init__(self):
+        if not isinstance(self.mapping, Mapping):
+            raise ValidationError([Violation("malformed-map", f"{self.mapping!r} is not a map")])
         object.__setattr__(self, "mapping", MappingProxyType(dict(self.mapping)))
         cod_states = set(self.cod.states)
         violations = []
         for s in self.dom.states:
             if s not in self.mapping:
                 violations.append(Violation("partial-map", f"map undefined at {s!r}", s))
-            elif self.mapping[s] not in cod_states:
+            elif not isinstance(self.mapping[s], str) or self.mapping[s] not in cod_states:
                 violations.append(
                     Violation("dangling-state", f"map sends {s!r} outside the codomain", s)
                 )
@@ -338,6 +340,9 @@ class Partition:
         canon = []
         seen: set[str] = set()
         for block in blocks:
+            block = list(block)
+            for bad in (m for m in block if not isinstance(m, str)):
+                raise NotAPartition(f"block member {bad!r} is not a state id")
             members = tuple(sorted(set(block)))
             if not members:
                 raise NotAPartition("empty block")

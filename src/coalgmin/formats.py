@@ -2,15 +2,19 @@
 
 Serialization is canonical: object keys are sorted, weights are normalized
 fraction strings ("3", "-1/2"), state lists inside structures follow carrier
-order, and every emitter is deterministic byte for byte.  ``parse_coalgebra``
-validates by building the :class:`coalgmin.core.Coalgebra`, whose
-constructor reports every violation at once; later operations on the parsed
-coalgebra do not validate it again.
+order, and every emitter is deterministic byte for byte.  ``canonical_json``
+writes exactly the bytes of ``json.dumps(payload, sort_keys=True, indent=2,
+ensure_ascii=True)`` and a newline, but joins them itself: given an
+``indent``, CPython skips its C encoder and yields the output token by token
+from the pure-Python one.  ``parse_coalgebra`` validates by building the
+:class:`coalgmin.core.Coalgebra`, whose constructor reports every violation
+at once; later operations on the parsed coalgebra do not validate it again.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .core import Coalgebra, Morphism, Partition
 from .errors import ParseError
@@ -18,7 +22,32 @@ from .functors import FunctorSpec, string_list
 
 
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return _emit(payload, "\n") + "\n"
+
+
+def _emit(v, newline: str) -> str:
+    """``v`` as that ``json.dumps`` call writes it, breaking lines with ``newline``.
+    Payloads nest five containers deep; deeper ones go to ``json.dumps``."""
+    t = type(v)
+    if t is str:
+        return _quoted(v)
+    if t is bool:
+        return "true" if v else "false"
+    if v is None:
+        return "null"
+    if t is int:
+        return int.__repr__(v)
+    if len(newline) < 11 and (t is list or t is dict and {*map(type, v)} <= {str}):
+        if not v:
+            return "[]" if t is list else "{}"
+        inner = newline + "  "
+        if t is list:
+            items = [_quoted(x) if type(x) is str else _emit(x, inner) for x in v]
+            return "[" + inner + ("," + inner).join(items) + newline + "]"
+        items = [_quoted(k) + ": " + (_quoted(x) if type(x) is str else _emit(x, inner))
+                 for k, x in sorted(v.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True).replace("\n", newline)
 
 
 def parse_functor(payload) -> FunctorSpec:

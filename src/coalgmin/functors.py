@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -425,8 +426,11 @@ class LabelledFunctor(FunctorSpec):
             isinstance(e, list) and len(e) == 2 for e in payload
         ):
             raise ParseError(None, f"labelled structure of {state!r} must be [label, state] pairs")
-        pairs = (string_list(e, f"edge {e!r} of {state!r}") for e in payload)
-        return LabelledStruct(frozenset((l, s) for l, s in pairs))
+        edges = [(l, s) for l, s in payload if isinstance(l, str) and isinstance(s, str)]
+        if len(edges) < len(payload):  # name the first edge that is not two strings
+            for e in payload:
+                string_list(e, f"edge {e!r} of {state!r}")
+        return LabelledStruct(frozenset(edges))
 
     def unravel(self, t, path, index):
         ordered = self.edges(t, index)
@@ -458,11 +462,13 @@ class LabelledFunctor(FunctorSpec):
 _WEIGHT_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _literal_weight(text) -> Optional[Weight]:
+@lru_cache(maxsize=1024)  # a document repeats a few short literals many times
+def _literal_weight(text: str) -> Optional[Weight]:
     """``text`` read as a weight literal as the serializer writes it,
     ``-?digits(/digits)?`` with a nonzero denominator, or None if it is not
-    one.  Documents and Python callers share this one grammar."""
-    match = _WEIGHT_LITERAL.fullmatch(text) if isinstance(text, str) else None
+    one.  Documents and Python callers share this one grammar; they pass
+    only strings, so nothing else is cached."""
+    match = _WEIGHT_LITERAL.fullmatch(text)
     if match is None:
         return None
     numerator, denominator = match.groups()
@@ -479,7 +485,7 @@ def _as_weight(value) -> Weight:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    weight = _literal_weight(value)
+    weight = _literal_weight(value) if isinstance(value, str) else None
     if weight is None:
         raise MalformedStructure(
             f"a weight must be a Fraction, an int or a string n or n/d with d > 0, got {value!r}"
@@ -488,7 +494,7 @@ def _as_weight(value) -> Weight:
 
 
 def _parse_weight(text, state: str) -> Weight:
-    weight = _literal_weight(text)
+    weight = _literal_weight(text) if isinstance(text, str) else None
     if weight is None:
         raise ParseError(
             None, f"weight for {state!r} must be a string n or n/d with d > 0, got {text!r}"
@@ -524,9 +530,9 @@ class WeightedFunctor(FunctorSpec):
         return self.monoid == NATURALS
 
     def check_weight(self, w: Weight) -> None:
-        if w == 0:
+        if not w.numerator:
             raise ZeroWeightEntry("zero weight entries must be dropped")
-        if self.monoid == NATURALS and (w.denominator != 1 or w < 0):
+        if self.monoid == NATURALS and (w.denominator != 1 or w.numerator < 0):
             raise MalformedStructure(
                 f"natural-weighted structures need positive integer weights, got {w}"
             )

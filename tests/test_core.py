@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+import re
 
 import pytest
 
@@ -185,6 +186,17 @@ def test_a_morphism_reports_every_state_where_it_is_not_a_map():
         ("partial-map", "p"),
         ("dangling-state", "s"),
     ]
+
+
+@pytest.mark.parametrize("mapping, expected", [
+    (5, [("malformed-map", None)]),
+    ({"q0": ["x"], "q1": "q1"}, [("dangling-state", "q0")]),
+], ids=["not-a-mapping", "unhashable-image"])
+def test_a_morphism_of_malformed_python_values_is_a_validation_error(mapping, expected):
+    c = systems.ts_two_cycle()
+    with pytest.raises(ValidationError) as err:
+        Morphism(c, c, mapping)
+    assert [(v.code, v.witness) for v in err.value.violations] == expected
 
 
 def test_a_morphism_map_is_a_read_only_private_copy():
@@ -426,6 +438,12 @@ def test_partition_must_cover_the_carrier():
         apply_partition_quotient(c, Partition.of([("x", "y")]))
     with pytest.raises(NotAPartition):
         Partition.of([("x",), ("x", "y")])
+
+
+@pytest.mark.parametrize("blocks, member", [([["a", 1]], "1"), ([[["x"]]], "['x']")])
+def test_partition_members_must_be_state_ids(blocks, member):
+    with pytest.raises(NotAPartition, match=re.escape(f"member {member} is not")):
+        Partition.of(blocks)
 
 
 def test_partition_canonical_form_and_join():

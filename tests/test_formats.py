@@ -1,7 +1,10 @@
 """Document round trips, canonicalization, DOT output, corpus sync."""
 
+import importlib.util
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +26,7 @@ from coalgmin.core import Coalgebra, Morphism
 from coalgmin.errors import ParseError, ValidationError
 from coalgmin.formats import canonical_json
 from coalgmin.functors import (
+    _literal_weight,
     DfaFunctor,
     LabelledFunctor,
     PowersetFunctor,
@@ -234,6 +238,120 @@ def test_serialize_parse_round_trip(spec, pool, seed, n):
     text = serialize_coalgebra(c)
     assert parse_coalgebra(text) == c
     assert serialize_coalgebra(parse_coalgebra(text)) == text
+
+
+# -- canonical JSON emitter ---------------------------------------------------
+
+
+def reference_json(payload) -> str:
+    """What ``canonical_json`` must write, byte for byte."""
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+def outcome(emit, payload):
+    try:
+        return emit(payload)
+    except (TypeError, ValueError) as exc:  # unsortable keys, unencodable values
+        return type(exc), str(exc)
+
+
+# Every character, surrogates, controls, quotes and astral ones included.
+any_text = st.text(st.characters(exclude_categories=()))
+json_leaves = (
+    any_text
+    | st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "\u2028", "\U0001f600", "\ud800"])
+    | st.booleans()
+    | st.none()
+    | st.integers()
+    | st.integers(min_value=10**300, max_value=10**310)
+    | st.floats()
+)
+# Floats, tuples and dicts with keys that are not strings take the
+# json.dumps fallback, and so does everything nested deeper than a payload.
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(any_text, inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.integers() | st.booleans() | st.none() | any_text, inner, max_size=3),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+def test_canonical_json_writes_the_bytes_of_json_dumps(payload):
+    assert outcome(canonical_json, payload) == outcome(reference_json, payload)
+
+
+def test_canonical_json_matches_json_dumps_on_large_benchmark_documents():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for family in gen.FAMILIES:
+        doc, _ = gen.sparse(family, 3000, random.Random(1))
+        assert canonical_json(doc) == reference_json(doc), family
+        serialized = serialize_coalgebra(parse_coalgebra(json.dumps(doc)))
+        assert serialized == reference_json(json.loads(serialized)), family
+
+
+def test_canonical_json_fails_as_json_dumps_does():
+    cycle = []
+    cycle.append({"a": cycle})
+    too_long = {"n": [10**5000]}  # past the digit limit of int -> str
+    for payload in (cycle, too_long):
+        assert isinstance(outcome(reference_json, payload), tuple)
+        assert outcome(canonical_json, payload) == outcome(reference_json, payload)
+
+
+@pytest.mark.parametrize("payload", [object(), {"a": [1, {"b": {1, 2}}]}, [[[[[[object()]]]]]]])
+def test_canonical_json_refuses_values_json_cannot_write(payload):
+    with pytest.raises(TypeError):
+        canonical_json(payload)
+
+
+# -- weight literals ----------------------------------------------------------
+
+
+def weighted_doc(monoid, weights):
+    states = [f"s{i}" for i in range(len(weights))]
+    structure = {s: {s: w} for s, w in zip(states, weights)}
+    doc = {"functor": {"kind": "weighted", "monoid": monoid}, "states": states, "structure": structure}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("monoid, weight, expected", [
+    ("rational", "2/4", Fraction(1, 2)),
+    ("rational", "0", "zero-weight-entry"),
+    ("rational", "-0/3", "zero-weight-entry"),
+    ("rational", "1e400", ParseError),
+    ("rational", ["1"], ParseError),
+    ("natural", "-2", "malformed-structure"),
+    ("natural", "3/2", "malformed-structure"),
+    ("natural", "6/2", Fraction(3)),
+])
+def test_a_weight_literal_reads_the_same_every_time(monoid, weight, expected):
+    for _ in range(3):  # the first read fills the literal memo, the others hit it
+        if isinstance(expected, Fraction):
+            c = parse_coalgebra(weighted_doc(monoid, [weight]))
+            assert c.struct_of("s0").weight_dict() == {"s0": expected}
+        elif expected is ParseError:
+            with pytest.raises(ParseError):
+                parse_coalgebra(weighted_doc(monoid, [weight]))
+        else:
+            with pytest.raises(ValidationError) as err:
+                parse_coalgebra(weighted_doc(monoid, [weight]))
+            assert [v.code for v in err.value.violations] == [expected]
+
+
+def test_more_distinct_weight_literals_than_the_memo_holds():
+    bound = _literal_weight.cache_info().maxsize
+    weights = [f"{k}/{k + 1}" for k in range(1, 2 * bound + 2)]
+    for _ in range(2):
+        c = parse_coalgebra(weighted_doc("rational", weights))
+        for i, w in enumerate(weights):
+            assert c.struct_of(f"s{i}").weight_dict() == {f"s{i}": Fraction(w)}
+        assert _literal_weight.cache_info().currsize == bound
 
 
 # -- DOT -----------------------------------------------------------------------
