@@ -90,6 +90,15 @@ def _derived(functor, states: tuple, structure: Mapping, point=None) -> Coalgebr
     return c
 
 
+def _derived_morphism(dom: Coalgebra, cod: Coalgebra, mapping: dict) -> Morphism:
+    """A morphism whose map a construction made total into ``cod``, so it is
+    not checked again.  ``mapping`` passes to the result, which must be its
+    only holder."""
+    h = object.__new__(Morphism)
+    h.__dict__.update(dom=dom, cod=cod, mapping=MappingProxyType(mapping))
+    return h
+
+
 def underlying(c: Coalgebra) -> Coalgebra:
     """c without its point."""
     return _derived(c.functor, c.states, c.structure.copy())
@@ -116,20 +125,21 @@ def validate_coalgebra(c: Coalgebra) -> list[Violation]:
     if not isinstance(structure, Mapping):
         out.append(Violation("malformed-structure", f"structure {structure!r} is not a mapping"))
         structure = {}
+    spec = c.functor
     for s in states:
         if s not in structure:
             out.append(Violation("missing-structure", f"state {s!r} has no structure", s))
             continue
         t = structure[s]
         try:
-            c.functor.check_structure(t)
+            spec.check_structure(t)
         except (MalformedStructure, SpecMismatch) as exc:
             code = "malformed-structure"
             if isinstance(exc, ZeroWeightEntry):
                 code = "zero-weight-entry"
             out.append(Violation(code, f"state {s!r}: {exc}", s))
             continue
-        for tgt in sorted(c.functor.support(t) - carrier, key=str):
+        for tgt in sorted(spec.support(t) - carrier, key=str):
             out.append(
                 Violation(
                     "dangling-state",
@@ -324,6 +334,9 @@ def factorize(h: Morphism) -> Factorization:
 # ---------------------------------------------------------------------------
 
 
+_is_str = str.__instancecheck__
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint nonempty blocks in canonical form.
@@ -341,16 +354,17 @@ class Partition:
         seen: set[str] = set()
         for block in blocks:
             block = list(block)
-            for bad in (m for m in block if not isinstance(m, str)):
+            if not all(map(_is_str, block)):
+                bad = next(m for m in block if not isinstance(m, str))
                 raise NotAPartition(f"block member {bad!r} is not a state id")
             members = tuple(sorted(set(block)))
             if not members:
                 raise NotAPartition("empty block")
-            if seen & set(members):
-                raise NotAPartition(f"overlapping blocks at {sorted(seen & set(members))!r}")
+            if not seen.isdisjoint(members):
+                raise NotAPartition(f"overlapping blocks at {sorted(seen.intersection(members))!r}")
             seen.update(members)
             canon.append(members)
-        canon.sort(key=lambda b: b[0])
+        canon.sort()  # disjoint blocks: their least members order them
         return cls(tuple(canon))
 
     @classmethod
@@ -414,4 +428,4 @@ def apply_partition_quotient(c: Coalgebra, p: Partition) -> tuple[Coalgebra, Mor
                 raise IncompatiblePartition(block, block[0], x)
         q_structure[block[0]] = first
     q = _derived(spec, tuple(q_structure), q_structure, kappa.get(c.point))
-    return q, Morphism(c, q, kappa)
+    return q, _derived_morphism(c, q, kappa)

@@ -92,7 +92,8 @@ class OracleBoundExceeded(CoalgminError):
 
 class SearchBoundExceeded(CoalgminError):
     """A search passed its budget: homomorphism enumeration its candidate
-    bound, or the isomorphism search its refinement work bound."""
+    bound, the isomorphism search its refinement work bound, or tree
+    unravelling its state bound."""
 
 
 class CyclicReachablePart(CoalgminError):

@@ -9,8 +9,8 @@ implementing ``check_structure``, ``fmap``, ``support`` (the action),
 ``refinement_edges`` (partition refinement and isomorphism search), ``edges``
 (canonical edge order), ``encode``/``decode`` (documents), ``unravel``
 (unless every reachable part is cyclic) and ``random_structure``;
-``observe``, ``payload``/``from_payload``, ``node_shape``, ``random_pool``
-and ``pair_structure`` have defaults.
+``observe``, ``refinement_scale``, ``payload``/``from_payload``,
+``node_shape``, ``random_pool`` and ``pair_structure`` have defaults.
 Callers use these methods directly (``spec.fmap(m, t)``); there are no
 module-level wrappers.
 
@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -150,10 +151,19 @@ class FunctorSpec:
         the class agrees."""
         raise NotImplementedError
 
+    def refinement_scale(self, structures: Iterable[FStructure]) -> int:
+        """A positive int s such that s times every weight
+        :meth:`refinement_edges` gives for these structures is an int.
+        Refinement multiplies every weight by s once, so that it adds,
+        subtracts and hashes ints only.  The default, 1, suits int weights."""
+        return 1
+
     @staticmethod
     def observe(weight):
         """What refinement sees of a sum of edge weights: by default the sum
-        itself.  It must be falsy exactly when the sum is zero."""
+        itself.  It must be falsy exactly when the sum is zero, and scaling
+        every sum by the same :meth:`refinement_scale` must not change which
+        sums it tells apart."""
         return weight
 
     # -- documents and rendering -------------------------------------------
@@ -218,7 +228,14 @@ class FunctorSpec:
         try:
             return mapping[state]
         except KeyError:
-            raise PartialMap(f"map is undefined at state {state!r}") from None
+            raise self._unmapped(mapping, (state,)) from None
+
+    @staticmethod
+    def _unmapped(mapping: Mapping[str, str], states: Iterable[str]) -> PartialMap:
+        """The error naming the first of ``states`` that ``mapping`` misses,
+        once a lookup of one of them failed."""
+        missing = next(s for s in states if s not in mapping)
+        return PartialMap(f"map is undefined at state {missing!r}")
 
     def _checked(self, t: FStructure) -> FStructure:
         self.check_structure(t)
@@ -250,6 +267,8 @@ class DfaFunctor(FunctorSpec):
     def _moves(self, moves: Mapping) -> tuple[tuple[str, str], ...]:
         """The moves in alphabet order, then those of unknown symbols, which
         ``check_structure`` rejects."""
+        if tuple(moves) == self.alphabet:
+            return tuple(moves.items())
         known = [(a, moves[a]) for a in self.alphabet if a in moves]
         return tuple(known + [(a, t) for a, t in moves.items() if a not in self.alphabet])
 
@@ -257,9 +276,9 @@ class DfaFunctor(FunctorSpec):
         self.require_structure(t)
         _require_pairs(t.moves, tuple, "moves")
         try:
-            self.support(t)
+            hash(t.moves)
         except TypeError:  # a target that cannot be hashed
-            raise MalformedStructure(f"move targets must be hashable, got {t.moves!r}") from None
+            raise MalformedStructure(f"moves must be hashable, got {t.moves!r}") from None
         if not isinstance(t.accepting, bool):
             raise MalformedStructure(f"acceptance must be a bool, got {t.accepting!r}")
         if tuple(sym for sym, _ in t.moves) != self.alphabet:
@@ -268,10 +287,10 @@ class DfaFunctor(FunctorSpec):
             )
 
     def fmap(self, mapping, t):
-        return DfaStruct(
-            t.accepting,
-            tuple((sym, self._applied(mapping, tgt)) for sym, tgt in t.moves),
-        )
+        try:
+            return DfaStruct(t.accepting, tuple([(sym, mapping[tgt]) for sym, tgt in t.moves]))
+        except KeyError:
+            raise self._unmapped(mapping, (tgt for _, tgt in t.moves)) from None
 
     def support(self, t):
         return frozenset(tgt for _, tgt in t.moves)
@@ -336,7 +355,10 @@ class PowersetFunctor(FunctorSpec):
             raise MalformedStructure(f"successors must be a frozenset, got {t.successors!r}")
 
     def fmap(self, mapping, t):
-        return SetStruct(frozenset(self._applied(mapping, s) for s in t.successors))
+        try:
+            return SetStruct(frozenset(map(mapping.__getitem__, t.successors)))
+        except KeyError:
+            raise self._unmapped(mapping, t.successors) from None
 
     def support(self, t):
         return t.successors
@@ -396,9 +418,10 @@ class LabelledFunctor(FunctorSpec):
             raise MalformedStructure(f"unknown labels {sorted(bad, key=repr)!r}")
 
     def fmap(self, mapping, t):
-        return LabelledStruct(
-            frozenset((l, self._applied(mapping, s)) for l, s in t.edges)
-        )
+        try:
+            return LabelledStruct(frozenset([(l, mapping[s]) for l, s in t.edges]))
+        except KeyError:
+            raise self._unmapped(mapping, (s for _, s in t.edges)) from None
 
     def support(self, t):
         return frozenset(s for _, s in t.edges)
@@ -558,15 +581,16 @@ class WeightedFunctor(FunctorSpec):
 
     def fmap(self, mapping, t):
         sums: dict[str, Weight] = {}
-        for state, w in t.weights:
-            image = self._applied(mapping, state)
-            if image in sums:
-                sums[image] += w
-            else:
-                sums[image] = w
-        return WeightedStruct(
-            tuple((s, w) for s, w in sorted(sums.items()) if w != 0)
-        )
+        try:
+            for state, w in t.weights:
+                image = mapping[state]
+                if image in sums:
+                    sums[image] += w
+                else:
+                    sums[image] = w
+        except KeyError:
+            raise self._unmapped(mapping, (s for s, _ in t.weights)) from None
+        return WeightedStruct(tuple([(s, w) for s, w in sorted(sums.items()) if w]))
 
     def support(self, t):
         return frozenset(s for s, _ in t.weights)
@@ -577,6 +601,11 @@ class WeightedFunctor(FunctorSpec):
         return None, [
             (None, index[s], w.numerator if w.denominator == 1 else w) for s, w in t.weights
         ]
+
+    def refinement_scale(self, structures):
+        if self.monoid == NATURALS:
+            return 1
+        return lcm(*{w.denominator for t in structures for _, w in t.weights})
 
     def payload(self):
         return {"kind": self.kind, "monoid": self.monoid}

@@ -16,7 +16,12 @@ One engine, ``_refine``, serves both minimization and the isomorphism
 search of :mod:`coalgmin.wellpointed`.  It reads rows of a constant part and
 (label, target, weight) edges over int state positions, and ``observe`` says
 what it sees of a weight sum.  For minimization the rows are the functor's
-``refinement_edges``, made once per state as the engine reads them.  The first
+``refinement_edges``, made once per state as the engine reads them, with
+every weight multiplied by the functor's ``refinement_scale``: for rational
+weights the least common multiple of the denominators, found once per
+refinement.  So the sums are exact ints.  A positive scale keeps equal sums
+equal and zero sums zero, so the partition and the edge visits are those of
+the unscaled weights.  The first
 partition groups states by their constant and the observed per-label sums
 into the whole carrier.  Blocks are then grouped into compound blocks, and
 every block is stable with respect to every compound block: its members have
@@ -35,9 +40,11 @@ re-evaluating whole signatures.  The global-round fixpoint is kept as
 ``oracles.naive_refinement``, the reference the differential tests use;
 the brute-force enumeration of compatible partitions lives there too.
 
-Every ``Coalgebra`` is valid when built, so nothing here validates.
-``simple_quotient`` builds the quotient with ``core.apply_partition_quotient``,
-which checks every state's image against its block's quotient structure.
+Every ``Coalgebra`` is valid when built, so nothing here validates, and the
+engine's blocks are disjoint and cover the carrier, so the ``Partition`` is
+built from them directly.  ``simple_quotient`` builds the quotient with
+``core.apply_partition_quotient``, which checks every state's image against
+its block's quotient structure.
 """
 
 from __future__ import annotations
@@ -131,13 +138,20 @@ def _refine(n: int, rows, observe) -> tuple[list[set[int]], int]:
 
 
 def _refinement_fixpoint(c: Coalgebra) -> tuple[Partition, int]:
-    """Behavioural classes of a validated c, and the engine's edge visits."""
+    """Behavioural classes of c, and the engine's edge visits."""
     spec = c.functor
     states = c.states
     index = c.state_index()
     rows = (spec.refinement_edges(c.struct_of(s), index) for s in states)
+    scale = spec.refinement_scale(c.structure.values())
+    if scale != 1:
+        rows = (
+            (constant, [(l, y, w.numerator * (scale // w.denominator)) for l, y, w in edges])
+            for constant, edges in rows
+        )
     members, visits = _refine(len(states), rows, spec.observe)
-    return Partition.of([states[i] for i in m] for m in members), visits
+    blocks = sorted(tuple(sorted([states[i] for i in m])) for m in members)
+    return Partition(tuple(blocks)), visits
 
 
 def simple_quotient(c: Coalgebra) -> tuple[Coalgebra, Morphism, Partition]:

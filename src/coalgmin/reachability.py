@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .core import Coalgebra, Morphism, _derived
+from .core import Coalgebra, Morphism, _derived, _derived_morphism
 from .errors import NotPointed
 
 
@@ -38,8 +38,7 @@ def reachable_part(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
     states = tuple(order)
     structure = {s: c.struct_of(s) for s in states}
     part = _derived(spec, states, structure, c.point)
-    inclusion = Morphism(part, c, {s: s for s in states})
-    return part, inclusion
+    return part, _derived_morphism(part, c, {s: s for s in states})
 
 
 def is_reachable(c: Coalgebra) -> bool:

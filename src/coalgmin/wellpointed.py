@@ -49,6 +49,10 @@ from .reachability import is_reachable, reachable_part
 # isomorphism search.
 ISO_SEARCH_BUDGET = 5_000_000
 
+# States of one unravelled tree.  A DAG's tree can be exponentially larger:
+# a chain of n states with weight-2 bag edges unravels to 2**n - 1 states.
+UNRAVEL_STATE_BUDGET = 100_000
+
 
 def well_pointed_modification(c: Coalgebra) -> Coalgebra:
     """Simple quotient first, then its reachable part."""
@@ -185,7 +189,8 @@ def tree_unravel(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
     weights keep one edge carrying the original weight.  The covering map
     sends each path to its endpoint and is a surjective pointed homomorphism
     onto the reachable part.  Cyclic reachable parts are rejected because
-    their unravelling is infinite.
+    their unravelling is infinite, and a tree of more than
+    ``UNRAVEL_STATE_BUDGET`` states raises ``SearchBoundExceeded``.
     """
     part, _ = reachable_part(c)
     cycle = _find_cycle(part)
@@ -205,6 +210,10 @@ def tree_unravel(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
             endpoint[child_path] = child_state
             states.append(child_path)
             queue.append(child_path)
+        if len(states) > UNRAVEL_STATE_BUDGET:
+            raise SearchBoundExceeded(
+                f"the unravelled tree passed its budget of {UNRAVEL_STATE_BUDGET} states"
+            )
     if len(set(states)) != len(states):
         # only possible when state ids already contain the path separator
         raise SpecMismatch("path ids collide; rename states containing '/'")

@@ -1,12 +1,14 @@
 """CLI surface: subcommands, exit codes, file outputs, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from coalgmin import Coalgebra, PowersetFunctor, core, serialize_coalgebra
+from coalgmin import Coalgebra, PowersetFunctor, WeightedFunctor, core, serialize_coalgebra
 from coalgmin.cli import build_parser, run_command
+from coalgmin.wellpointed import UNRAVEL_STATE_BUDGET
 
 from conftest import chains, corpus_path
 
@@ -300,6 +302,23 @@ def test_unravel_of_a_deep_chain_exits_0(tmp_path):
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_coalgebra(Coalgebra(c.functor, c.states, c.structure, "c0_0")))
     assert run_command(["unravel", str(chain), "--out-dir", str(tmp_path)]) == 0
+
+
+def test_unravel_of_an_exponential_tree_exits_2_at_its_budget(tmp_path, capsys):
+    # weight-2 bag edges double the tree at every step: 2**40 - 1 states
+    spec = WeightedFunctor("natural")
+    states = [f"s{i}" for i in range(40)]
+    structure = {s: spec.struct({t: 2}) for s, t in zip(states, states[1:])}
+    structure[states[-1]] = spec.struct({})
+    chain = tmp_path / "chain.json"
+    chain.write_text(serialize_coalgebra(Coalgebra(spec, states, structure, "s0")))
+    start = time.perf_counter()
+    assert run_command(["unravel", str(chain), "--out-dir", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 60
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(UNRAVEL_STATE_BUDGET) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_dot_emits_to_stdout(capsys):

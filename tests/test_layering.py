@@ -53,7 +53,9 @@ def abstract_functor_methods() -> set[str]:
         for method in spec.body
         if isinstance(method, ast.FunctionDef)
         and any(
-            isinstance(node, ast.Raise) and "NotImplementedError" in ast.unparse(node.exc)
+            isinstance(node, ast.Raise)
+            and node.exc is not None  # a bare re-raise names no exception
+            and "NotImplementedError" in ast.unparse(node.exc)
             for node in ast.walk(method)
         )
     }

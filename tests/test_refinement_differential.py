@@ -1,7 +1,10 @@
 """Compound-block refinement against the naive global-round oracle and closed
 forms, and the one-pass quotient of ``simple_quotient`` against the public
-``apply_partition_quotient`` of the oracle's partition."""
+``apply_partition_quotient`` of the oracle's partition.  Rational weights are
+refined as ints after one common scaling; the oracle sums them as
+``Fraction``."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,6 +27,7 @@ from coalgmin import (
     serialize_partition,
     simple_quotient,
 )
+from coalgmin import quotient
 from coalgmin.core import Coalgebra
 from coalgmin.oracles import partition_compatible
 from coalgmin.errors import IncompatiblePartition, ValidationError
@@ -194,3 +198,72 @@ def test_apply_partition_quotient_still_validates_its_input():
     with pytest.raises(ValidationError) as err:
         Coalgebra(spec, ("x", "y"), {"x": spec.struct(["ghost"]), "y": spec.struct([])})
     assert [(v.code, v.witness) for v in err.value.violations] == [("dangling-state", "ghost")]
+
+
+# Pools for integer refinement.  The first has mixed denominators; the
+# second has 50 distinct prime denominators, so the common scale is their
+# product, a 94-digit int.
+PRIMES = [p for p in range(3, 240) if all(p % d for d in range(2, p))][:50]
+SCALED_POOLS = {
+    "mixed": (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6), Fraction(-7, 4), 2),
+    "primes": tuple(Fraction(sign, p) for p in PRIMES for sign in (1, -1)),
+}
+CANCELLING = (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 3), Fraction(-1, 3))
+
+
+def _scaled_instances(pool_name, pointed=False):
+    """Random 300-state rational systems over the pool.  Every third state
+    also gets five edges into five states without successors, weighted
+    1/2, 1/2, -1/3, -1/3, -1/3: they sum to 0 into that class."""
+    spec = WeightedFunctor("rational")
+    for seed, density in ((0, 3 / 300), (1, 3 / 300), (2, 0.05)):
+        c = random_coalgebra(
+            spec, 300, seed, weight_pool=SCALED_POOLS[pool_name], density=density,
+            pointed=pointed,
+        )
+        dead = [s for s in c.states if not c.struct_of(s).weights]
+        structure = dict(c.structure)
+        for x in c.states[::3]:
+            weights = c.struct_of(x).weight_dict()
+            sinks = [s for s in dead if s not in weights][:5]
+            if len(sinks) == 5:
+                structure[x] = spec.struct({**weights, **dict(zip(sinks, CANCELLING))})
+        yield Coalgebra(spec, c.states, structure, c.point)
+
+
+def test_the_prime_pool_scales_by_the_product_of_50_primes():
+    assert len(set(PRIMES)) == 50
+    c = next(_scaled_instances("primes"))
+    # the 2 comes from the cancelling edges
+    assert c.functor.refinement_scale(c.structure.values()) == 2 * math.prod(PRIMES)
+
+
+@pytest.mark.parametrize("pool", sorted(SCALED_POOLS))
+def test_integer_refinement_matches_naive_refinement(pool, monkeypatch):
+    weight_types = set()
+    refine = quotient._refine
+
+    def recording(n, rows, observe):
+        rows = list(rows)
+        weight_types.update(type(w) for _, edges in rows for _, _, w in edges)
+        return refine(n, iter(rows), observe)
+
+    monkeypatch.setattr(quotient, "_refine", recording)
+    cancelled = 0
+    for c in _scaled_instances(pool):
+        classes = naive_refinement(c)
+        assert behavioural_classes(c) == classes
+        kappa = classes.representative_map()
+        spec = c.functor
+        for x in c.states:
+            t = c.struct_of(x)
+            cancelled += len({kappa[y] for y in spec.support(t)}) > len(spec.fmap(kappa, t).weights)
+    assert weight_types == {int}
+    assert cancelled  # some state's weights into some class sum to 0
+
+
+@pytest.mark.parametrize("pool", sorted(SCALED_POOLS))
+@pytest.mark.parametrize("pointed", [False, True], ids=["unpointed", "pointed"])
+def test_integer_refinement_quotient_documents_match_the_oracle(pool, pointed):
+    for c in _scaled_instances(pool, pointed):
+        _assert_simple_quotient_matches_the_oracle(c)
