@@ -125,21 +125,20 @@ def validate_coalgebra(c: Coalgebra) -> list[Violation]:
     if not isinstance(structure, Mapping):
         out.append(Violation("malformed-structure", f"structure {structure!r} is not a mapping"))
         structure = {}
-    spec = c.functor
     for s in states:
         if s not in structure:
             out.append(Violation("missing-structure", f"state {s!r} has no structure", s))
             continue
         t = structure[s]
         try:
-            spec.check_structure(t)
+            c.functor.check_structure(t)
         except (MalformedStructure, SpecMismatch) as exc:
             code = "malformed-structure"
             if isinstance(exc, ZeroWeightEntry):
                 code = "zero-weight-entry"
             out.append(Violation(code, f"state {s!r}: {exc}", s))
             continue
-        for tgt in sorted(spec.support(t) - carrier, key=str):
+        for tgt in sorted(c.functor.support(t) - carrier, key=str):
             out.append(
                 Violation(
                     "dangling-state",

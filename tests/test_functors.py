@@ -14,7 +14,7 @@ from coalgmin import (
     parse_coalgebra,
     serialize_coalgebra,
 )
-from coalgmin.errors import MalformedStructure, ValidationError
+from coalgmin.errors import MalformedStructure, PartialMap, ValidationError
 from coalgmin.functors import DfaStruct, LabelledStruct, SetStruct, WeightedStruct
 
 DFA = DfaFunctor(("a", "b"))
@@ -89,6 +89,26 @@ def test_weighted_fmap_weights_are_fractions(spec, mapping):
 def test_powerset_fmap_is_set_image():
     t = PS.struct({"q1", "q2"})
     assert PS.fmap({"q1": "x", "q2": "x"}, t) == PS.struct({"x"})
+
+
+@pytest.mark.parametrize(
+    "spec, t, targets",
+    [
+        (DFA, DFA.struct(True, {"a": "p", "b": "r"}), lambda t: [s for _, s in t.moves]),
+        (PS, PS.struct(["p", "q", "r", "s"]), lambda t: list(t.successors)),
+        (LTS, LTS.struct([("a", "p"), ("b", "q"), ("a", "r")]), lambda t: [s for _, s in t.edges]),
+        (RAT, RAT.struct({"p": 1, "q": -1, "r": "1/2"}), lambda t: [s for s, _ in t.weights]),
+    ],
+    ids=["dfa", "powerset", "labelled", "weighted"],
+)
+def test_fmap_of_a_partial_map_names_the_first_unmapped_state(spec, t, targets):
+    # "first" in the order the structure holds its targets
+    order = targets(t)
+    for mapped in (order[:1], order[-1:], []):
+        with pytest.raises(PartialMap) as err:
+            spec.fmap({s: "x" for s in mapped}, t)
+        missing = next(s for s in order if s not in mapped)
+        assert str(err.value) == f"map is undefined at state {missing!r}"
 
 
 def test_fmap_identity_is_identity():
