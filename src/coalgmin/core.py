@@ -333,9 +333,6 @@ def factorize(h: Morphism) -> Factorization:
 # ---------------------------------------------------------------------------
 
 
-_is_str = str.__instancecheck__
-
-
 @dataclass(frozen=True)
 class Partition:
     """Disjoint nonempty blocks in canonical form.
@@ -353,17 +350,16 @@ class Partition:
         seen: set[str] = set()
         for block in blocks:
             block = list(block)
-            if not all(map(_is_str, block)):
-                bad = next(m for m in block if not isinstance(m, str))
+            for bad in (m for m in block if not isinstance(m, str)):
                 raise NotAPartition(f"block member {bad!r} is not a state id")
             members = tuple(sorted(set(block)))
             if not members:
                 raise NotAPartition("empty block")
-            if not seen.isdisjoint(members):
-                raise NotAPartition(f"overlapping blocks at {sorted(seen.intersection(members))!r}")
+            if seen & set(members):
+                raise NotAPartition(f"overlapping blocks at {sorted(seen & set(members))!r}")
             seen.update(members)
             canon.append(members)
-        canon.sort()  # disjoint blocks: their least members order them
+        canon.sort(key=lambda b: b[0])
         return cls(tuple(canon))
 
     @classmethod

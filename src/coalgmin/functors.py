@@ -9,8 +9,9 @@ implementing ``check_structure``, ``fmap``, ``support`` (the action),
 ``refinement_edges`` (partition refinement and isomorphism search), ``edges``
 (canonical edge order), ``encode``/``decode`` (documents), ``unravel``
 (unless every reachable part is cyclic) and ``random_structure``;
-``observe``, ``refinement_scale``, ``payload``/``from_payload``,
-``node_shape``, ``random_pool`` and ``pair_structure`` have defaults.
+``observe``, ``refinement_scale``, ``unravel_counts``,
+``payload``/``from_payload``, ``node_shape``, ``random_pool`` and
+``pair_structure`` have defaults.
 Callers use these methods directly (``spec.fmap(m, t)``); there are no
 module-level wrappers.
 
@@ -49,6 +50,12 @@ Weight = Fraction
 
 RATIONALS = "rational"
 NATURALS = "natural"
+
+# Bits of the largest common scale rational refinement sums in.  Every scaled
+# weight and sum is an int of up to this size; past it the LCM grows with the
+# number of distinct denominators, not with any one state's, so refinement
+# sums the weights as Fractions instead.
+REFINEMENT_SCALE_BITS = 512
 
 
 @dataclass(frozen=True)
@@ -153,9 +160,10 @@ class FunctorSpec:
 
     def refinement_scale(self, structures: Iterable[FStructure]) -> int:
         """A positive int s such that s times every weight
-        :meth:`refinement_edges` gives for these structures is an int.
+        :meth:`refinement_edges` gives for these structures is an int, or 1.
         Refinement multiplies every weight by s once, so that it adds,
-        subtracts and hashes ints only.  The default, 1, suits int weights."""
+        subtracts and hashes ints only.  The default, 1, suits int weights,
+        and leaves other weights as they are."""
         return 1
 
     @staticmethod
@@ -208,6 +216,11 @@ class FunctorSpec:
         only cyclic reachable parts, which ``tree_unravel`` rejects first, so
         it leaves this out."""
         raise NotImplementedError
+
+    def unravel_counts(self, t: FStructure, index: Mapping[str, int]) -> list[tuple[str, int]]:
+        """The (state, number of children) pairs of :meth:`unravel` at t,
+        found without building them: by default one child per edge."""
+        return [(s, 1) for _, s in self.edges(t, index)]
 
     def random_pool(self, weight_pool: Optional[Sequence]):
         """The checked, sorted weight pool random generation draws from."""
@@ -605,7 +618,12 @@ class WeightedFunctor(FunctorSpec):
     def refinement_scale(self, structures):
         if self.monoid == NATURALS:
             return 1
-        return lcm(*{w.denominator for t in structures for _, w in t.weights})
+        scale = 1
+        for d in {w.denominator for t in structures for _, w in t.weights}:
+            scale = lcm(scale, d)
+            if scale.bit_length() > REFINEMENT_SCALE_BITS:
+                return 1
+        return scale
 
     def payload(self):
         return {"kind": self.kind, "monoid": self.monoid}
@@ -640,6 +658,11 @@ class WeightedFunctor(FunctorSpec):
                 children.append((child, s))
                 entries.append((child, weight))
         return WeightedStruct(tuple(sorted(entries))), children
+
+    def unravel_counts(self, t, index):
+        if self.monoid == NATURALS:
+            return [(s, int(w)) for s, w in t.weights]
+        return [(s, 1) for s, _ in t.weights]
 
     def random_pool(self, weight_pool):
         if not weight_pool:

@@ -21,7 +21,8 @@ every weight multiplied by the functor's ``refinement_scale``: for rational
 weights the least common multiple of the denominators, found once per
 refinement.  So the sums are exact ints.  A positive scale keeps equal sums
 equal and zero sums zero, so the partition and the edge visits are those of
-the unscaled weights.  The first
+the unscaled weights.  An LCM past ``functors.REFINEMENT_SCALE_BITS`` bits
+gives scale 1, and the engine sums the rationals as ``Fraction``.  The first
 partition groups states by their constant and the observed per-label sums
 into the whole carrier.  Blocks are then grouped into compound blocks, and
 every block is stable with respect to every compound block: its members have

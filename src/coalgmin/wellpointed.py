@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from .core import (
     Coalgebra,
@@ -190,7 +190,8 @@ def tree_unravel(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
     sends each path to its endpoint and is a surjective pointed homomorphism
     onto the reachable part.  Cyclic reachable parts are rejected because
     their unravelling is infinite, and a tree of more than
-    ``UNRAVEL_STATE_BUDGET`` states raises ``SearchBoundExceeded``.
+    ``UNRAVEL_STATE_BUDGET`` states raises ``SearchBoundExceeded`` before
+    any of it is built.
     """
     part, _ = reachable_part(c)
     cycle = _find_cycle(part)
@@ -198,6 +199,10 @@ def tree_unravel(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
         raise CyclicReachablePart(cycle)
     spec = part.functor
     index = part.state_index()
+    if _tree_size(part, index) > UNRAVEL_STATE_BUDGET:
+        raise SearchBoundExceeded(
+            f"the unravelled tree passed its budget of {UNRAVEL_STATE_BUDGET} states"
+        )
     root = part.point
     states: list[str] = [root]
     structure: dict[str, object] = {}
@@ -210,10 +215,6 @@ def tree_unravel(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
             endpoint[child_path] = child_state
             states.append(child_path)
             queue.append(child_path)
-        if len(states) > UNRAVEL_STATE_BUDGET:
-            raise SearchBoundExceeded(
-                f"the unravelled tree passed its budget of {UNRAVEL_STATE_BUDGET} states"
-            )
     if len(set(states)) != len(states):
         # only possible when state ids already contain the path separator
         raise SpecMismatch("path ids collide; rename states containing '/'")
@@ -222,6 +223,34 @@ def tree_unravel(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
     require_homomorphism(covering)
     assert covering.is_surjective()
     return tree, covering
+
+
+def _tree_size(c: Coalgebra, index: Mapping[str, int]) -> int:
+    """The number of states of the unravelled tree of c, which is acyclic and
+    reachable from its point: the sum over states of their paths from the
+    point, counted in topological order.  Counting stops once it passes
+    ``UNRAVEL_STATE_BUDGET``."""
+    spec = c.functor
+    counts = {s: spec.unravel_counts(c.struct_of(s), index) for s in c.states}
+    indegree = dict.fromkeys(c.states, 0)
+    for children in counts.values():
+        for y, _ in children:
+            indegree[y] += 1
+    paths = dict.fromkeys(c.states, 0)
+    paths[c.point] = 1
+    ready = [c.point]  # the only state without predecessors
+    total = 0
+    while ready:
+        x = ready.pop()
+        total += paths[x]
+        if total > UNRAVEL_STATE_BUDGET:
+            break
+        for y, k in counts[x]:
+            paths[y] += k * paths[x]
+            indegree[y] -= 1
+            if not indegree[y]:
+                ready.append(y)
+    return total
 
 
 def _find_cycle(c: Coalgebra) -> Optional[list[str]]:

@@ -321,6 +321,21 @@ def test_unravel_of_an_exponential_tree_exits_2_at_its_budget(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_unravel_of_one_huge_natural_weight_exits_2_before_building(tmp_path, capsys):
+    # one edge of weight 10**12 unravels to 10**12 + 1 states
+    spec = WeightedFunctor("natural")
+    structure = {"s0": spec.struct({"s1": 10**12}), "s1": spec.struct({})}
+    document = tmp_path / "huge.json"
+    document.write_text(serialize_coalgebra(Coalgebra(spec, ("s0", "s1"), structure, "s0")))
+    start = time.perf_counter()
+    assert run_command(["unravel", str(document), "--out-dir", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 60
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(UNRAVEL_STATE_BUDGET) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dot_emits_to_stdout(capsys):
     assert run_command(["dot", doc("dfa_no_trailing_b")]) == 0
     out = capsys.readouterr().out

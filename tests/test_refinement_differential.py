@@ -29,6 +29,7 @@ from coalgmin import (
 )
 from coalgmin import quotient
 from coalgmin.core import Coalgebra
+from coalgmin.functors import REFINEMENT_SCALE_BITS
 from coalgmin.oracles import partition_compatible
 from coalgmin.errors import IncompatiblePartition, ValidationError
 from coalgmin.suites import FUNCTOR_FAMILIES, seeded_instance
@@ -202,24 +203,26 @@ def test_apply_partition_quotient_still_validates_its_input():
 
 # Pools for integer refinement.  The first has mixed denominators; the
 # second has 50 distinct prime denominators, so the common scale is their
-# product, a 94-digit int.
+# product, a 94-digit int.  The third has 150 distinct 41-digit
+# denominators, whose LCM passes REFINEMENT_SCALE_BITS, so it is refined as
+# Fraction sums.
 PRIMES = [p for p in range(3, 240) if all(p % d for d in range(2, p))][:50]
 SCALED_POOLS = {
     "mixed": (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6), Fraction(-7, 4), 2),
     "primes": tuple(Fraction(sign, p) for p in PRIMES for sign in (1, -1)),
 }
+WIDE_POOL = tuple(Fraction(sign, 10**40 + k) for k in range(1, 301, 2) for sign in (1, -1))
 CANCELLING = (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 3), Fraction(-1, 3))
 
 
-def _scaled_instances(pool_name, pointed=False):
+def _scaled_instances(pool, pointed=False):
     """Random 300-state rational systems over the pool.  Every third state
     also gets five edges into five states without successors, weighted
     1/2, 1/2, -1/3, -1/3, -1/3: they sum to 0 into that class."""
     spec = WeightedFunctor("rational")
     for seed, density in ((0, 3 / 300), (1, 3 / 300), (2, 0.05)):
         c = random_coalgebra(
-            spec, 300, seed, weight_pool=SCALED_POOLS[pool_name], density=density,
-            pointed=pointed,
+            spec, 300, seed, weight_pool=pool, density=density, pointed=pointed
         )
         dead = [s for s in c.states if not c.struct_of(s).weights]
         structure = dict(c.structure)
@@ -233,13 +236,13 @@ def _scaled_instances(pool_name, pointed=False):
 
 def test_the_prime_pool_scales_by_the_product_of_50_primes():
     assert len(set(PRIMES)) == 50
-    c = next(_scaled_instances("primes"))
+    c = next(_scaled_instances(SCALED_POOLS["primes"]))
     # the 2 comes from the cancelling edges
     assert c.functor.refinement_scale(c.structure.values()) == 2 * math.prod(PRIMES)
 
 
-@pytest.mark.parametrize("pool", sorted(SCALED_POOLS))
-def test_integer_refinement_matches_naive_refinement(pool, monkeypatch):
+def _refined_weight_types(monkeypatch) -> set:
+    """The types of the weights the engine reads from now on, as they come."""
     weight_types = set()
     refine = quotient._refine
 
@@ -249,8 +252,12 @@ def test_integer_refinement_matches_naive_refinement(pool, monkeypatch):
         return refine(n, iter(rows), observe)
 
     monkeypatch.setattr(quotient, "_refine", recording)
+    return weight_types
+
+
+def _assert_classes_match_naive_refinement_with_a_cancelled_sum(instances):
     cancelled = 0
-    for c in _scaled_instances(pool):
+    for c in instances:
         classes = naive_refinement(c)
         assert behavioural_classes(c) == classes
         kappa = classes.representative_map()
@@ -258,12 +265,33 @@ def test_integer_refinement_matches_naive_refinement(pool, monkeypatch):
         for x in c.states:
             t = c.struct_of(x)
             cancelled += len({kappa[y] for y in spec.support(t)}) > len(spec.fmap(kappa, t).weights)
-    assert weight_types == {int}
     assert cancelled  # some state's weights into some class sum to 0
+
+
+@pytest.mark.parametrize("pool", sorted(SCALED_POOLS))
+def test_integer_refinement_matches_naive_refinement(pool, monkeypatch):
+    weight_types = _refined_weight_types(monkeypatch)
+    _assert_classes_match_naive_refinement_with_a_cancelled_sum(
+        _scaled_instances(SCALED_POOLS[pool])
+    )
+    assert weight_types == {int}
 
 
 @pytest.mark.parametrize("pool", sorted(SCALED_POOLS))
 @pytest.mark.parametrize("pointed", [False, True], ids=["unpointed", "pointed"])
 def test_integer_refinement_quotient_documents_match_the_oracle(pool, pointed):
-    for c in _scaled_instances(pool, pointed):
+    for c in _scaled_instances(SCALED_POOLS[pool], pointed):
+        _assert_simple_quotient_matches_the_oracle(c)
+
+
+def test_a_common_scale_past_its_cap_refines_fraction_sums(monkeypatch):
+    instances = list(_scaled_instances(WIDE_POOL)) + list(_scaled_instances(WIDE_POOL, True))
+    for c in instances:
+        denominators = {w.denominator for t in c.structure.values() for _, w in t.weights}
+        assert math.lcm(*denominators).bit_length() > REFINEMENT_SCALE_BITS
+        assert c.functor.refinement_scale(c.structure.values()) == 1
+    weight_types = _refined_weight_types(monkeypatch)
+    _assert_classes_match_naive_refinement_with_a_cancelled_sum(instances[:3])
+    assert weight_types == {Fraction}
+    for c in instances:
         _assert_simple_quotient_matches_the_oracle(c)

@@ -1,6 +1,7 @@
 """Well-pointed modifications, order commutation, isomorphism, unravelling."""
 
 import itertools
+import random
 
 import pytest
 
@@ -274,6 +275,33 @@ def test_rational_weights_unravel_into_one_edge_each():
     assert tree.struct_of("a").weight_dict() == {"a/b1": 3, "a/b2": -3}
     assert covering.mapping == {"a": "a", "a/b1": "b1", "a/b2": "b2"}
     assert check_homomorphism(covering)
+
+
+@pytest.mark.parametrize(
+    "spec, weight_pool",
+    [
+        (PowersetFunctor(), None),
+        (LabelledFunctor(("a", "b")), None),
+        (WeightedFunctor("natural"), (1, 2, 3)),
+        (WeightedFunctor("rational"), (1, -1, 2)),
+    ],
+    ids=["powerset", "labelled", "bag", "rational"],
+)
+def test_the_counted_tree_size_is_the_size_of_the_built_tree(spec, weight_pool):
+    # random DAGs: every state's successors come later in carrier order
+    pool = spec.random_pool(weight_pool)
+    sizes = set()
+    for seed in range(20):
+        rng = random.Random(seed)
+        states = [f"s{i}" for i in range(7)]
+        structure = {
+            s: spec.random_structure(states[i + 1:], rng, pool, 0.4) for i, s in enumerate(states)
+        }
+        tree, covering = tree_unravel(Coalgebra(spec, states, structure, "s0"))
+        part = covering.cod
+        assert wellpointed._tree_size(part, part.state_index()) == len(tree.states)
+        sizes.add(len(tree.states))
+    assert len(sizes) > 5
 
 
 def path_collision() -> Coalgebra:

@@ -79,7 +79,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="sparse-large")
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--only", default="", help="run only job ids starting with this")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(args.change / "perfbench"))
@@ -90,7 +89,6 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp(prefix="ab_jobs-"))
     try:
         jobs, _ = workloads.build(args.workload, args.seed, work / "in")
-        jobs = [job for job in jobs if job.id.startswith(args.only)]
         times = {side: {job.id: [] for job in jobs} for side in SIDES}
         for r in range(args.rounds):
             gc.collect()
