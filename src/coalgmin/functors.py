@@ -1,19 +1,20 @@
 """The four built-in system-type functors and their successor structures.
 
 A functor value fixes the shape of one state's successor structure and the
-action of state maps on it.  The rest of the library (documents, DOT output,
-homomorphisms, refinement, reachability, unravelling, the oracle lab) is
-generic over :class:`FunctorSpec`.  Adding a functor means subclassing it
-directly with a new ``kind``, which ``formats.parse_functor`` looks up, and
-implementing ``check_structure``, ``fmap``, ``support`` (the action),
-``refinement_edges`` (partition refinement and isomorphism search), ``edges``
-(canonical edge order), ``encode``/``decode`` (documents), ``unravel``
-(unless every reachable part is cyclic) and ``random_structure``;
-``observe``, ``refinement_scale``, ``unravel_counts``,
-``payload``/``from_payload``, ``node_shape``, ``random_pool`` and
-``pair_structure`` have defaults.
-Callers use these methods directly (``spec.fmap(m, t)``); there are no
-module-level wrappers.
+action of state maps on it.  The rest of the library is generic over
+:class:`FunctorSpec`.  Adding a functor means subclassing it directly with a
+new ``kind``, which ``formats.parse_functor`` looks up, and implementing
+``check_structure``, the action ``fmap``/``support``, the edge form
+``split``/``join`` (a constant part and (label, target, weight) edges) and
+the document form ``encode``/``decode``.  From the edge form, ``FunctorSpec``
+derives for every functor ``refinement_edges``, the canonical ``edges``
+order, ``unravel``, the relational ``pair_structure`` and
+``random_structure``.  A functor overrides these, or defaults such as
+``labels``, ``observe``, ``refinement_scale`` and ``unit_copies``, only where
+its own rule differs.  ``fmap`` and ``support`` follow from the edge form
+too, but they run once per state on every path, and derived copies made
+whole jobs 5-19% slower (README).  Callers use these methods directly
+(``spec.fmap(m, t)``); there are no module-level wrappers.
 
 Only ``check_structure`` holds the rules of a structure.  The ``struct``
 builders build the canonical value, coercing nothing, and return it through
@@ -29,7 +30,7 @@ and the oracles compare successor structures with ``==``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -90,13 +91,15 @@ FStructure = Union[DfaStruct, SetStruct, LabelledStruct, WeightedStruct]
 
 
 def _check_distinct(symbols: Sequence[str], what: str) -> tuple[str, ...]:
+    if isinstance(symbols, str):  # not split into its characters
+        raise ValueError(f"{what} entries must be strings, got the string {symbols!r}")
     symbols = tuple(symbols)
     if not symbols:
         raise ValueError(f"{what} must be nonempty")
-    if len(set(symbols)) != len(symbols):
-        raise ValueError(f"{what} contains duplicates: {symbols!r}")
     if not all(isinstance(s, str) for s in symbols):
         raise ValueError(f"{what} entries must be strings")
+    if len(set(symbols)) != len(symbols):
+        raise ValueError(f"{what} contains duplicates: {symbols!r}")
     return symbols
 
 
@@ -128,6 +131,8 @@ class FunctorSpec:
 
     kind: str = ""
     structure_type: type = object
+    labels: tuple = (None,)  # the edge labels, in canonical edge order
+    weight_labels: bool = False  # DOT output labels edges with their weights
     preserves_inverse_images: bool = True
     preserves_weak_kernel_pairs: bool = True
 
@@ -147,24 +152,39 @@ class FunctorSpec:
         """The state ids occurring in t."""
         raise NotImplementedError
 
-    # -- partition refinement ----------------------------------------------
+    # -- the edge form and partition refinement ------------------------------
 
-    def refinement_edges(self, t: FStructure, index: Mapping[str, int]) -> tuple[Hashable, list]:
-        """t as partition refinement sees it: a hashable constant part and a
-        list of (label, target position, weight) edges, ``index`` giving
-        carrier positions.  Weights add up within a label.  Two states are
-        behaviourally equal exactly when their constants agree and, for every
-        label and every class, :meth:`observe` of their summed weights into
-        the class agrees."""
+    def split(self, t: FStructure) -> tuple[Hashable, list[tuple]]:
+        """t as a hashable constant part and a list of (label, target,
+        weight) edges, in t's own order.  Labels are among :attr:`labels`,
+        and an unweighted edge weighs 1.  Two states are behaviourally equal
+        exactly when their constants agree and, for every label and every
+        class, :meth:`observe` of their summed weights into the class agrees."""
         raise NotImplementedError
 
-    def refinement_scale(self, structures: Iterable[FStructure]) -> int:
-        """A positive int s such that s times every weight
-        :meth:`refinement_edges` gives for these structures is an int, or 1.
-        Refinement multiplies every weight by s once, so that it adds,
-        subtracts and hashes ints only.  The default, 1, suits int weights,
-        and leaves other weights as they are."""
-        return 1
+    def join(self, constant: Hashable, edges: Iterable[tuple]) -> FStructure:
+        """The inverse of :meth:`split`, over whatever targets the edges name."""
+        raise NotImplementedError
+
+    def _ordered(self, edges: Iterable[tuple], index: Mapping[str, int]) -> list[tuple]:
+        """Edges that start with (label, target) in canonical order: by label
+        in :attr:`labels` order, then by target position in ``index``."""
+        if len(self.labels) == 1:
+            return sorted(edges, key=lambda e: index[e[1]])
+        return sorted(edges, key=lambda e: (self.labels.index(e[0]), index[e[1]]))
+
+    def refinement_edges(self, t: FStructure, index: Mapping[str, int]) -> tuple[Hashable, list]:
+        """t as partition refinement and the isomorphism search read it: its
+        :meth:`split` with each target as its position in ``index``."""
+        constant, out = self.split(t)
+        return constant, [(label, index[s], w) for label, s, w in out]
+
+    def refinement_scale(self, structures: Iterable[FStructure]) -> Optional[int]:
+        """A positive int s such that s times every weight of these
+        structures is an int, or None, the default, for int weights.  The
+        engine's rows take every weight times s as an int once, so that they
+        add, subtract and hash ints; s = 1 converts only integral weights."""
+        return None
 
     @staticmethod
     def observe(weight):
@@ -186,10 +206,13 @@ class FunctorSpec:
         return cls()
 
     def edges(self, t: FStructure, index: Mapping[str, int]) -> Sequence[tuple]:
-        """The (label or None, target) pairs of t in the canonical order that
-        documents, DOT output and unravelling share; ``index`` gives carrier
-        positions."""
-        raise NotImplementedError
+        """The (label, target) pairs of t in the canonical order that
+        documents, DOT output and unravelling share.  With
+        :attr:`weight_labels` the weight stands in for the label."""
+        out = self._ordered(self.split(t)[1], index)
+        if self.weight_labels:
+            return [(w, s) for _, s, w in out]
+        return [(l, s) for l, s, _ in out]
 
     def encode(self, t: FStructure, index: Mapping[str, int]):
         """The JSON form of t, with state lists in carrier order."""
@@ -211,11 +234,25 @@ class FunctorSpec:
         self, t: FStructure, path: str, index: Mapping[str, int]
     ) -> tuple[FStructure, list[tuple[str, str]]]:
         """One unravelling step at tree node ``path``, whose state has t: the
-        node's structure over child paths and the (child path, state) list.
-        A functor whose structures all have successors, like the DFA's, has
-        only cyclic reachable parts, which ``tree_unravel`` rejects first, so
-        it leaves this out."""
-        raise NotImplementedError
+        node's structure over child paths and the (child path, state) list,
+        in canonical edge order.  An edge to s gives the child ``{path}/{s}``,
+        or ``{path}/{label}:{s}`` under a label; one that :meth:`unit_copies`
+        splits in k gives k children ``#0`` .. ``#k-1``, of weight w / k."""
+        constant, out = self.split(t)
+        children, edges = [], []
+        for label, s, w in self._ordered(out, index):
+            child = f"{path}/{s}" if label is None else f"{path}/{label}:{s}"
+            k = self.unit_copies(w)
+            copies = [(child, w)] if k is None else [(f"{child}#{i}", w / k) for i in range(k)]
+            for node, weight in copies:
+                children.append((node, s))
+                edges.append((label, node, weight))
+        return self.join(constant, edges), children
+
+    def unit_copies(self, weight) -> Optional[int]:
+        """How many children an edge of this weight unravels into, or None,
+        the default, for one child that keeps the weight."""
+        return None
 
     def unravel_counts(self, t: FStructure, index: Mapping[str, int]) -> list[tuple[str, int]]:
         """The (state, number of children) pairs of :meth:`unravel` at t,
@@ -227,13 +264,22 @@ class FunctorSpec:
         return None
 
     def random_structure(self, states: Sequence[str], rng, pool, density: float) -> FStructure:
-        """A random structure over ``states``, drawn from ``rng``."""
-        raise NotImplementedError
+        """A random structure over ``states``, drawn from ``rng``, with
+        constant None: for each label and then each state, an edge with
+        probability ``density`` and weight drawn from ``pool`` (1 if None)."""
+        edges = [(l, s, 1 if pool is None else rng.choice(pool))
+                 for l in self.labels for s in states if rng.random() < density]
+        return self.join(None, edges)
 
     def pair_structure(self, tx, ty, kappa: Mapping[str, str], index, pair_id) -> FStructure:
         """Structure of a pair of states with structures tx, ty in the kernel
-        pair of ``kappa``, over ``pair_id(u, v)`` of merged successors."""
-        raise SpecMismatch(f"no kernel-pair structure for {self!r}")
+        pair of ``kappa``, over ``pair_id(u, v)`` of merged successors: tx's
+        constant, and tx's edge to u for each edge of ty with its label to a
+        v that ``kappa`` merges with u.  Weights that add up need their own."""
+        (constant, ex), (_, ey) = self.split(tx), self.split(ty)
+        edges = [(l, pair_id(u, v), w)
+                 for l, u, w in ex for k, v, _ in ey if l == k and kappa[u] == kappa[v]]
+        return self.join(constant, edges)
 
     # -- shared helpers ----------------------------------------------------
 
@@ -308,8 +354,13 @@ class DfaFunctor(FunctorSpec):
     def support(self, t):
         return frozenset(tgt for _, tgt in t.moves)
 
-    def refinement_edges(self, t, index):
-        return t.accepting, [(sym, index[tgt], 1) for sym, tgt in t.moves]
+    labels = property(lambda self: self.alphabet)
+
+    def split(self, t):
+        return t.accepting, [(sym, tgt, 1) for sym, tgt in t.moves]
+
+    def join(self, constant, edges):
+        return DfaStruct(constant, tuple([(sym, tgt) for sym, tgt, _ in edges]))
 
     def payload(self):
         return {"kind": self.kind, "alphabet": list(self.alphabet)}
@@ -317,9 +368,6 @@ class DfaFunctor(FunctorSpec):
     @classmethod
     def from_payload(cls, payload):
         return cls(tuple(string_list(payload.get("alphabet"), "alphabet")))
-
-    def edges(self, t, index):
-        return t.moves
 
     def encode(self, t, index):
         return {"accepting": t.accepting, "next": dict(t.moves)}
@@ -344,12 +392,6 @@ class DfaFunctor(FunctorSpec):
             rng.random() < 0.5,
             tuple((sym, rng.choice(states)) for sym in self.alphabet),
         )
-
-    def pair_structure(self, tx, ty, kappa, index, pair_id):
-        moves = tuple(
-            (sym, pair_id(u, v)) for (sym, u), (_, v) in zip(tx.moves, ty.moves)
-        )
-        return DfaStruct(tx.accepting, moves)
 
 
 @dataclass(frozen=True)
@@ -376,43 +418,27 @@ class PowersetFunctor(FunctorSpec):
     def support(self, t):
         return t.successors
 
-    def refinement_edges(self, t, index):
-        return None, [(None, index[s], 1) for s in t.successors]
+    def split(self, t):
+        return None, [(None, s, 1) for s in t.successors]
+
+    def join(self, constant, edges):
+        return SetStruct(frozenset([s for _, s, _ in edges]))
 
     observe = staticmethod(bool)  # a set sees whether an edge exists, not how many
 
-    def edges(self, t, index):
-        return [(None, s) for s in sorted(t.successors, key=index.__getitem__)]
-
     def encode(self, t, index):
-        return [s for _, s in self.edges(t, index)]
+        return sorted(t.successors, key=index.__getitem__)
 
     def decode(self, payload, state):
         return SetStruct(frozenset(string_list(payload, f"successors of {state!r}")))
-
-    def unravel(self, t, path, index):
-        children = [(f"{path}/{s}", s) for _, s in self.edges(t, index)]
-        return SetStruct(frozenset(child for child, _ in children)), children
-
-    def random_structure(self, states, rng, pool, density):
-        return SetStruct(frozenset(s for s in states if rng.random() < density))
-
-    def pair_structure(self, tx, ty, kappa, index, pair_id):
-        return SetStruct(
-            frozenset(
-                pair_id(u, v)
-                for u in tx.successors
-                for v in ty.successors
-                if kappa[u] == kappa[v]
-            )
-        )
 
 
 @dataclass(frozen=True)
 class LabelledFunctor(FunctorSpec):
     """Labelled transition systems: a finite set of (label, successor) edges."""
 
-    labels: tuple[str, ...]
+    # a bare annotation would take the inherited FunctorSpec.labels as default
+    labels: tuple[str, ...] = field()
 
     kind = "labelled-powerset"
     structure_type = LabelledStruct
@@ -439,8 +465,11 @@ class LabelledFunctor(FunctorSpec):
     def support(self, t):
         return frozenset(s for _, s in t.edges)
 
-    def refinement_edges(self, t, index):
-        return None, [(l, index[s], 1) for l, s in t.edges]
+    def split(self, t):
+        return None, [(l, s, 1) for l, s in t.edges]
+
+    def join(self, constant, edges):
+        return LabelledStruct(frozenset([(l, s) for l, s, _ in edges]))
 
     observe = staticmethod(bool)
 
@@ -451,11 +480,8 @@ class LabelledFunctor(FunctorSpec):
     def from_payload(cls, payload):
         return cls(tuple(string_list(payload.get("labels"), "labels")))
 
-    def edges(self, t, index):
-        return sorted(t.edges, key=lambda e: (self.labels.index(e[0]), index[e[1]]))
-
     def encode(self, t, index):
-        return [[l, s] for l, s in self.edges(t, index)]
+        return [[l, s] for l, s in self._ordered(t.edges, index)]
 
     def decode(self, payload, state):
         if not isinstance(payload, list) or not all(
@@ -467,32 +493,6 @@ class LabelledFunctor(FunctorSpec):
             for e in payload:
                 string_list(e, f"edge {e!r} of {state!r}")
         return LabelledStruct(frozenset(edges))
-
-    def unravel(self, t, path, index):
-        ordered = self.edges(t, index)
-        children = [(f"{path}/{l}:{s}", s) for l, s in ordered]
-        edges = frozenset((l, child) for (l, _), (child, _) in zip(ordered, children))
-        return LabelledStruct(edges), children
-
-    def random_structure(self, states, rng, pool, density):
-        return LabelledStruct(
-            frozenset(
-                (l, s)
-                for l in self.labels
-                for s in states
-                if rng.random() < density
-            )
-        )
-
-    def pair_structure(self, tx, ty, kappa, index, pair_id):
-        return LabelledStruct(
-            frozenset(
-                (l, pair_id(u, v))
-                for l, u in tx.edges
-                for k, v in ty.edges
-                if l == k and kappa[u] == kappa[v]
-            )
-        )
 
 
 _WEIGHT_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -551,6 +551,7 @@ class WeightedFunctor(FunctorSpec):
 
     kind = "weighted"
     structure_type = WeightedStruct
+    weight_labels = True
 
     def __post_init__(self):
         if self.monoid not in (RATIONALS, NATURALS):
@@ -608,12 +609,11 @@ class WeightedFunctor(FunctorSpec):
     def support(self, t):
         return frozenset(s for s, _ in t.weights)
 
-    def refinement_edges(self, t, index):
-        # Integral weights as int: int sums are far cheaper than Fraction
-        # sums, and an int equals and hashes like the equal Fraction.
-        return None, [
-            (None, index[s], w.numerator if w.denominator == 1 else w) for s, w in t.weights
-        ]
+    def split(self, t):
+        return None, [(None, s, w) for s, w in t.weights]
+
+    def join(self, constant, edges):
+        return WeightedStruct(tuple(sorted([(s, w) for _, s, w in edges])))
 
     def refinement_scale(self, structures):
         if self.monoid == NATURALS:
@@ -635,9 +635,6 @@ class WeightedFunctor(FunctorSpec):
             raise ParseError(None, f"weighted monoid must be rational or natural, got {monoid!r}")
         return cls(monoid)
 
-    def edges(self, t, index):
-        return [(w, s) for s, w in sorted(t.weights, key=lambda e: index[e[0]])]
-
     def encode(self, t, index):
         return {s: str(w) for s, w in t.weights}
 
@@ -647,22 +644,11 @@ class WeightedFunctor(FunctorSpec):
         entries = sorted((s, _parse_weight(w, state)) for s, w in payload.items())
         return WeightedStruct(tuple(entries))
 
-    def unravel(self, t, path, index):
-        children, entries = [], []
-        for w, s in self.edges(t, index):
-            if self.monoid == NATURALS:
-                copies = [(f"{path}/{s}#{i}", Weight(1)) for i in range(int(w))]
-            else:
-                copies = [(f"{path}/{s}", w)]
-            for child, weight in copies:
-                children.append((child, s))
-                entries.append((child, weight))
-        return WeightedStruct(tuple(sorted(entries))), children
+    def unit_copies(self, weight):  # a natural weight k is k unit edges
+        return int(weight) if self.monoid == NATURALS else None
 
     def unravel_counts(self, t, index):
-        if self.monoid == NATURALS:
-            return [(s, int(w)) for s, w in t.weights]
-        return [(s, 1) for s, _ in t.weights]
+        return [(s, self.unit_copies(w) or 1) for s, w in t.weights]
 
     def random_pool(self, weight_pool):
         if not weight_pool:
@@ -672,30 +658,25 @@ class WeightedFunctor(FunctorSpec):
             self.check_weight(w)
         return pool
 
-    def random_structure(self, states, rng, pool, density):
-        entries = [(s, rng.choice(pool)) for s in states if rng.random() < density]
-        return WeightedStruct(tuple(sorted(entries)))
-
     def pair_structure(self, tx, ty, kappa, index, pair_id):
         if self.monoid != NATURALS:
-            return super().pair_structure(tx, ty, kappa, index, pair_id)
-        entries: dict[str, Fraction] = {}
+            raise SpecMismatch(f"no kernel-pair structure for {self!r}")
+        entries = []
         ex, ey = self.edges(tx, index), self.edges(ty, index)
         for block in sorted({kappa[s] for _, s in ex} | {kappa[s] for _, s in ey}):
             sources = [[s, w] for w, s in ex if kappa[s] == block]
             sinks = [[s, w] for w, s in ey if kappa[s] == block]
-            # northwest-corner transport: both sides sum to the block weight
+            # northwest-corner transport: both sides sum to the block weight,
+            # and each step empties a source or a sink, so no pair repeats
             i = j = 0
             while i < len(sources) and j < len(sinks):
                 amount = min(sources[i][1], sinks[j][1])
-                if amount > 0:
-                    key = pair_id(sources[i][0], sinks[j][0])
-                    entries[key] = entries.get(key, Fraction(0)) + amount
+                entries.append((None, pair_id(sources[i][0], sinks[j][0]), amount))
                 sources[i][1] -= amount
                 sinks[j][1] -= amount
                 if sources[i][1] == 0:
                     i += 1
                 if sinks[j][1] == 0:
                     j += 1
-        return WeightedStruct(tuple(sorted(entries.items())))
+        return self.join(None, entries)
 

@@ -22,7 +22,8 @@ weights the least common multiple of the denominators, found once per
 refinement.  So the sums are exact ints.  A positive scale keeps equal sums
 equal and zero sums zero, so the partition and the edge visits are those of
 the unscaled weights.  An LCM past ``functors.REFINEMENT_SCALE_BITS`` bits
-gives scale 1, and the engine sums the rationals as ``Fraction``.  The first
+gives scale 1: integral weights become ints, and the engine sums the other
+rationals as ``Fraction``.  The first
 partition groups states by their constant and the observed per-label sums
 into the whole carrier.  Blocks are then grouped into compound blocks, and
 every block is stable with respect to every compound block: its members have
@@ -49,6 +50,8 @@ its block's quotient structure.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .core import Coalgebra, Morphism, Partition, apply_partition_quotient
 
@@ -138,18 +141,31 @@ def _refine(n: int, rows, observe) -> tuple[list[set[int]], int]:
     return members, visits
 
 
+def _refinement_rows(spec, parts):
+    """The ``refinement_edges`` of every state of the (coalgebra, index)
+    parts in turn, each weight times the functor's ``refinement_scale`` for
+    all their structures, as an int.  At scale 1 only the integral weights
+    become ints, and at scale None the weights stay as they are."""
+    rows = (spec.refinement_edges(c.struct_of(s), index) for c, index in parts for s in c.states)
+    scale = spec.refinement_scale(chain.from_iterable(c.structure.values() for c, _ in parts))
+    if scale is None:
+        return rows
+    if scale == 1:
+        return (
+            (constant, [(l, y, w.numerator if w.denominator == 1 else w) for l, y, w in edges])
+            for constant, edges in rows
+        )
+    return (
+        (constant, [(l, y, w.numerator * (scale // w.denominator)) for l, y, w in edges])
+        for constant, edges in rows
+    )
+
+
 def _refinement_fixpoint(c: Coalgebra) -> tuple[Partition, int]:
     """Behavioural classes of c, and the engine's edge visits."""
     spec = c.functor
     states = c.states
-    index = c.state_index()
-    rows = (spec.refinement_edges(c.struct_of(s), index) for s in states)
-    scale = spec.refinement_scale(c.structure.values())
-    if scale != 1:
-        rows = (
-            (constant, [(l, y, w.numerator * (scale // w.denominator)) for l, y, w in edges])
-            for constant, edges in rows
-        )
+    rows = _refinement_rows(spec, [(c, c.state_index())])
     members, visits = _refine(len(states), rows, spec.observe)
     blocks = sorted(tuple(sorted([states[i] for i in m])) for m in members)
     return Partition(tuple(blocks)), visits

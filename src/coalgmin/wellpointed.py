@@ -16,7 +16,8 @@ rational weights, which may cancel.
 ``are_isomorphic`` is individualization-refinement (McKay & Piperno,
 *Practical Graph Isomorphism, II*, J. Symb. Comp. 2014) over the engine of
 :mod:`coalgmin.quotient`, run on a + b with the points marked and each
-edge counted by label and weight in both directions.  When every class holds
+edge counted by label and weight in both directions, its weights scaled to
+ints as refinement scales them over a and b together.  When every class holds
 one state of each side, that matching is the only candidate.  Otherwise the
 first state of a (the point, then carrier order) in a larger class is paired
 in turn with each b-state of its class, in b's carrier order, and the search
@@ -42,7 +43,7 @@ from .core import (
 )
 from .errors import CyclicReachablePart, NotPointed, SearchBoundExceeded, SpecMismatch
 from .functors import FunctorSpec
-from .quotient import _refine, is_simple, simple_quotient
+from .quotient import _refine, _refinement_rows, is_simple, simple_quotient
 from .reachability import is_reachable, reachable_part
 
 # States read plus edges visited, summed over the engine runs of one
@@ -118,16 +119,15 @@ def _individualization_refinement(a: Coalgebra, b: Coalgebra) -> Optional[Morphi
     state for x < n and b's (x - n)-th state otherwise."""
     spec = a.functor
     n = len(a.states)
+    parts = [(c, {s: offset + i for i, s in enumerate(c.states)}) for offset, c in ((0, a), (n, b))]
+    pointed = [s == c.point for c in (a, b) for s in c.states]
     start: list = []
     edges: list[list] = [[] for _ in range(2 * n)]
-    for offset, c in ((0, a), (n, b)):
-        index = {s: offset + i for i, s in enumerate(c.states)}
-        for x, s in enumerate(c.states, offset):
-            constant, out = spec.refinement_edges(c.struct_of(s), index)
-            start.append((constant, s == c.point))
-            for label, y, w in out:  # counted at y too, so splits also run backwards
-                edges[x].append((("succ", label, w), y, 1))
-                edges[y].append((("pred", label, w), x, 1))
+    for x, (constant, out) in enumerate(_refinement_rows(spec, parts)):
+        start.append((constant, pointed[x]))
+        for label, y, w in out:  # counted at y too, so splits also run backwards
+            edges[x].append((("succ", label, w), y, 1))
+            edges[y].append((("pred", label, w), x, 1))
     order = sorted(range(n), key=lambda x: a.states[x] != a.point)
     spent = 0
 

@@ -1,0 +1,198 @@
+"""A functor that gives only its own parts gets every edge walk derived.
+
+``MaybeEdgesFunctor`` is 1 + X again, like ``MaybeFunctor`` of
+``test_functor_extension.py``, but it defines only ``check_structure``, its
+action (``fmap``, ``support``), its edge form (``split``/``join``), its
+document form (``encode``/``decode``), ``node_shape`` and
+``random_structure``.  ``FunctorSpec`` derives the rest from ``split`` and
+``join``: refinement edges, the canonical edge order, unravelling, kernel
+pairs.  The derived methods must agree with ``MaybeFunctor``'s hand-written
+ones, and the functor must run through the CLI and the oracle lab.
+"""
+
+import inspect
+import json
+from dataclasses import dataclass
+
+import pytest
+
+from coalgmin import (
+    FunctorSpec,
+    behavioural_classes,
+    check_greatest_quotient,
+    check_simple_subterminal,
+    naive_refinement,
+    parse_coalgebra,
+    parse_morphism,
+    parse_partition,
+    random_coalgebra,
+    serialize_coalgebra,
+    simple_quotient,
+    underlying,
+    validate_coalgebra,
+)
+from coalgmin.cli import run_command
+from coalgmin.errors import MalformedStructure, ParseError
+from coalgmin.formats import canonical_json
+from coalgmin.oracles import kernel_pair_coalgebra
+from conftest import renamed_copy
+from test_functor_extension import DOC, MaybeFunctor, MaybeStruct
+
+
+@dataclass(frozen=True)
+class MaybeEdgesFunctor(FunctorSpec):
+    """1 + X from its hooks alone: halt, or one unlabelled edge of weight 1."""
+
+    kind = "maybe-edges"
+    structure_type = MaybeStruct
+
+    def check_structure(self, t):
+        self.require_structure(t)
+        if t.successor is not None and not isinstance(t.successor, str):
+            raise MalformedStructure(f"successor must be a state id, got {t.successor!r}")
+
+    def fmap(self, mapping, t):
+        if t.successor is None:
+            return t
+        return MaybeStruct(self._applied(mapping, t.successor))
+
+    def support(self, t):
+        return frozenset() if t.successor is None else frozenset({t.successor})
+
+    def split(self, t):
+        return None, ([] if t.successor is None else [(None, t.successor, 1)])
+
+    def join(self, constant, edges):
+        return MaybeStruct(next((s for _, s, _ in edges), None))
+
+    def encode(self, t, index):
+        return t.successor
+
+    def decode(self, payload, state):
+        if payload is not None and not isinstance(payload, str):
+            raise ParseError(None, f"successor of {state!r} must be a string or null")
+        return MaybeStruct(payload)
+
+    def node_shape(self, t):
+        return "box" if t.successor is None else "circle"
+
+    def random_structure(self, states, rng, pool, density):
+        return MaybeStruct(rng.choice(states) if rng.random() < density else None)
+
+
+HOOKS, MAYBE = MaybeEdgesFunctor(), MaybeFunctor()
+TEXT = canonical_json(dict(DOC, functor={"kind": "maybe-edges"}))
+
+
+def _pair_id(x, y):
+    return f"{x}|{y}"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_derived_methods_equal_the_hand_written_ones(seed):
+    c = random_coalgebra(MAYBE, 40, seed, density=0.7)
+    index = c.state_index()
+    kappa = behavioural_classes(c).representative_map()
+    for x in c.states:
+        t = c.struct_of(x)
+        assert HOOKS.refinement_edges(t, index) == MAYBE.refinement_edges(t, index)
+        assert HOOKS.edges(t, index) == MAYBE.edges(t, index)
+        assert HOOKS.unravel_counts(t, index) == MAYBE.unravel_counts(t, index)
+        for y in c.states:
+            if kappa[x] == kappa[y]:
+                ty = c.struct_of(y)
+                assert HOOKS.pair_structure(t, ty, kappa, index, _pair_id) == (
+                    MAYBE.pair_structure(t, ty, kappa, index, _pair_id)
+                )
+
+
+def test_the_functor_defines_only_its_own_parts():
+    own = {name for name, v in vars(MaybeEdgesFunctor).items() if inspect.isfunction(v)}
+    assert {name for name in own if not name.startswith("__")} == {
+        "check_structure", "fmap", "support", "split", "join",
+        "encode", "decode", "node_shape", "random_structure",
+    }
+
+
+def test_documents_round_trip_byte_exactly():
+    c = parse_coalgebra(TEXT)
+    assert c.functor == HOOKS
+    assert serialize_coalgebra(c) == TEXT
+
+
+def test_parser_rejects_a_non_string_successor():
+    bad = json.loads(TEXT)
+    bad["structure"]["a"] = 1
+    with pytest.raises(ParseError):
+        parse_coalgebra(json.dumps(bad))
+
+
+@pytest.fixture
+def doc(tmp_path):
+    path = tmp_path / "maybe-edges.json"
+    path.write_text(TEXT)
+    return path
+
+
+def test_minimize_command_matches_the_naive_refinement(doc, tmp_path):
+    assert run_command(["minimize", str(doc), "--out-dir", str(tmp_path)]) == 0
+    partition = parse_partition((tmp_path / "partition.json").read_text())
+    assert partition == naive_refinement(parse_coalgebra(TEXT))
+    assert partition.blocks == (("a",), ("b", "d"), ("c", "f"), ("e",))
+
+
+def test_reach_command_keeps_the_point_chain(doc, tmp_path):
+    assert run_command(["reach", str(doc), "--out-dir", str(tmp_path)]) == 0
+    assert parse_coalgebra((tmp_path / "reachable.json").read_text()).states == ("a", "b", "c")
+
+
+def test_unravel_command_names_tree_states_by_the_generic_rule(doc, tmp_path):
+    assert run_command(["unravel", str(doc), "--out-dir", str(tmp_path)]) == 0
+    tree = parse_coalgebra((tmp_path / "tree.json").read_text())
+    assert tree.states == ("a", "a/b", "a/b/c")
+    assert tree.struct_of("a/b") == MaybeStruct("a/b/c")
+    assert tree.struct_of("a/b/c") == MaybeStruct(None)
+
+
+@pytest.mark.parametrize("pointed", [True, False])
+def test_iso_command_finds_a_renamed_copy(doc, tmp_path, capsys, pointed):
+    c = parse_coalgebra(TEXT)
+    if not pointed:
+        c = underlying(c)
+        doc.write_text(serialize_coalgebra(c))
+    copy, renaming = renamed_copy(c, 3)
+    other = tmp_path / "copy.json"
+    other.write_text(serialize_coalgebra(copy))
+    argv = ["iso", str(doc), str(other)] + (["--pointed"] if pointed else [])
+    assert run_command(argv) == 0
+    assert parse_morphism(capsys.readouterr().out, c, copy).mapping == renaming
+
+
+def test_dot_command_uses_the_derived_edges(doc, capsys):
+    assert run_command(["dot", str(doc)]) == 0
+    dot = capsys.readouterr().out
+    assert '  "c" [shape=box];' in dot
+    assert '  "a" -> "b";' in dot
+    assert '  "e" -> "e";' in dot
+    assert dot.count("->") == 1 + 4  # the point marker plus four edges
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_instances_validate_and_refine_like_the_oracle(seed):
+    c = random_coalgebra(HOOKS, 30, seed, density=0.7, pointed=True)
+    assert validate_coalgebra(c) == []
+    assert behavioural_classes(c) == naive_refinement(c)
+
+
+def test_oracle_lab_checks_pass():
+    c = parse_coalgebra(TEXT)
+    assert check_greatest_quotient(c).passed
+    pool = [random_coalgebra(HOOKS, n, n, density=0.5) for n in range(1, 4)]
+    report = check_simple_subterminal(c, pool)
+    assert report.passed
+    assert report.witnesses
+    quotient, _, _ = simple_quotient(c)
+    assert check_simple_subterminal(quotient, pool).passed
+    kernel, pr1, pr2 = kernel_pair_coalgebra(c)
+    assert kernel.struct_of("b|d") == MaybeStruct("c|c")
+    assert pr1.mapping != pr2.mapping

@@ -31,6 +31,12 @@ def test_alphabet_must_be_distinct_and_nonempty():
         DfaFunctor(("a", "a"))
     with pytest.raises(ValueError):
         LabelledFunctor(("x", "x"))
+    with pytest.raises(ValueError):
+        DfaFunctor((["a"],))
+    with pytest.raises(ValueError):
+        LabelledFunctor(([1],))
+    with pytest.raises(ValueError):
+        DfaFunctor("ab")  # not the alphabet ("a", "b")
 
 
 def test_inverse_image_flags():

@@ -4,21 +4,25 @@
     python3 tools/ab_jobs.py PARENT_ROOT [CHANGE_ROOT] --workload sparse-large --seed 3
 
 PARENT_ROOT and CHANGE_ROOT are repository roots (CHANGE_ROOT defaults to
-the root this script lives in).  Each tree's ``src/coalgmin`` is loaded under
-its own package name, ``coalgmin_parent`` and ``coalgmin_change``; the
-library imports itself only relatively, so each tree keeps to its own
-modules.  The job list of ``perfbench/workloads.py`` (read from CHANGE_ROOT,
-which this script only reads) is built once.  Every round runs each job on
-both sides through ``cli.run_command``, back to back, alternating which
-side goes first, and fails unless exit code, stdout, stderr and every output
-file are byte-identical.
+the root this script lives in).  The parent tree's ``src/coalgmin`` is
+loaded twice, as packages ``coalgmin_parent`` and ``coalgmin_again``, and
+the change's once, as ``coalgmin_change``; the library imports itself only
+relatively, so each package keeps to its own modules.  The job list of
+``perfbench/workloads.py`` (read from CHANGE_ROOT, which this script only
+reads) is built once.  Every round runs each job on the three sides
+through ``cli.run_command``, back to back, rotating which side goes
+first, and fails unless exit code, stdout, stderr and every output file
+are byte-identical.
 
 It prints, per job class (the job id without its size and index), the
-median over the class's jobs of parent time / change time, where each
-job's time is its median over the rounds; above 1 means the change is
-faster.  The last line is the same ratio for the whole job list.  Whole
-benchmark runs of identical code can differ by tens of percent on a shared
-machine, while back-to-back pairs see the same machine state.
+median over the rounds of the class's summed parent time over its summed
+change time (A/B); above 1 means the change is faster.  Beside it stand the
+same median for the parent against its second copy (A/A), which differs
+from 1 only by noise, and the A/A spread: the least and greatest of those
+per-round A/A ratios.  A class whose A/B ratio lies inside its A/A spread
+is marked as no change.  The last line does the same for the whole job
+list.  Whole benchmark runs of identical code can differ by tens of percent
+on a shared machine, while back-to-back runs see the same machine state.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from pathlib import Path
 from time import perf_counter
 
 HERE = Path(__file__).resolve().parent
-SIDES = ("parent", "change")
+SIDES = ("parent", "again", "change")
 
 
 def load_cli(root: Path, name: str):
@@ -85,7 +89,7 @@ def main(argv=None) -> int:
     import workloads
 
     run = {side: load_cli(root.resolve(), f"coalgmin_{side}")
-           for side, root in zip(SIDES, (args.parent, args.change))}
+           for side, root in zip(SIDES, (args.parent, args.parent, args.change))}
     work = Path(tempfile.mkdtemp(prefix="ab_jobs-"))
     try:
         jobs, _ = workloads.build(args.workload, args.seed, work / "in")
@@ -93,12 +97,12 @@ def main(argv=None) -> int:
         for r in range(args.rounds):
             gc.collect()
             for k, job in enumerate(jobs):
-                order = SIDES if (r + k) % 2 == 0 else SIDES[::-1]
+                first = (r + k) % len(SIDES)
                 left = {}
-                for side in order:
+                for side in SIDES[first:] + SIDES[:first]:
                     elapsed, left[side] = run_job(run[side], job, work / side)
                     times[side][job.id].append(elapsed)
-                if left["parent"] != left["change"]:
+                if not left["parent"] == left["again"] == left["change"]:
                     print(f"error: {job.id}: outputs differ between the trees", file=sys.stderr)
                     return 1
     finally:
@@ -108,16 +112,24 @@ def main(argv=None) -> int:
     classes: dict[str, list[str]] = {}
     for job in jobs:
         classes.setdefault(job_class(job.id), []).append(job.id)
+    classes["all jobs"] = [job.id for job in jobs]
     print(f"{args.workload} seed {args.seed}: {len(jobs)} jobs, {args.rounds} rounds, "
           "outputs byte-identical")
-    print(f"{'class':32} {'jobs':>4} {'parent ms':>10} {'change ms':>10} {'ratio':>6}")
+    print(f"{'class':32} {'jobs':>4} {'parent ms':>10} {'change ms':>10} "
+          f"{'A/A':>6} {'A/A spread':>13} {'A/B':>6}")
     for name, ids in classes.items():
-        ratio = statistics.median(median["parent"][j] / median["change"][j] for j in ids)
-        parent_ms, change_ms = (1000 * sum(median[side][j] for j in ids) for side in SIDES)
-        print(f"{name:32} {len(ids):4} {parent_ms:10.1f} {change_ms:10.1f} {ratio:6.3f}")
-    parent_s, change_s = (sum(median[side].values()) for side in SIDES)
-    print(f"{'all jobs':32} {len(jobs):4} {1000 * parent_s:10.1f} {1000 * change_s:10.1f} "
-          f"{parent_s / change_s:6.3f}")
+        aa, ab = (
+            [sum(times["parent"][j][r] for j in ids) / sum(times[side][j][r] for j in ids)
+             for r in range(args.rounds)]
+            for side in ("again", "change")
+        )
+        low, high, ratio = min(aa), max(aa), statistics.median(ab)
+        verdict = "no change" if low <= ratio <= high else "faster" if ratio > high else "slower"
+        parent_ms, change_ms = (
+            1000 * sum(median[side][j] for j in ids) for side in ("parent", "change")
+        )
+        print(f"{name:32} {len(ids):4} {parent_ms:10.1f} {change_ms:10.1f} "
+              f"{statistics.median(aa):6.3f} {low:6.3f}-{high:6.3f} {ratio:6.3f} {verdict}")
     return 0
 
 
