@@ -153,7 +153,7 @@ def _cmd_homs(args) -> int:
     listed = homs if args.max is None else homs[: args.max]
     payload = {
         "count": len(homs),
-        "maps": [dict(sorted(h.mapping.items())) for h in listed],
+        "maps": [dict(h.mapping) for h in listed],
     }
     sys.stdout.write(canonical_json(payload))
     return 0
@@ -174,6 +174,8 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_props(args) -> int:
+    if args.seeds is not None and args.seeds < 1:
+        raise CoalgminError(f"--seeds must be positive, got {args.seeds}")
     seeds = DEFAULT_SEEDS if args.seeds is None else tuple(range(args.seeds))
     reports = run_suite(args.suite, seeds)
     ok = True

@@ -159,6 +159,26 @@ def validate_coalgebra(c: Coalgebra) -> list[Violation]:
     return out
 
 
+def admit_coalgebra(
+    functor, states: tuple, carrier: set, structure: dict, point, admitted: bool
+) -> Coalgebra:
+    """The coalgebra of a document's parts, whose ids are all strings.
+    ``admitted`` says that every structure passed its functor's rules with
+    its targets in ``carrier``, the set of ``states``.  The carrier rules of
+    :func:`validate_coalgebra` are then set operations: no duplicate ids, a
+    structure for exactly the listed states, and the point in the carrier.
+    When all hold, the coalgebra is built unchecked; otherwise the
+    constructor words every violation.  ``structure`` passes to the result."""
+    if (
+        admitted
+        and len(carrier) == len(states)
+        and structure.keys() == carrier
+        and (point is None or point in carrier)
+    ):
+        return _derived(functor, states, structure, point)
+    return Coalgebra(functor, states, structure, point)
+
+
 # ---------------------------------------------------------------------------
 # Morphisms
 # ---------------------------------------------------------------------------
@@ -169,9 +189,10 @@ class Morphism:
     """A total state map between two coalgebras of the same kind.
 
     Construction checks only that the map is a function dom -> cod, and
-    reports every state where it is not in one ValidationError; whether it is
-    a homomorphism is the business of :func:`check_homomorphism`.  The map
-    is stored as a read-only view of a private copy.
+    reports every state where it is not, and every key that is not a state
+    of dom, in one ValidationError; whether it is a homomorphism is the
+    business of :func:`check_homomorphism`.  The map is stored as a
+    read-only view of a private copy.
     """
 
     dom: Coalgebra
@@ -191,6 +212,13 @@ class Morphism:
                 violations.append(
                     Violation("dangling-state", f"map sends {s!r} outside the codomain", s)
                 )
+        if violations or len(self.mapping) != len(self.dom.states):
+            dom_states = set(self.dom.states)
+            violations += [
+                Violation("dangling-state", f"map given for unknown state {s!r}", s)
+                for s in self.mapping
+                if s not in dom_states
+            ]
         if violations:
             raise ValidationError(violations)
 

@@ -2,13 +2,19 @@
 
 Serialization is canonical: object keys are sorted, weights are normalized
 fraction strings ("3", "-1/2"), state lists inside structures follow carrier
-order, and every emitter is deterministic byte for byte.  ``canonical_json``
-writes exactly the bytes of ``json.dumps(payload, sort_keys=True, indent=2,
-ensure_ascii=True)`` and a newline, but joins them itself: given an
-``indent``, CPython skips its C encoder and yields the output token by token
-from the pure-Python one.  ``parse_coalgebra`` validates by building the
-:class:`coalgmin.core.Coalgebra`, whose constructor reports every violation
-at once; later operations on the parsed coalgebra do not validate it again.
+order, and every writer is deterministic byte for byte.  Each document is
+written exactly as ``json.dumps(payload, sort_keys=True, indent=2,
+ensure_ascii=True)`` and a newline would write its payload, but straight
+from its structures: ``serialize_coalgebra`` quotes every state id once and
+writes the top level, and each state's structure is written by its
+functor's ``write``.  ``canonical_json`` writes any other payload.
+
+``parse_coalgebra`` reads in one pass: each state's payload is decoded and
+checked by its functor's ``read``, and ``core.admit_coalgebra`` checks the
+carrier rules as set operations.  A document that passes is built without
+validating it again; any other goes through the
+:class:`coalgmin.core.Coalgebra` constructor, which reports every violation
+at once.  Later operations on the parsed coalgebra do not validate it again.
 """
 
 from __future__ import annotations
@@ -16,38 +22,13 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quoted
 
-from .core import Coalgebra, Morphism, Partition
+from .core import Coalgebra, Morphism, Partition, admit_coalgebra
 from .errors import ParseError
-from .functors import FunctorSpec, string_list
+from .functors import FunctorSpec, json_container, json_text, string_list
 
 
 def canonical_json(payload) -> str:
-    return _emit(payload, "\n") + "\n"
-
-
-def _emit(v, newline: str) -> str:
-    """``v`` as that ``json.dumps`` call writes it, breaking lines with ``newline``.
-    Payloads nest five containers deep; deeper ones go to ``json.dumps``."""
-    t = type(v)
-    if t is str:
-        return _quoted(v)
-    if t is bool:
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if t is int:
-        return int.__repr__(v)
-    if len(newline) < 11 and (t is list or t is dict and {*map(type, v)} <= {str}):
-        if not v:
-            return "[]" if t is list else "{}"
-        inner = newline + "  "
-        if t is list:
-            items = [_quoted(x) if type(x) is str else _emit(x, inner) for x in v]
-            return "[" + inner + ("," + inner).join(items) + newline + "]"
-        items = [_quoted(k) + ": " + (_quoted(x) if type(x) is str else _emit(x, inner))
-                 for k, x in sorted(v.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True).replace("\n", newline)
+    return json_text(payload, "\n") + "\n"
 
 
 def parse_functor(payload) -> FunctorSpec:
@@ -71,22 +52,18 @@ def parse_functor(payload) -> FunctorSpec:
 # ---------------------------------------------------------------------------
 
 
-def coalgebra_payload(c: Coalgebra) -> dict:
-    index = c.state_index()
-    doc = {
-        "functor": c.functor.payload(),
-        "states": list(c.states),
-        "structure": {
-            s: c.functor.encode(c.struct_of(s), index) for s in c.states
-        },
-    }
-    if c.point is not None:
-        doc["point"] = c.point
-    return doc
-
-
 def serialize_coalgebra(c: Coalgebra) -> str:
-    return canonical_json(coalgebra_payload(c))
+    spec, states, structure = c.functor, c.states, c.structure
+    index = c.state_index()
+    quoted = dict(zip(states, map(_quoted, states)))
+    fields = ['"functor": ' + json_text(spec.payload(), "\n  ")]
+    if c.point is not None:
+        fields.append('"point": ' + quoted[c.point])
+    fields.append('"states": ' + json_container("[", list(quoted.values()), "]", "\n  "))
+    structures = [quoted[s] + ": " + spec.write(structure[s], index, quoted, "\n    ")
+                  for s in sorted(states)]
+    fields.append('"structure": ' + json_container("{", structures, "}", "\n  "))
+    return json_container("{", fields, "}", "\n") + "\n"
 
 
 def parse_coalgebra(text: str) -> Coalgebra:
@@ -98,11 +75,16 @@ def parse_coalgebra(text: str) -> Coalgebra:
     structure_doc = doc.get("structure")
     if not isinstance(structure_doc, dict):
         raise ParseError(None, "'structure' must be an object")
-    structure = {s: spec.decode(payload, s) for s, payload in structure_doc.items()}
+    carrier = set(states)
+    structure = {}
+    admitted = True
+    for s, payload in structure_doc.items():
+        structure[s], ok = spec.read(payload, s, carrier)
+        admitted = admitted and ok
     point = doc.get("point")
     if point is not None and not isinstance(point, str):
         raise ParseError(None, "'point' must be a string")
-    return Coalgebra(spec, states, structure, point)
+    return admit_coalgebra(spec, states, carrier, structure, point, admitted)
 
 
 def _loads(text: str):
@@ -128,12 +110,9 @@ def _loads(text: str):
 # ---------------------------------------------------------------------------
 
 
-def morphism_payload(h: Morphism) -> dict:
-    return {"map": dict(sorted(h.mapping.items()))}
-
-
 def serialize_morphism(h: Morphism) -> str:
-    return canonical_json(morphism_payload(h))
+    pairs = [_quoted(s) + ": " + _quoted(t) for s, t in sorted(h.mapping.items())]
+    return '{\n  "map": ' + json_container("{", pairs, "}", "\n  ") + "\n}\n"
 
 
 def parse_morphism(text: str, dom: Coalgebra, cod: Coalgebra) -> Morphism:
@@ -141,15 +120,12 @@ def parse_morphism(text: str, dom: Coalgebra, cod: Coalgebra) -> Morphism:
     mapping = doc.get("map") if isinstance(doc, dict) else None
     if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
         raise ParseError(None, "morphism document must be an object with a 'map' of strings")
-    return Morphism(dom, cod, {s: mapping[s] for s in dom.states if s in mapping})
-
-
-def partition_payload(p: Partition) -> dict:
-    return {"blocks": [list(b) for b in p.blocks]}
+    return Morphism(dom, cod, mapping)
 
 
 def serialize_partition(p: Partition) -> str:
-    return canonical_json(partition_payload(p))
+    blocks = [json_container("[", [*map(_quoted, b)], "]", "\n    ") for b in p.blocks]
+    return '{\n  "blocks": ' + json_container("[", blocks, "]", "\n  ") + "\n}\n"
 
 
 def parse_partition(text: str) -> Partition:

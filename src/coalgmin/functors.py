@@ -6,7 +6,12 @@ action of state maps on it.  The rest of the library is generic over
 new ``kind``, which ``formats.parse_functor`` looks up, and implementing
 ``check_structure``, the action ``fmap``/``support``, the edge form
 ``split``/``join`` (a constant part and (label, target, weight) edges) and
-the document form ``encode``/``decode``.  From the edge form, ``FunctorSpec``
+the document form ``encode``/``decode``.  From the document form,
+``FunctorSpec`` derives ``read``, which decodes a payload and says whether
+``check_structure`` and ``support`` admit it, and ``write``, which writes
+the JSON text of ``encode``; the built-in functors override these two
+instead, decoding and checking in one pass and writing their text directly
+from a table of quoted state ids.  From the edge form, ``FunctorSpec``
 derives for every functor ``refinement_edges``, the canonical ``edges``
 order, ``unravel``, the relational ``pair_structure`` and
 ``random_structure``.  A functor overrides these, or defaults such as
@@ -16,11 +21,14 @@ too, but they run once per state on every path, and derived copies made
 whole jobs 5-19% slower (README).  Callers use these methods directly
 (``spec.fmap(m, t)``); there are no module-level wrappers.
 
-Only ``check_structure`` holds the rules of a structure.  The ``struct``
-builders build the canonical value, coercing nothing, and return it through
-``check_structure``.  The other methods trust their input: the
-``core.Coalgebra`` constructor runs ``check_structure`` on every state once,
-so the structures of a coalgebra are always well formed.
+Only ``check_structure`` holds the rules of a structure; the built-ins'
+``read`` calls the same predicates (the alphabet match, the known labels,
+``check_weight``).  The ``struct`` builders build the canonical value,
+coercing nothing, and return it through ``check_structure``.  The other
+methods trust their input: the ``core.Coalgebra`` constructor runs
+``check_structure`` on every state once, and a parsed document is built
+without it only when ``read`` admitted every structure, so the structures
+of a coalgebra are always well formed.
 
 Structures are immutable, canonical and hashable: two structures are
 semantically equal iff they compare equal, which is what lets the quotient
@@ -29,12 +37,14 @@ and the oracles compare successor structures with ``==``.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quoted
 from math import lcm
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     MalformedStructure,
@@ -112,11 +122,51 @@ def _require_pairs(entries, container: type, what: str) -> None:
         raise MalformedStructure(f"{what} must be a {container.__name__} of pairs, got {entries!r}")
 
 
+def _strings(values) -> bool:
+    return all(isinstance(v, str) for v in values)
+
+
 def string_list(value, what: str) -> list[str]:
     """``value`` if it is a JSON list of strings, else a ParseError."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+    if not isinstance(value, list) or not _strings(value):
         raise ParseError(None, f"{what} must be a list of strings")
     return value
+
+
+def json_container(opening: str, items: list[str], closing: str, newline: str) -> str:
+    """A JSON list or object of the item texts ``items``, one per line, as
+    ``json.dumps(indent=2)`` writes it when ``newline`` breaks the line
+    before ``closing``."""
+    if not items:
+        return opening + closing
+    inner = newline + "  "
+    return opening + inner + ("," + inner).join(items) + newline + closing
+
+
+def json_text(v, newline: str) -> str:
+    """``v`` as ``json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True)``
+    writes it, breaking lines with ``newline``.  Each list and ``str``-keyed
+    dict is one ``str.join``; given an ``indent``, CPython would skip its C
+    encoder and yield the output token by token from the pure-Python one.
+    Documents nest five containers deep; deeper ones go to ``json.dumps``."""
+    t = type(v)
+    if t is str:
+        return _quoted(v)
+    if t is bool:
+        return "true" if v else "false"
+    if v is None:
+        return "null"
+    if t is int:
+        return int.__repr__(v)
+    if len(newline) < 11 and (t is list or t is dict and {*map(type, v)} <= {str}):
+        inner = newline + "  "
+        if t is list:
+            items = [_quoted(x) if type(x) is str else json_text(x, inner) for x in v]
+            return json_container("[", items, "]", newline)
+        items = [_quoted(k) + ": " + (_quoted(x) if type(x) is str else json_text(x, inner))
+                 for k, x in sorted(v.items())]
+        return json_container("{", items, "}", newline)
+    return json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True).replace("\n", newline)
 
 
 class FunctorSpec:
@@ -223,6 +273,28 @@ class FunctorSpec:
         ParseError; semantic problems (zero weights, missing symbols) are left
         for validation, which reports them all together."""
         raise NotImplementedError
+
+    def write(
+        self, t: FStructure, index: Mapping[str, int], quoted: Mapping[str, str], newline: str
+    ) -> str:
+        """The JSON text of :meth:`encode` of t as ``formats.canonical_json``
+        writes it, breaking lines with ``newline``; ``quoted`` holds every
+        state id as a JSON string.  The built-in functors write their text
+        directly instead."""
+        return json_text(self.encode(t, index), newline)
+
+    def read(self, payload, state: str, carrier: AbstractSet[str]) -> tuple[FStructure, bool]:
+        """:meth:`decode` of ``payload``, and whether the structure is
+        admitted: :meth:`check_structure` passes and :meth:`support` lies in
+        ``carrier``.  An admitted structure is one the ``core.Coalgebra``
+        constructor accepts; the built-in functors decode and check it in
+        one pass instead."""
+        t = self.decode(payload, state)
+        try:
+            self.check_structure(t)
+        except (MalformedStructure, SpecMismatch):
+            return t, False
+        return t, self.support(t) <= carrier
 
     def node_shape(self, t: FStructure) -> str:
         """Graphviz node shape of a state with structure t."""
@@ -340,10 +412,14 @@ class DfaFunctor(FunctorSpec):
             raise MalformedStructure(f"moves must be hashable, got {t.moves!r}") from None
         if not isinstance(t.accepting, bool):
             raise MalformedStructure(f"acceptance must be a bool, got {t.accepting!r}")
-        if tuple(sym for sym, _ in t.moves) != self.alphabet:
+        if not self._spells_alphabet(t.moves):
             raise MalformedStructure(
                 f"transition entries {t.moves!r} do not match alphabet {self.alphabet!r}"
             )
+
+    def _spells_alphabet(self, moves) -> bool:
+        """Whether ``moves`` take each symbol once, in alphabet order."""
+        return tuple([sym for sym, _ in moves]) == self.alphabet
 
     def fmap(self, mapping, t):
         try:
@@ -369,10 +445,15 @@ class DfaFunctor(FunctorSpec):
     def from_payload(cls, payload):
         return cls(tuple(string_list(payload.get("alphabet"), "alphabet")))
 
-    def encode(self, t, index):
-        return {"accepting": t.accepting, "next": dict(t.moves)}
+    def write(self, t, index, quoted, newline):
+        inner = newline + "  "
+        moves = [_quoted(sym) + ": " + quoted[tgt] for sym, tgt in sorted(t.moves)]
+        return json_container("{", [
+            '"accepting": ' + ("true" if t.accepting else "false"),
+            '"next": ' + json_container("{", moves, "}", inner),
+        ], "}", newline)
 
-    def decode(self, payload, state):
+    def read(self, payload, state, carrier):
         if (
             not isinstance(payload, dict)
             or not isinstance(payload.get("accepting"), bool)
@@ -381,8 +462,11 @@ class DfaFunctor(FunctorSpec):
             raise ParseError(
                 None, f"dfa structure of {state!r} needs a boolean 'accepting' and a 'next' object"
             )
-        string_list(list(payload["next"].values()), f"'next' targets of {state!r}")
-        return DfaStruct(payload["accepting"], self._moves(payload["next"]))
+        moves = payload["next"]
+        if not _strings(moves.values()):
+            string_list(list(moves.values()), f"'next' targets of {state!r}")
+        t = DfaStruct(payload["accepting"], self._moves(moves))
+        return t, self._spells_alphabet(t.moves) and carrier.issuperset(moves.values())
 
     def node_shape(self, t):
         return "doublecircle" if t.accepting else "circle"
@@ -426,11 +510,15 @@ class PowersetFunctor(FunctorSpec):
 
     observe = staticmethod(bool)  # a set sees whether an edge exists, not how many
 
-    def encode(self, t, index):
-        return sorted(t.successors, key=index.__getitem__)
+    def write(self, t, index, quoted, newline):
+        targets = sorted(t.successors, key=index.__getitem__)
+        return json_container("[", [quoted[s] for s in targets], "]", newline)
 
-    def decode(self, payload, state):
-        return SetStruct(frozenset(string_list(payload, f"successors of {state!r}")))
+    def read(self, payload, state, carrier):
+        if not (isinstance(payload, list) and _strings(payload)):
+            string_list(payload, f"successors of {state!r}")
+        successors = frozenset(payload)
+        return SetStruct(successors), successors <= carrier
 
 
 @dataclass(frozen=True)
@@ -452,9 +540,12 @@ class LabelledFunctor(FunctorSpec):
     def check_structure(self, t: FStructure) -> None:
         self.require_structure(t)
         _require_pairs(t.edges, frozenset, "edges")
-        bad = {l for l, _ in t.edges if l not in self.labels}
+        bad = self._unknown_labels(t.edges)
         if bad:
             raise MalformedStructure(f"unknown labels {sorted(bad, key=repr)!r}")
+
+    def _unknown_labels(self, edges) -> set:
+        return {l for l, _ in edges if l not in self.labels}
 
     def fmap(self, mapping, t):
         try:
@@ -480,10 +571,13 @@ class LabelledFunctor(FunctorSpec):
     def from_payload(cls, payload):
         return cls(tuple(string_list(payload.get("labels"), "labels")))
 
-    def encode(self, t, index):
-        return [[l, s] for l, s in self._ordered(t.edges, index)]
+    def write(self, t, index, quoted, newline):
+        inner = newline + "  "
+        edges = [json_container("[", [_quoted(l), quoted[s]], "]", inner)
+                 for l, s in self._ordered(t.edges, index)]
+        return json_container("[", edges, "]", newline)
 
-    def decode(self, payload, state):
+    def read(self, payload, state, carrier):
         if not isinstance(payload, list) or not all(
             isinstance(e, list) and len(e) == 2 for e in payload
         ):
@@ -492,7 +586,8 @@ class LabelledFunctor(FunctorSpec):
         if len(edges) < len(payload):  # name the first edge that is not two strings
             for e in payload:
                 string_list(e, f"edge {e!r} of {state!r}")
-        return LabelledStruct(frozenset(edges))
+        t = LabelledStruct(frozenset(edges))
+        return t, not self._unknown_labels(t.edges) and carrier.issuperset([s for _, s in edges])
 
 
 _WEIGHT_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -512,6 +607,17 @@ def _literal_weight(text: str) -> Optional[Weight]:
         return Fraction(int(numerator), int(denominator or 1))
     except (ValueError, ZeroDivisionError):  # past the integer digit limit, or n/0
         return None
+
+
+@lru_cache(maxsize=1024)  # as _literal_weight
+def _admits_literal(monoid: str, text: str) -> bool:
+    """Whether the weight the literal ``text`` denotes passes
+    :meth:`WeightedFunctor.check_weight` over ``monoid``."""
+    try:
+        WeightedFunctor(monoid).check_weight(_literal_weight(text))
+    except MalformedStructure:
+        return False
+    return True
 
 
 def _as_weight(value) -> Weight:
@@ -635,14 +741,20 @@ class WeightedFunctor(FunctorSpec):
             raise ParseError(None, f"weighted monoid must be rational or natural, got {monoid!r}")
         return cls(monoid)
 
-    def encode(self, t, index):
-        return {s: str(w) for s, w in t.weights}
+    def write(self, t, index, quoted, newline):
+        weights = [quoted[s] + ": " + _quoted(str(w)) for s, w in t.weights]
+        return json_container("{", weights, "}", newline)
 
-    def decode(self, payload, state):
+    def read(self, payload, state, carrier):
         if not isinstance(payload, dict):
             raise ParseError(None, f"weighted structure of {state!r} must be an object")
-        entries = sorted((s, _parse_weight(w, state)) for s, w in payload.items())
-        return WeightedStruct(tuple(entries))
+        literals = payload.values()
+        weights = [_parse_weight(w, state) for w in literals]
+        t = WeightedStruct(tuple(sorted(zip(payload, weights))))
+        monoid = self.monoid
+        return t, carrier.issuperset(payload) and all(
+            [_admits_literal(monoid, w) for w in literals]
+        )
 
     def unit_copies(self, weight):  # a natural weight k is k unit edges
         return int(weight) if self.monoid == NATURALS else None

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from coalgmin import Coalgebra, PowersetFunctor, WeightedFunctor, core, serialize_coalgebra
+from coalgmin import Coalgebra, PowersetFunctor, WeightedFunctor, core, formats, serialize_coalgebra
 from coalgmin.cli import build_parser, run_command
 from coalgmin.wellpointed import UNRAVEL_STATE_BUDGET
 
@@ -139,6 +139,17 @@ def test_a_lone_surrogate_id_is_exit_2_with_one_error_line(tmp_path, capsys, com
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_check_hom_rejects_a_map_of_unknown_states(tmp_path, capsys):
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps({"map": {"q0": "q1", "q1": "q0", "ghost-state": "nowhere"}}))
+    system = doc("ts_two_cycle")
+    argv = ["check-hom", "--dom", system, "--cod", system, "--map", str(mapping)]
+    assert run_command(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: dangling-state: map given for unknown state 'ghost-state'\n"
+    )
+
+
 def test_minimize_writes_quotient_projection_partition(tmp_path):
     assert run_command([
         "minimize", doc("weighted_pair_merge"), "--out-dir", str(tmp_path)
@@ -162,13 +173,16 @@ def test_minimize_writes_quotient_projection_partition(tmp_path):
     ids=["minimize", "reach", "wellpoint-both", "iso", "iso-pointed"],
 )
 def test_a_document_is_validated_once(tmp_path, monkeypatch, capsys, argv, documents):
-    validated = []
-    validate = core.validate_coalgebra
+    # a valid document passes the one-pass check once and is not validated again
+    admitted, validated = [], []
+    admit, validate = formats.admit_coalgebra, core.validate_coalgebra
+    monkeypatch.setattr(formats, "admit_coalgebra", lambda *a: admitted.append(a) or admit(*a))
     monkeypatch.setattr(core, "validate_coalgebra", lambda c: validated.append(c) or validate(c))
     if argv[-1] == "--out-dir":
         argv = argv + [str(tmp_path)]
     assert run_command(argv) == 0
-    assert len(validated) == documents
+    assert len(admitted) == documents
+    assert validated == []
 
 
 def test_the_parser_is_built_once_and_survives_a_bad_argv(tmp_path, capsys):
@@ -348,6 +362,12 @@ def test_props_runs_a_small_suite(capsys):
     out = capsys.readouterr().out
     assert out.count("ok commutation[") == 4
     assert run_command(["props", "--suite", "nonsense", "--seeds", "1"]) == 2
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_props_refuses_fewer_than_one_seed(capsys, seeds):
+    assert run_command(["props", "--suite", "commutation", "--seeds", seeds]) == 2
+    assert capsys.readouterr() == ("", f"error: --seeds must be positive, got {seeds}\n")
 
 
 def test_props_runs_every_suite_by_default(capsys):

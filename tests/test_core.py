@@ -188,6 +188,22 @@ def test_a_morphism_reports_every_state_where_it_is_not_a_map():
     ]
 
 
+def test_a_morphism_reports_every_key_outside_its_domain():
+    c = systems.ts_two_cycle()
+    with pytest.raises(ValidationError) as err:
+        Morphism(c, c, {"q0": "q0", "q1": "q1", "ghost": "q0"})
+    assert [(v.code, v.message) for v in err.value.violations] == [
+        ("dangling-state", "map given for unknown state 'ghost'"),
+    ]
+    # as many keys as states, but one of them is not a state
+    with pytest.raises(ValidationError) as err:
+        Morphism(c, c, {"q0": "q0", 7: "q1"})
+    assert [(v.code, v.witness) for v in err.value.violations] == [
+        ("partial-map", "q1"),
+        ("dangling-state", 7),
+    ]
+
+
 @pytest.mark.parametrize("mapping, expected", [
     (5, [("malformed-map", None)]),
     ({"q0": ["x"], "q1": "q1"}, [("dangling-state", "q0")]),

@@ -82,8 +82,10 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, nargs="?", default=HERE.parent)
     parser.add_argument("--workload", default="sparse-large")
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--rounds", type=int, default=5, help="at least 3 (default 5)")
     args = parser.parse_args(argv)
+    if args.rounds < 3:  # the A/A spread of fewer rounds is too few points to be a floor
+        parser.error(f"--rounds must be at least 3, got {args.rounds}")
 
     sys.path.insert(0, str(args.change / "perfbench"))
     import workloads
