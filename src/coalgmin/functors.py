@@ -463,7 +463,7 @@ class DfaFunctor(FunctorSpec):
                 None, f"dfa structure of {state!r} needs a boolean 'accepting' and a 'next' object"
             )
         moves = payload["next"]
-        if not _strings(moves.values()):
+        if not _strings(moves.values()):  # word the error only when there is one
             string_list(list(moves.values()), f"'next' targets of {state!r}")
         t = DfaStruct(payload["accepting"], self._moves(moves))
         return t, self._spells_alphabet(t.moves) and carrier.issuperset(moves.values())
@@ -515,7 +515,7 @@ class PowersetFunctor(FunctorSpec):
         return json_container("[", [quoted[s] for s in targets], "]", newline)
 
     def read(self, payload, state, carrier):
-        if not (isinstance(payload, list) and _strings(payload)):
+        if not (isinstance(payload, list) and _strings(payload)):  # as in DfaFunctor.read
             string_list(payload, f"successors of {state!r}")
         successors = frozenset(payload)
         return SetStruct(successors), successors <= carrier
