@@ -35,6 +35,7 @@ from coalgmin import (
 from coalgmin.cli import run_command
 from coalgmin.errors import ParseError, ValidationError
 from coalgmin.formats import parse_functor
+from test_formats import reference_json
 from test_functor_extension import MaybeFunctor, MaybeStruct
 from test_functor_hooks import MaybeEdgesFunctor
 
@@ -320,10 +321,6 @@ def reference_structure(spec, t, index):
     if isinstance(spec, LabelledFunctor):
         return [[l, s] for l, s, _ in order]
     return {s: str(w) for _, s, w in edges}
-
-
-def reference_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 @st.composite
