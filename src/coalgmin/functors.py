@@ -11,15 +11,16 @@ the document form ``encode``/``decode``.  From the document form,
 ``check_structure`` and ``support`` admit it, and ``write``, which writes
 the JSON text of ``encode``; the built-in functors override these two
 instead, decoding and checking in one pass and writing their text directly
-from a table of quoted state ids.  From the edge form, ``FunctorSpec``
-derives for every functor ``refinement_edges``, the canonical ``edges``
-order, ``unravel``, the relational ``pair_structure`` and
-``random_structure``.  A functor overrides these, or defaults such as
-``labels``, ``observe``, ``refinement_scale`` and ``unit_copies``, only where
-its own rule differs.  ``fmap`` and ``support`` follow from the edge form
-too, but they run once per state on every path, and derived copies made
-whole jobs 5-19% slower (README).  Callers use these methods directly
-(``spec.fmap(m, t)``); there are no module-level wrappers.
+from a table of quoted state ids.  ``split``/``join`` is the only edge walk
+a functor supplies: partition refinement (``quotient._refinement_rows``) and
+tree unravelling (``wellpointed.tree_unravel``) walk it themselves, and
+``FunctorSpec`` derives from it the canonical ``edges`` order, the relational
+``pair_structure`` and ``random_structure``.  A functor overrides these, or
+defaults such as ``labels``, ``observe``, ``refinement_scale`` and
+``unit_copies``, only where its own rule differs.  ``fmap`` and ``support``
+follow from the edge form too, but they run once per state on every path,
+and derived copies made whole jobs 5-19% slower (README).  Callers use these
+methods directly (``spec.fmap(m, t)``); there are no module-level wrappers.
 
 Only ``check_structure`` holds the rules of a structure; the built-ins'
 ``read`` calls the same predicates (the alphabet match, the known labels,
@@ -223,12 +224,6 @@ class FunctorSpec:
             return sorted(edges, key=lambda e: index[e[1]])
         return sorted(edges, key=lambda e: (self.labels.index(e[0]), index[e[1]]))
 
-    def refinement_edges(self, t: FStructure, index: Mapping[str, int]) -> tuple[Hashable, list]:
-        """t as partition refinement and the isomorphism search read it: its
-        :meth:`split` with each target as its position in ``index``."""
-        constant, out = self.split(t)
-        return constant, [(label, index[s], w) for label, s, w in out]
-
     def refinement_scale(self, structures: Iterable[FStructure]) -> Optional[int]:
         """A positive int s such that s times every weight of these
         structures is an int, or None, the default, for int weights.  The
@@ -302,34 +297,10 @@ class FunctorSpec:
 
     # -- constructions over structures ------------------------------------
 
-    def unravel(
-        self, t: FStructure, path: str, index: Mapping[str, int]
-    ) -> tuple[FStructure, list[tuple[str, str]]]:
-        """One unravelling step at tree node ``path``, whose state has t: the
-        node's structure over child paths and the (child path, state) list,
-        in canonical edge order.  An edge to s gives the child ``{path}/{s}``,
-        or ``{path}/{label}:{s}`` under a label; one that :meth:`unit_copies`
-        splits in k gives k children ``#0`` .. ``#k-1``, of weight w / k."""
-        constant, out = self.split(t)
-        children, edges = [], []
-        for label, s, w in self._ordered(out, index):
-            child = f"{path}/{s}" if label is None else f"{path}/{label}:{s}"
-            k = self.unit_copies(w)
-            copies = [(child, w)] if k is None else [(f"{child}#{i}", w / k) for i in range(k)]
-            for node, weight in copies:
-                children.append((node, s))
-                edges.append((label, node, weight))
-        return self.join(constant, edges), children
-
     def unit_copies(self, weight) -> Optional[int]:
-        """How many children an edge of this weight unravels into, or None,
-        the default, for one child that keeps the weight."""
+        """How many tree edges of weight ``weight / k`` an edge of this weight
+        unravels into, k, or None, the default, for one that keeps the weight."""
         return None
-
-    def unravel_counts(self, t: FStructure, index: Mapping[str, int]) -> list[tuple[str, int]]:
-        """The (state, number of children) pairs of :meth:`unravel` at t,
-        found without building them: by default one child per edge."""
-        return [(s, 1) for _, s in self.edges(t, index)]
 
     def random_pool(self, weight_pool: Optional[Sequence]):
         """The checked, sorted weight pool random generation draws from."""
@@ -758,9 +729,6 @@ class WeightedFunctor(FunctorSpec):
 
     def unit_copies(self, weight):  # a natural weight k is k unit edges
         return int(weight) if self.monoid == NATURALS else None
-
-    def unravel_counts(self, t, index):
-        return [(s, self.unit_copies(w) or 1) for s, w in t.weights]
 
     def random_pool(self, weight_pool):
         if not weight_pool:

@@ -16,9 +16,10 @@ One engine, ``_refine``, serves both minimization and the isomorphism
 search of :mod:`coalgmin.wellpointed`.  It reads rows of a constant part and
 (label, target, weight) edges over int state positions, and ``observe`` says
 what it sees of a weight sum.  For minimization the rows are the functor's
-``refinement_edges``, made once per state as the engine reads them, with
-every weight multiplied by the functor's ``refinement_scale``: for rational
-weights the least common multiple of the denominators, found once per
+``split``, made once per state as the engine reads them, with each target
+as its carrier position and every weight multiplied by the functor's
+``refinement_scale``: for rational weights the least common multiple of
+the denominators, found once per
 refinement.  So the sums are exact ints.  A positive scale keeps equal sums
 equal and zero sums zero, so the partition and the edge visits are those of
 the unscaled weights.  An LCM past ``functors.REFINEMENT_SCALE_BITS`` bits
@@ -142,22 +143,25 @@ def _refine(n: int, rows, observe) -> tuple[list[set[int]], int]:
 
 
 def _refinement_rows(spec, parts):
-    """The ``refinement_edges`` of every state of the (coalgebra, index)
-    parts in turn, each weight times the functor's ``refinement_scale`` for
-    all their structures, as an int.  At scale 1 only the integral weights
-    become ints, and at scale None the weights stay as they are."""
-    rows = (spec.refinement_edges(c.struct_of(s), index) for c, index in parts for s in c.states)
+    """The :meth:`~coalgmin.functors.FunctorSpec.split` row of every state of
+    the (coalgebra, index) parts in turn, each target as its position in the
+    index and each weight times the functor's ``refinement_scale`` for all
+    their structures, as an int.  At scale 1 only the integral weights become
+    ints, and at scale None the weights stay as they are."""
     scale = spec.refinement_scale(chain.from_iterable(c.structure.values() for c, _ in parts))
+    splits = ((spec.split(c.struct_of(s)), index) for c, index in parts for s in c.states)
     if scale is None:
-        return rows
+        return (
+            (constant, [(l, index[s], w) for l, s, w in out]) for (constant, out), index in splits
+        )
     if scale == 1:
         return (
-            (constant, [(l, y, w.numerator if w.denominator == 1 else w) for l, y, w in edges])
-            for constant, edges in rows
+            (constant, [(l, index[s], w.numerator if w.denominator == 1 else w) for l, s, w in out])
+            for (constant, out), index in splits
         )
     return (
-        (constant, [(l, y, w.numerator * (scale // w.denominator)) for l, y, w in edges])
-        for constant, edges in rows
+        (constant, [(l, index[s], w.numerator * (scale // w.denominator)) for l, s, w in out])
+        for (constant, out), index in splits
     )
 
 

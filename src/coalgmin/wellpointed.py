@@ -29,9 +29,8 @@ past which the search raises ``SearchBoundExceeded``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from .core import (
     Coalgebra,
@@ -183,13 +182,16 @@ def _individualization_refinement(a: Coalgebra, b: Coalgebra) -> Optional[Morphi
 def tree_unravel(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
     """Unfold the reachable part into its tree of edge paths.
 
-    State ids of the tree are path strings rooted at the point, one segment
-    per traversed edge.  A natural-weighted edge of weight k splits into k
-    unit edges, so the result is a tree in the multigraph sense; rational
-    weights keep one edge carrying the original weight.  The covering map
-    sends each path to its endpoint and is a surjective pointed homomorphism
-    onto the reachable part.  Cyclic reachable parts are rejected because
-    their unravelling is infinite, and a tree of more than
+    Tree states are numbered breadth first: the point unravels to the root
+    ``"0"``, and each tree state's children get the next numbers in
+    canonical edge order (``FunctorSpec._ordered``).  An edge whose weight
+    :meth:`~coalgmin.functors.FunctorSpec.unit_copies` splits in k becomes k
+    tree edges of weight w / k, so a natural-weighted edge of weight k is k
+    unit edges and the result is a tree in the multigraph sense; every other
+    edge keeps its weight.  The covering map sends each tree state to the
+    state it unravels and is a surjective pointed homomorphism onto the
+    reachable part.  Cyclic reachable parts are rejected because their
+    unravelling is infinite, and a tree of more than
     ``UNRAVEL_STATE_BUDGET`` states raises ``SearchBoundExceeded`` before
     any of it is built.
     """
@@ -197,41 +199,41 @@ def tree_unravel(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
     cycle = _find_cycle(part)
     if cycle is not None:
         raise CyclicReachablePart(cycle)
-    spec = part.functor
-    index = part.state_index()
-    if _tree_size(part, index) > UNRAVEL_STATE_BUDGET:
+    if _tree_size(part) > UNRAVEL_STATE_BUDGET:
         raise SearchBoundExceeded(
             f"the unravelled tree passed its budget of {UNRAVEL_STATE_BUDGET} states"
         )
-    root = part.point
-    states: list[str] = [root]
+    spec = part.functor
+    index = part.state_index()
+    endpoint = [part.point]  # tree state str(i) unravels endpoint[i]
     structure: dict[str, object] = {}
-    endpoint = {root: root}
-    queue = deque([root])
-    while queue:
-        path = queue.popleft()
-        structure[path], children = spec.unravel(part.struct_of(endpoint[path]), path, index)
-        for child_path, child_state in children:
-            endpoint[child_path] = child_state
-            states.append(child_path)
-            queue.append(child_path)
-    if len(set(states)) != len(states):
-        # only possible when state ids already contain the path separator
-        raise SpecMismatch("path ids collide; rename states containing '/'")
-    tree = Coalgebra(spec, states, structure, root)
-    covering = Morphism(tree, part, endpoint)
+    for i, x in enumerate(endpoint):  # the loop reaches the children appended below
+        constant, out = spec.split(part.struct_of(x))
+        edges = []
+        for label, y, w in spec._ordered(out, index):
+            k = spec.unit_copies(w)
+            for weight in [w] if k is None else [w / k] * k:
+                edges.append((label, str(len(endpoint)), weight))
+                endpoint.append(y)
+        structure[str(i)] = spec.join(constant, edges)
+    states = [str(i) for i in range(len(endpoint))]
+    tree = Coalgebra(spec, states, structure, "0")
+    covering = Morphism(tree, part, dict(zip(states, endpoint)))
     require_homomorphism(covering)
     assert covering.is_surjective()
     return tree, covering
 
 
-def _tree_size(c: Coalgebra, index: Mapping[str, int]) -> int:
+def _tree_size(c: Coalgebra) -> int:
     """The number of states of the unravelled tree of c, which is acyclic and
     reachable from its point: the sum over states of their paths from the
     point, counted in topological order.  Counting stops once it passes
     ``UNRAVEL_STATE_BUDGET``."""
     spec = c.functor
-    counts = {s: spec.unravel_counts(c.struct_of(s), index) for s in c.states}
+    counts = {
+        s: [(y, spec.unit_copies(w) or 1) for _, y, w in spec.split(c.struct_of(s))[1]]
+        for s in c.states
+    }
     indegree = dict.fromkeys(c.states, 0)
     for children in counts.values():
         for y, _ in children:

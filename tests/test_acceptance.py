@@ -221,7 +221,7 @@ def test_criterion_10_lemma_suites_on_pools(capsys):
         report(10, "lemma pool checks passed, including the mandated failure witnesses")
 
 
-CLI_FINGERPRINT = "072c77ebaedd7bf5dc9939f59b41888c9823c190436bd0b2e61a4e254bbc1b40"
+CLI_FINGERPRINT = "d9fd16965d1088c05e54fee8782a2f789a00ccd47fbfe467a2b8dc50f191e5b9"
 
 
 def test_criterion_11_cli_determinism(capsys):

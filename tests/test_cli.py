@@ -305,8 +305,8 @@ def test_unravel_writes_tree_and_covering(tmp_path, capsys):
     ]) == 0
     tree = json.loads((tmp_path / "tree.json").read_text())
     covering = json.loads((tmp_path / "covering.json").read_text())
-    assert tree["states"] == ["a", "a/b#0", "a/b#1"]
-    assert covering["map"]["a/b#1"] == "b"
+    assert tree["states"] == ["0", "1", "2"]
+    assert covering["map"] == {"0": "a", "1": "b", "2": "b"}
     assert run_command(["unravel", doc("bag_self_loop")]) == 2
     assert "cycle" in capsys.readouterr().err
 
@@ -316,6 +316,12 @@ def test_unravel_of_a_deep_chain_exits_0(tmp_path):
     chain = tmp_path / "chain.json"
     chain.write_text(serialize_coalgebra(Coalgebra(c.functor, c.states, c.structure, "c0_0")))
     assert run_command(["unravel", str(chain), "--out-dir", str(tmp_path)]) == 0
+    # numbered tree states keep the output linear in the chain's length
+    size = chain.stat().st_size
+    assert (tmp_path / "tree.json").stat().st_size < size
+    assert (tmp_path / "covering.json").stat().st_size < size
+    tree = json.loads((tmp_path / "tree.json").read_text())
+    assert tree["states"] == [str(i) for i in range(1500)]
 
 
 def test_unravel_of_an_exponential_tree_exits_2_at_its_budget(tmp_path, capsys):

@@ -63,11 +63,11 @@ class MaybeFunctor(FunctorSpec):
     def support(self, t):
         return frozenset() if t.successor is None else frozenset({t.successor})
 
-    def refinement_edges(self, t, index):
-        return None, ([] if t.successor is None else [(None, index[t.successor], 1)])
+    def split(self, t):
+        return None, ([] if t.successor is None else [(None, t.successor, 1)])
 
-    def edges(self, t, index):
-        return [] if t.successor is None else [(None, t.successor)]
+    def join(self, constant, edges):
+        return MaybeStruct(next((s for _, s, _ in edges), None))
 
     def encode(self, t, index):
         return t.successor
@@ -79,12 +79,6 @@ class MaybeFunctor(FunctorSpec):
 
     def node_shape(self, t):
         return "box" if t.successor is None else "circle"
-
-    def unravel(self, t, path, index):
-        if t.successor is None:
-            return t, []
-        child = f"{path}/next"
-        return MaybeStruct(child), [(child, t.successor)]
 
     def random_structure(self, states, rng, pool, density):
         return MaybeStruct(rng.choice(states) if rng.random() < density else None)
@@ -137,8 +131,9 @@ def test_reachable_part_and_tree_unravel():
     assert part.states == ("a", "b", "c")
     assert inclusion.mapping == {"a": "a", "b": "b", "c": "c"}
     tree, covering = tree_unravel(c)
-    assert tree.states == ("a", "a/next", "a/next/next")
-    assert covering.mapping == {"a": "a", "a/next": "b", "a/next/next": "c"}
+    assert tree.states == ("0", "1", "2")
+    assert tree.struct_of("1") == MaybeStruct("2")
+    assert covering.mapping == {"0": "a", "1": "b", "2": "c"}
 
 
 @pytest.mark.parametrize("pointed", [True, False])

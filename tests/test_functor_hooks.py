@@ -4,10 +4,11 @@
 ``test_functor_extension.py``, but it defines only ``check_structure``, its
 action (``fmap``, ``support``), its edge form (``split``/``join``), its
 document form (``encode``/``decode``), ``node_shape`` and
-``random_structure``.  ``FunctorSpec`` derives the rest from ``split`` and
-``join``: refinement edges, the canonical edge order, unravelling, kernel
-pairs.  The derived methods must agree with ``MaybeFunctor``'s hand-written
-ones, and the functor must run through the CLI and the oracle lab.
+``random_structure``.  Refinement and unravelling walk ``split`` and
+``join`` themselves, and ``FunctorSpec`` derives the rest from them: the
+canonical edge order and kernel pairs.  The derived kernel pairs must agree
+with ``MaybeFunctor``'s hand-written ``pair_structure``, and the functor
+must run through the CLI and the oracle lab.
 """
 
 import inspect
@@ -95,9 +96,6 @@ def test_derived_methods_equal_the_hand_written_ones(seed):
     kappa = behavioural_classes(c).representative_map()
     for x in c.states:
         t = c.struct_of(x)
-        assert HOOKS.refinement_edges(t, index) == MAYBE.refinement_edges(t, index)
-        assert HOOKS.edges(t, index) == MAYBE.edges(t, index)
-        assert HOOKS.unravel_counts(t, index) == MAYBE.unravel_counts(t, index)
         for y in c.states:
             if kappa[x] == kappa[y]:
                 ty = c.struct_of(y)
@@ -149,9 +147,11 @@ def test_reach_command_keeps_the_point_chain(doc, tmp_path):
 def test_unravel_command_names_tree_states_by_the_generic_rule(doc, tmp_path):
     assert run_command(["unravel", str(doc), "--out-dir", str(tmp_path)]) == 0
     tree = parse_coalgebra((tmp_path / "tree.json").read_text())
-    assert tree.states == ("a", "a/b", "a/b/c")
-    assert tree.struct_of("a/b") == MaybeStruct("a/b/c")
-    assert tree.struct_of("a/b/c") == MaybeStruct(None)
+    assert tree.states == ("0", "1", "2")
+    assert tree.struct_of("1") == MaybeStruct("2")
+    assert tree.struct_of("2") == MaybeStruct(None)
+    covering = json.loads((tmp_path / "covering.json").read_text())
+    assert covering["map"] == {"0": "a", "1": "b", "2": "c"}
 
 
 @pytest.mark.parametrize("pointed", [True, False])

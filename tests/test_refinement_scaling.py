@@ -1,6 +1,6 @@
 """Work of the refinement and of the quotient, counted exactly.
 
-The functors below count their ``refinement_edges`` and ``fmap`` calls, and
+The functors below count their ``split`` and ``fmap`` calls, and
 the refinement returns its number of edge visits, so the bounds hold on any
 machine.  Refinement takes each state's edges once and visits at most
 2 (n + m) ceil(log2 n) edges for n states and m edges: on random sparse
@@ -48,9 +48,9 @@ class _Counts:
         self.calls["fmap"] += 1
         return super().fmap(mapping, t)
 
-    def refinement_edges(self, t, index):
-        self.calls["refinement_edges"] += 1
-        return super().refinement_edges(t, index)
+    def split(self, t):
+        self.calls["split"] += 1
+        return super().split(t)
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _refine_counting(c):
     spec = c.functor
     spec.calls.clear()
     partition, visits = _refinement_fixpoint(c)
-    assert spec.calls == {"refinement_edges": len(c.states)}
+    assert spec.calls == {"split": len(c.states)}
     return partition, visits
 
 
@@ -143,7 +143,7 @@ def test_simple_quotient_adds_one_evaluation_per_state_to_refinement(spec, pool)
     c = random_coalgebra(spec, n, 0, weight_pool=pool, density=3 / n)
     spec.calls.clear()
     simple_quotient(c)
-    assert spec.calls == {"refinement_edges": n, "fmap": n}
+    assert spec.calls == {"split": n, "fmap": n}
 
 
 def test_quotient_of_a_chain_evaluates_each_state_once():

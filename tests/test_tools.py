@@ -1,5 +1,6 @@
 """``tools/ab_jobs.py``, the job-by-job timing of two source trees."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab_jobs.py"
+_spec = importlib.util.spec_from_file_location("ab_jobs", TOOL)
+ab_jobs_module = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_jobs_module)
 
 
 def ab_jobs(*args: str) -> subprocess.CompletedProcess:
@@ -32,3 +36,21 @@ def test_fewer_than_three_rounds_are_refused(rounds):
     assert run.returncode == 2
     assert run.stdout == ""
     assert f"--rounds must be at least 3, got {rounds}" in run.stderr
+
+
+def test_a_class_counts_the_rounds_its_summed_time_beat_the_second_parent():
+    # two jobs of one class, four rounds; per-round sums (again, change):
+    # (3.0, 2.5) won, (3.0, 3.5) lost, (3.0, 3.0) tied, (4.0, 1.0) won
+    times = {
+        "parent": {"j/1": [9.0, 9.0, 9.0, 9.0], "j/2": [9.0, 9.0, 9.0, 9.0]},
+        "again": {"j/1": [1.0, 2.0, 1.0, 2.0], "j/2": [2.0, 1.0, 2.0, 2.0]},
+        "change": {"j/1": [1.5, 1.5, 2.0, 0.5], "j/2": [1.0, 2.0, 1.0, 0.5]},
+    }
+    again, change = (
+        ab_jobs_module.class_rounds(times, side, ["j/1", "j/2"]) for side in ("again", "change")
+    )
+    assert again == [3.0, 3.0, 3.0, 4.0]
+    assert change == [2.5, 3.5, 3.0, 1.0]
+    assert ab_jobs_module.rounds_won(again, change) == 2
+    assert ab_jobs_module.rounds_won(change, again) == 1
+    assert ab_jobs_module.rounds_won(again, again) == 0

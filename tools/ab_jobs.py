@@ -18,11 +18,14 @@ It prints, per job class (the job id without its size and index), the
 median over the rounds of the class's summed parent time over its summed
 change time (A/B); above 1 means the change is faster.  Beside it stand the
 same median for the parent against its second copy (A/A), which differs
-from 1 only by noise, and the A/A spread: the least and greatest of those
-per-round A/A ratios.  A class whose A/B ratio lies inside its A/A spread
-is marked as no change.  The last line does the same for the whole job
-list.  Whole benchmark runs of identical code can differ by tens of percent
-on a shared machine, while back-to-back runs see the same machine state.
+from 1 only by noise, the A/A spread (the least and greatest of those
+per-round A/A ratios), and the rounds the change won: those in which it ran
+the class in less time than the parent's second copy, as ``wins 4/5``.
+When the change alters nothing, each round is a fair coin, so 5 wins or
+none of 5 come by chance once in 16.  The last line does the same for the
+whole job list.  Whole benchmark runs of identical code can differ by tens
+of percent on a shared machine, while back-to-back runs see the same
+machine state.
 """
 
 from __future__ import annotations
@@ -64,6 +67,17 @@ def job_class(job_id: str) -> str:
     return "/".join(parts)
 
 
+def class_rounds(times: dict, side: str, ids: list[str]) -> list[float]:
+    """The summed time of the jobs ``ids`` on ``side``, round by round."""
+    return [sum(seconds) for seconds in zip(*(times[side][j] for j in ids))]
+
+
+def rounds_won(again: list[float], change: list[float]) -> int:
+    """The rounds in which the change took less time than the parent's
+    second copy; a tie is no win."""
+    return sum(c < a for a, c in zip(again, change))
+
+
 def run_job(run_command, job, out_dir: Path) -> tuple[float, tuple]:
     """Seconds taken, and everything the job left behind."""
     out, err = io.StringIO(), io.StringIO()
@@ -84,7 +98,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--rounds", type=int, default=5, help="at least 3 (default 5)")
     args = parser.parse_args(argv)
-    if args.rounds < 3:  # the A/A spread of fewer rounds is too few points to be a floor
+    if args.rounds < 3:  # all of 2 rounds are won by chance once in 4
         parser.error(f"--rounds must be at least 3, got {args.rounds}")
 
     sys.path.insert(0, str(args.change / "perfbench"))
@@ -120,18 +134,15 @@ def main(argv=None) -> int:
     print(f"{'class':32} {'jobs':>4} {'parent ms':>10} {'change ms':>10} "
           f"{'A/A':>6} {'A/A spread':>13} {'A/B':>6}")
     for name, ids in classes.items():
-        aa, ab = (
-            [sum(times["parent"][j][r] for j in ids) / sum(times[side][j][r] for j in ids)
-             for r in range(args.rounds)]
-            for side in ("again", "change")
-        )
-        low, high, ratio = min(aa), max(aa), statistics.median(ab)
-        verdict = "no change" if low <= ratio <= high else "faster" if ratio > high else "slower"
+        parent, again, change = (class_rounds(times, side, ids) for side in SIDES)
+        aa = [p / a for p, a in zip(parent, again)]
+        ratio = statistics.median(p / c for p, c in zip(parent, change))
         parent_ms, change_ms = (
             1000 * sum(median[side][j] for j in ids) for side in ("parent", "change")
         )
         print(f"{name:32} {len(ids):4} {parent_ms:10.1f} {change_ms:10.1f} "
-              f"{statistics.median(aa):6.3f} {low:6.3f}-{high:6.3f} {ratio:6.3f} {verdict}")
+              f"{statistics.median(aa):6.3f} {min(aa):6.3f}-{max(aa):6.3f} {ratio:6.3f} "
+              f"wins {rounds_won(again, change)}/{args.rounds}")
     return 0
 
 
