@@ -24,7 +24,33 @@ from json.encoder import encode_basestring_ascii as _quoted
 
 from .core import Coalgebra, Morphism, Partition, admit_coalgebra
 from .errors import ParseError
-from .functors import FunctorSpec, json_container, json_text, string_list
+from .functors import KINDS, FunctorSpec, json_container, string_list
+
+
+def json_text(v, newline: str) -> str:
+    """``v`` as ``json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True)``
+    writes it, breaking lines with ``newline``.  Each list and ``str``-keyed
+    dict is one ``str.join``; given an ``indent``, CPython would skip its C
+    encoder and yield the output token by token from the pure-Python one.
+    Documents nest five containers deep; deeper ones go to ``json.dumps``."""
+    t = type(v)
+    if t is str:
+        return _quoted(v)
+    if t is bool:
+        return "true" if v else "false"
+    if v is None:
+        return "null"
+    if t is int:
+        return int.__repr__(v)
+    if len(newline) < 11 and (t is list or t is dict and {*map(type, v)} <= {str}):
+        inner = newline + "  "
+        if t is list:
+            items = [_quoted(x) if type(x) is str else json_text(x, inner) for x in v]
+            return json_container("[", items, "]", newline)
+        items = [_quoted(k) + ": " + (_quoted(x) if type(x) is str else json_text(x, inner))
+                 for k, x in sorted(v.items())]
+        return json_container("{", items, "}", newline)
+    return json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True).replace("\n", newline)
 
 
 def canonical_json(payload) -> str:
@@ -32,19 +58,18 @@ def canonical_json(payload) -> str:
 
 
 def parse_functor(payload) -> FunctorSpec:
-    """The functor a descriptor names, looked up by ``kind`` among the
-    direct subclasses of :class:`FunctorSpec`."""
+    """The functor a descriptor names, looked up by ``kind`` in
+    :data:`coalgmin.functors.KINDS`."""
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ParseError(None, "functor must be an object with a 'kind'")
-    classes = FunctorSpec.__subclasses__()
-    for cls in classes:
-        if cls.kind == payload["kind"]:
-            try:
-                return cls.from_payload(payload)
-            except ValueError as exc:
-                raise ParseError(None, f"bad {cls.kind} functor: {exc}") from None
-    kinds = tuple(cls.kind for cls in classes)
-    raise ParseError(None, f"unknown functor kind {payload['kind']!r}; expected one of {kinds}")
+    kind = payload["kind"]
+    cls = KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParseError(None, f"unknown functor kind {kind!r}; expected one of {tuple(KINDS)}")
+    try:
+        return cls.from_payload(payload)
+    except ValueError as exc:
+        raise ParseError(None, f"bad {kind} functor: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +191,9 @@ def emit_dot(c: Coalgebra) -> str:
     if point is not None:
         lines.append(f"  {_quote(start)} -> {_quote(point)};")
     for s in c.states:
-        for label, target in spec.edges(c.struct_of(s), index):
+        for label, target, weight in spec._ordered(spec.split(c.struct_of(s))[1], index):
+            if spec.weight_labels:
+                label = weight
             suffix = f" [label={_quote(str(label))}]" if label is not None else ""
             lines.append(f"  {_quote(s)} -> {_quote(target)}{suffix};")
     lines.append("}")

@@ -2,19 +2,18 @@
 
 A functor value fixes the shape of one state's successor structure and the
 action of state maps on it.  The rest of the library is generic over
-:class:`FunctorSpec`.  Adding a functor means subclassing it directly with a
-new ``kind``, which ``formats.parse_functor`` looks up, and implementing
-``check_structure``, the action ``fmap``/``support``, the edge form
-``split``/``join`` (a constant part and (label, target, weight) edges) and
-the document form ``encode``/``decode``.  From the document form,
-``FunctorSpec`` derives ``read``, which decodes a payload and says whether
-``check_structure`` and ``support`` admit it, and ``write``, which writes
-the JSON text of ``encode``; the built-in functors override these two
-instead, decoding and checking in one pass and writing their text directly
-from a table of quoted state ids.  ``split``/``join`` is the only edge walk
-a functor supplies: partition refinement (``quotient._refinement_rows``) and
-tree unravelling (``wellpointed.tree_unravel``) walk it themselves, and
-``FunctorSpec`` derives from it the canonical ``edges`` order, the relational
+:class:`FunctorSpec`.  Adding a functor means subclassing it with a new
+``kind``, entering the class in :data:`KINDS` under that kind, which
+``formats.parse_functor`` looks up, and implementing ``check_structure``,
+the action ``fmap``/``support``, the edge form ``split``/``join`` (a
+constant part and (label, target, weight) edges) and the document form
+``read``/``write``: ``read`` decodes a payload and says in the same pass
+whether the structure is admitted, and ``write`` writes its JSON text from
+a table of quoted state ids.  ``split``/``join`` is the only edge walk a
+functor supplies: partition refinement (``quotient._refinement_rows``),
+tree unravelling (``wellpointed.tree_unravel``) and DOT output
+(``formats.emit_dot``) walk it themselves in the canonical order of
+``_ordered``, and ``FunctorSpec`` derives from it the relational
 ``pair_structure`` and ``random_structure``.  A functor overrides these, or
 defaults such as ``labels``, ``observe``, ``refinement_scale`` and
 ``unit_copies``, only where its own rule differs.  ``fmap`` and ``support``
@@ -38,7 +37,6 @@ and the oracles compare successor structures with ``==``.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -144,32 +142,6 @@ def json_container(opening: str, items: list[str], closing: str, newline: str) -
     return opening + inner + ("," + inner).join(items) + newline + closing
 
 
-def json_text(v, newline: str) -> str:
-    """``v`` as ``json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True)``
-    writes it, breaking lines with ``newline``.  Each list and ``str``-keyed
-    dict is one ``str.join``; given an ``indent``, CPython would skip its C
-    encoder and yield the output token by token from the pure-Python one.
-    Documents nest five containers deep; deeper ones go to ``json.dumps``."""
-    t = type(v)
-    if t is str:
-        return _quoted(v)
-    if t is bool:
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if t is int:
-        return int.__repr__(v)
-    if len(newline) < 11 and (t is list or t is dict and {*map(type, v)} <= {str}):
-        inner = newline + "  "
-        if t is list:
-            items = [_quoted(x) if type(x) is str else json_text(x, inner) for x in v]
-            return json_container("[", items, "]", newline)
-        items = [_quoted(k) + ": " + (_quoted(x) if type(x) is str else json_text(x, inner))
-                 for k, x in sorted(v.items())]
-        return json_container("{", items, "}", newline)
-    return json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True).replace("\n", newline)
-
-
 class FunctorSpec:
     """Interface shared by the built-in functors.
 
@@ -226,9 +198,9 @@ class FunctorSpec:
 
     def refinement_scale(self, structures: Iterable[FStructure]) -> Optional[int]:
         """A positive int s such that s times every weight of these
-        structures is an int, or None, the default, for int weights.  The
-        engine's rows take every weight times s as an int once, so that they
-        add, subtract and hash ints; s = 1 converts only integral weights."""
+        structures is an int, or None, the default, to sum the weights as
+        they are.  The engine's rows take every weight times s as an int
+        once, so that they add, subtract and hash ints."""
         return None
 
     @staticmethod
@@ -250,46 +222,25 @@ class FunctorSpec:
         """Inverse of :meth:`payload`; ``payload["kind"]`` is already matched."""
         return cls()
 
-    def edges(self, t: FStructure, index: Mapping[str, int]) -> Sequence[tuple]:
-        """The (label, target) pairs of t in the canonical order that
-        documents, DOT output and unravelling share.  With
-        :attr:`weight_labels` the weight stands in for the label."""
-        out = self._ordered(self.split(t)[1], index)
-        if self.weight_labels:
-            return [(w, s) for _, s, w in out]
-        return [(l, s) for l, s, _ in out]
-
-    def encode(self, t: FStructure, index: Mapping[str, int]):
-        """The JSON form of t, with state lists in carrier order."""
-        raise NotImplementedError
-
-    def decode(self, payload, state: str) -> FStructure:
-        """A raw structure from its document form.  Wrong JSON types raise
-        ParseError; semantic problems (zero weights, missing symbols) are left
-        for validation, which reports them all together."""
-        raise NotImplementedError
-
     def write(
         self, t: FStructure, index: Mapping[str, int], quoted: Mapping[str, str], newline: str
     ) -> str:
-        """The JSON text of :meth:`encode` of t as ``formats.canonical_json``
-        writes it, breaking lines with ``newline``; ``quoted`` holds every
-        state id as a JSON string.  The built-in functors write their text
-        directly instead."""
-        return json_text(self.encode(t, index), newline)
+        """The JSON text of t as ``formats.canonical_json`` writes its
+        document form, breaking lines with ``newline``, with state lists in
+        carrier order; ``quoted`` holds every state id as a JSON string."""
+        raise NotImplementedError
 
     def read(self, payload, state: str, carrier: AbstractSet[str]) -> tuple[FStructure, bool]:
-        """:meth:`decode` of ``payload``, and whether the structure is
-        admitted: :meth:`check_structure` passes and :meth:`support` lies in
-        ``carrier``.  An admitted structure is one the ``core.Coalgebra``
-        constructor accepts; the built-in functors decode and check it in
-        one pass instead."""
-        t = self.decode(payload, state)
-        try:
-            self.check_structure(t)
-        except (MalformedStructure, SpecMismatch):
-            return t, False
-        return t, self.support(t) <= carrier
+        """The raw structure that ``payload``, the document form of
+        ``state``'s structure, holds, and whether it is admitted.  Wrong
+        JSON types raise ParseError; semantic problems (zero weights,
+        missing symbols, dangling targets) are left for validation, which
+        reports them all together.  The structure is admitted exactly when
+        :meth:`check_structure` passes and :meth:`support` lies in
+        ``carrier``: an admitted structure is one the ``core.Coalgebra``
+        constructor accepts, so a document of admitted structures is built
+        without validating it again."""
+        raise NotImplementedError
 
     def node_shape(self, t: FStructure) -> str:
         """Graphviz node shape of a state with structure t."""
@@ -408,6 +359,9 @@ class DfaFunctor(FunctorSpec):
 
     def join(self, constant, edges):
         return DfaStruct(constant, tuple([(sym, tgt) for sym, tgt, _ in edges]))
+
+    def _ordered(self, edges, index):
+        return edges  # moves are canonical already: one per symbol, in alphabet order
 
     def payload(self):
         return {"kind": self.kind, "alphabet": list(self.alphabet)}
@@ -693,13 +647,11 @@ class WeightedFunctor(FunctorSpec):
         return WeightedStruct(tuple(sorted([(s, w) for _, s, w in edges])))
 
     def refinement_scale(self, structures):
-        if self.monoid == NATURALS:
-            return 1
         scale = 1
         for d in {w.denominator for t in structures for _, w in t.weights}:
             scale = lcm(scale, d)
             if scale.bit_length() > REFINEMENT_SCALE_BITS:
-                return 1
+                return None
         return scale
 
     def payload(self):
@@ -742,10 +694,10 @@ class WeightedFunctor(FunctorSpec):
         if self.monoid != NATURALS:
             raise SpecMismatch(f"no kernel-pair structure for {self!r}")
         entries = []
-        ex, ey = self.edges(tx, index), self.edges(ty, index)
-        for block in sorted({kappa[s] for _, s in ex} | {kappa[s] for _, s in ey}):
-            sources = [[s, w] for w, s in ex if kappa[s] == block]
-            sinks = [[s, w] for w, s in ey if kappa[s] == block]
+        ex, ey = (sorted(t.weights, key=lambda e: index[e[0]]) for t in (tx, ty))
+        for block in sorted({kappa[s] for s, _ in ex} | {kappa[s] for s, _ in ey}):
+            sources = [[s, w] for s, w in ex if kappa[s] == block]
+            sinks = [[s, w] for s, w in ey if kappa[s] == block]
             # northwest-corner transport: both sides sum to the block weight,
             # and each step empties a source or a sink, so no pair repeats
             i = j = 0
@@ -760,3 +712,9 @@ class WeightedFunctor(FunctorSpec):
                     j += 1
         return self.join(None, entries)
 
+
+# The functor classes by ``kind``, which ``formats.parse_functor`` looks up; a
+# new functor joins with one entry.
+KINDS: dict[str, type[FunctorSpec]] = {
+    cls.kind: cls for cls in (DfaFunctor, PowersetFunctor, LabelledFunctor, WeightedFunctor)
+}

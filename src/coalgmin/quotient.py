@@ -18,15 +18,14 @@ search of :mod:`coalgmin.wellpointed`.  It reads rows of a constant part and
 what it sees of a weight sum.  For minimization the rows are the functor's
 ``split``, made once per state as the engine reads them, with each target
 as its carrier position and every weight multiplied by the functor's
-``refinement_scale``: for rational weights the least common multiple of
-the denominators, found once per
-refinement.  So the sums are exact ints.  A positive scale keeps equal sums
-equal and zero sums zero, so the partition and the edge visits are those of
-the unscaled weights.  An LCM past ``functors.REFINEMENT_SCALE_BITS`` bits
-gives scale 1: integral weights become ints, and the engine sums the other
-rationals as ``Fraction``.  The first
-partition groups states by their constant and the observed per-label sums
-into the whole carrier.  Blocks are then grouped into compound blocks, and
+``refinement_scale``: for weighted systems the least common multiple of
+the denominators (1 for natural weights), found once per refinement.  So
+the sums are exact ints.  A positive scale keeps equal sums equal and zero
+sums zero, so the partition and the edge visits are those of the unscaled
+weights.  An LCM past ``functors.REFINEMENT_SCALE_BITS`` bits gives scale
+None, and the engine sums the weights as ``Fraction``.  The first partition
+groups states by their constant and the observed per-label sums into the
+whole carrier.  Blocks are then grouped into compound blocks, and
 every block is stable with respect to every compound block: its members have
 the same observed per-label sums into it.  While some compound block X holds
 two blocks, the smaller of two of them, S, becomes a compound block of its
@@ -146,18 +145,12 @@ def _refinement_rows(spec, parts):
     """The :meth:`~coalgmin.functors.FunctorSpec.split` row of every state of
     the (coalgebra, index) parts in turn, each target as its position in the
     index and each weight times the functor's ``refinement_scale`` for all
-    their structures, as an int.  At scale 1 only the integral weights become
-    ints, and at scale None the weights stay as they are."""
+    their structures, as an int; at scale None the weights stay as they are."""
     scale = spec.refinement_scale(chain.from_iterable(c.structure.values() for c, _ in parts))
     splits = ((spec.split(c.struct_of(s)), index) for c, index in parts for s in c.states)
     if scale is None:
         return (
             (constant, [(l, index[s], w) for l, s, w in out]) for (constant, out), index in splits
-        )
-    if scale == 1:
-        return (
-            (constant, [(l, index[s], w.numerator if w.denominator == 1 else w) for l, s, w in out])
-            for (constant, out), index in splits
         )
     return (
         (constant, [(l, index[s], w.numerator * (scale // w.denominator)) for l, s, w in out])

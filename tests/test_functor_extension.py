@@ -1,10 +1,10 @@
 """A fifth functor defined only here runs through the whole library.
 
 ``MaybeFunctor`` is 1 + X: a state either halts or has exactly one
-successor.  Nothing in ``src/`` knows about it; subclassing ``FunctorSpec``
-with a new ``kind`` is all the registration there is.  Behavioural
-equivalence for 1 + X is equality of the distance to halting (or never
-halting).
+successor.  Nothing in ``src/`` knows about it; entering it in
+``functors.KINDS`` for each test, as the fixture below does, is all the
+registration there is.  Behavioural equivalence for 1 + X is equality of
+the distance to halting (or never halting).
 """
 
 import json
@@ -34,6 +34,7 @@ from coalgmin import (
 from coalgmin.cli import run_command
 from coalgmin.errors import MalformedStructure, ParseError
 from coalgmin.formats import canonical_json
+from coalgmin.functors import KINDS
 from coalgmin.oracles import kernel_pair_coalgebra
 from conftest import renamed_copy
 
@@ -69,13 +70,13 @@ class MaybeFunctor(FunctorSpec):
     def join(self, constant, edges):
         return MaybeStruct(next((s for _, s, _ in edges), None))
 
-    def encode(self, t, index):
-        return t.successor
+    def write(self, t, index, quoted, newline):
+        return "null" if t.successor is None else quoted[t.successor]
 
-    def decode(self, payload, state):
+    def read(self, payload, state, carrier):
         if payload is not None and not isinstance(payload, str):
             raise ParseError(None, f"successor of {state!r} must be a string or null")
-        return MaybeStruct(payload)
+        return MaybeStruct(payload), payload is None or payload in carrier
 
     def node_shape(self, t):
         return "box" if t.successor is None else "circle"
@@ -87,6 +88,11 @@ class MaybeFunctor(FunctorSpec):
         if tx.successor is None:
             return tx
         return MaybeStruct(pair_id(tx.successor, ty.successor))
+
+
+@pytest.fixture(autouse=True)
+def maybe_kind(monkeypatch):
+    monkeypatch.setitem(KINDS, MaybeFunctor.kind, MaybeFunctor)
 
 
 # a -> b -> c halts; d -> c; e loops; f halts

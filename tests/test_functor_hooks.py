@@ -3,12 +3,13 @@
 ``MaybeEdgesFunctor`` is 1 + X again, like ``MaybeFunctor`` of
 ``test_functor_extension.py``, but it defines only ``check_structure``, its
 action (``fmap``, ``support``), its edge form (``split``/``join``), its
-document form (``encode``/``decode``), ``node_shape`` and
-``random_structure``.  Refinement and unravelling walk ``split`` and
-``join`` themselves, and ``FunctorSpec`` derives the rest from them: the
-canonical edge order and kernel pairs.  The derived kernel pairs must agree
-with ``MaybeFunctor``'s hand-written ``pair_structure``, and the functor
-must run through the CLI and the oracle lab.
+document form (``read``/``write``), ``node_shape`` and
+``random_structure``.  Refinement, unravelling and DOT output walk
+``split`` and ``join`` themselves in the canonical edge order, and
+``FunctorSpec`` derives kernel pairs from them.  The derived kernel pairs
+must agree with ``MaybeFunctor``'s hand-written ``pair_structure``, and the
+functor must run through the CLI and the oracle lab once the fixture below
+enters it in ``functors.KINDS``, which is all the registration there is.
 """
 
 import inspect
@@ -35,6 +36,7 @@ from coalgmin import (
 from coalgmin.cli import run_command
 from coalgmin.errors import MalformedStructure, ParseError
 from coalgmin.formats import canonical_json
+from coalgmin.functors import KINDS
 from coalgmin.oracles import kernel_pair_coalgebra
 from conftest import renamed_copy
 from test_functor_extension import DOC, MaybeFunctor, MaybeStruct
@@ -66,19 +68,24 @@ class MaybeEdgesFunctor(FunctorSpec):
     def join(self, constant, edges):
         return MaybeStruct(next((s for _, s, _ in edges), None))
 
-    def encode(self, t, index):
-        return t.successor
+    def write(self, t, index, quoted, newline):
+        return "null" if t.successor is None else quoted[t.successor]
 
-    def decode(self, payload, state):
+    def read(self, payload, state, carrier):
         if payload is not None and not isinstance(payload, str):
             raise ParseError(None, f"successor of {state!r} must be a string or null")
-        return MaybeStruct(payload)
+        return MaybeStruct(payload), payload is None or payload in carrier
 
     def node_shape(self, t):
         return "box" if t.successor is None else "circle"
 
     def random_structure(self, states, rng, pool, density):
         return MaybeStruct(rng.choice(states) if rng.random() < density else None)
+
+
+@pytest.fixture(autouse=True)
+def maybe_edges_kind(monkeypatch):
+    monkeypatch.setitem(KINDS, MaybeEdgesFunctor.kind, MaybeEdgesFunctor)
 
 
 HOOKS, MAYBE = MaybeEdgesFunctor(), MaybeFunctor()
@@ -108,7 +115,7 @@ def test_the_functor_defines_only_its_own_parts():
     own = {name for name, v in vars(MaybeEdgesFunctor).items() if inspect.isfunction(v)}
     assert {name for name in own if not name.startswith("__")} == {
         "check_structure", "fmap", "support", "split", "join",
-        "encode", "decode", "node_shape", "random_structure",
+        "read", "write", "node_shape", "random_structure",
     }
 
 
