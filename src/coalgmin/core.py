@@ -71,10 +71,6 @@ class Coalgebra:
     def struct_of(self, state: str) -> FStructure:
         return self.structure[state]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.states
-
     def state_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.states)}
 
@@ -424,10 +420,7 @@ class Partition:
 
 def kernel_partition(h: Morphism) -> Partition:
     """The fibers of h as a partition of its domain carrier."""
-    fibers: dict[str, list[str]] = {}
-    for x in h.dom.states:
-        fibers.setdefault(h.mapping[x], []).append(x)
-    return Partition.of(fibers.values())
+    return Partition.from_key(h.dom.states, h.mapping.__getitem__)
 
 
 def apply_partition_quotient(c: Coalgebra, p: Partition) -> tuple[Coalgebra, Morphism]:

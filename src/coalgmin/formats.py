@@ -5,9 +5,11 @@ fraction strings ("3", "-1/2"), state lists inside structures follow carrier
 order, and every writer is deterministic byte for byte.  Each document is
 written exactly as ``json.dumps(payload, sort_keys=True, indent=2,
 ensure_ascii=True)`` and a newline would write its payload, but straight
-from its structures: ``serialize_coalgebra`` quotes every state id once and
-writes the top level, and each state's structure is written by its
-functor's ``write``.  ``canonical_json`` writes any other payload.
+from its structures through ``json_container``: ``serialize_coalgebra``
+quotes every state id once and writes the top level, and each state's
+structure is written by its functor's ``write``.  Payloads that are not
+documents, a functor descriptor and the ``homs`` listing, go through that
+``json.dumps`` call itself (``canonical_json``).
 
 ``parse_coalgebra`` reads in one pass: each state's payload is decoded and
 checked by its functor's ``read``, and ``core.admit_coalgebra`` checks the
@@ -27,34 +29,8 @@ from .errors import ParseError
 from .functors import KINDS, FunctorSpec, json_container, string_list
 
 
-def json_text(v, newline: str) -> str:
-    """``v`` as ``json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True)``
-    writes it, breaking lines with ``newline``.  Each list and ``str``-keyed
-    dict is one ``str.join``; given an ``indent``, CPython would skip its C
-    encoder and yield the output token by token from the pure-Python one.
-    Documents nest five containers deep; deeper ones go to ``json.dumps``."""
-    t = type(v)
-    if t is str:
-        return _quoted(v)
-    if t is bool:
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if t is int:
-        return int.__repr__(v)
-    if len(newline) < 11 and (t is list or t is dict and {*map(type, v)} <= {str}):
-        inner = newline + "  "
-        if t is list:
-            items = [_quoted(x) if type(x) is str else json_text(x, inner) for x in v]
-            return json_container("[", items, "]", newline)
-        items = [_quoted(k) + ": " + (_quoted(x) if type(x) is str else json_text(x, inner))
-                 for k, x in sorted(v.items())]
-        return json_container("{", items, "}", newline)
-    return json.dumps(v, sort_keys=True, indent=2, ensure_ascii=True).replace("\n", newline)
-
-
 def canonical_json(payload) -> str:
-    return json_text(payload, "\n") + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
 def parse_functor(payload) -> FunctorSpec:
@@ -81,7 +57,8 @@ def serialize_coalgebra(c: Coalgebra) -> str:
     spec, states, structure = c.functor, c.states, c.structure
     index = c.state_index()
     quoted = dict(zip(states, map(_quoted, states)))
-    fields = ['"functor": ' + json_text(spec.payload(), "\n  ")]
+    functor = json.dumps(spec.payload(), sort_keys=True, indent=2, ensure_ascii=True)
+    fields = ['"functor": ' + functor.replace("\n", "\n  ")]
     if c.point is not None:
         fields.append('"point": ' + quoted[c.point])
     fields.append('"states": ' + json_container("[", list(quoted.values()), "]", "\n  "))

@@ -259,7 +259,7 @@ def naive_refinement(c: Coalgebra) -> Partition:
     splits each block by the results, until a round changes nothing.  A
     chain needing n rounds costs n**2 signature evaluations.
     """
-    if c.is_empty:
+    if not c.states:
         return Partition(())
     spec = c.functor
     partition = Partition.single(c.states)
@@ -535,21 +535,20 @@ def check_minimization_functorial(morphisms: Iterable[Morphism]) -> PropertyRepo
     count = 0
     for h in morphisms:
         count += 1
-        digest = stable_digest(h.dom)
         if not is_reachable(h.dom):
-            failures.append((digest, "domain of the pair is not reachable"))
+            failures.append((stable_digest(h.dom), "domain of the pair is not reachable"))
             continue
         part, _ = reachable_part(h.cod)
         inside = set(part.states)
         escaping = [x for x in h.dom.states if h.mapping[x] not in inside]
         if escaping:
             failures.append(
-                (digest, f"image escapes the reachable part at {escaping[0]!r}")
+                (stable_digest(h.dom), f"image escapes the reachable part at {escaping[0]!r}")
             )
             continue
         mediating = Morphism(h.dom, part, h.mapping)
         if not check_homomorphism(mediating):
-            failures.append((digest, "corestriction is not a homomorphism"))
+            failures.append((stable_digest(h.dom), "corestriction is not a homomorphism"))
     return PropertyReport("minimization-functorial", count, tuple(failures))
 
 

@@ -68,10 +68,6 @@ def seeded_instance(spec, pool, seed: int) -> Coalgebra:
     )
 
 
-def _families(flagged_only: bool):
-    return FLAGGED_FAMILIES if flagged_only else FUNCTOR_FAMILIES
-
-
 def _run_per_instance(
     name: str,
     seeds: Sequence[int],
@@ -79,7 +75,7 @@ def _run_per_instance(
     fn: Callable[[Coalgebra], Iterable[tuple[str, str]]],
 ) -> list[PropertyReport]:
     reports = []
-    for family, spec, pool in _families(flagged_only):
+    for family, spec, pool in FLAGGED_FAMILIES if flagged_only else FUNCTOR_FAMILIES:
         failures = []
         count = 0
         for seed in seeds:
@@ -212,19 +208,12 @@ def suite_lemmas(seeds: Sequence[int] = tuple(range(25))) -> list[PropertyReport
         pool = [c, reachable_part(c)[0]]
         reports.append(check_minimal_iff_incoming_epi(c, pool))
         reports.append(check_simple_subterminal(c, [c, simple_quotient(c)[0]]))
-    for family, spec, pool_weights in FUNCTOR_FAMILIES:
-        failures = []
-        count = 0
-        for seed in seeds:
-            c = seeded_instance(spec, pool_weights, seed)
-            count += 1
-            pool = [c, reachable_part(c)[0]]
-            failures.extend(check_minimal_iff_incoming_epi(c, pool).failures)
-            failures.extend(
-                check_simple_subterminal(c, [c, simple_quotient(c)[0]]).failures
-            )
-        reports.append(PropertyReport(f"lemmas[{family}]", count, tuple(failures)))
-    return reports
+
+    def check(c):
+        yield from check_minimal_iff_incoming_epi(c, [c, reachable_part(c)[0]]).failures
+        yield from check_simple_subterminal(c, [c, simple_quotient(c)[0]]).failures
+
+    return reports + _run_per_instance("lemmas", seeds, False, check)
 
 
 def suite_dfa_language(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyReport]:

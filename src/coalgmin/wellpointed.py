@@ -193,12 +193,10 @@ def tree_unravel(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
     reachable part.  Cyclic reachable parts are rejected because their
     unravelling is infinite, and a tree of more than
     ``UNRAVEL_STATE_BUDGET`` states raises ``SearchBoundExceeded`` before
-    any of it is built.
+    any of it is built.  One depth-first search, :func:`_tree_size`, looks
+    for a cycle first and counts the tree's states once it finds none.
     """
     part, _ = reachable_part(c)
-    cycle = _find_cycle(part)
-    if cycle is not None:
-        raise CyclicReachablePart(cycle)
     if _tree_size(part) > UNRAVEL_STATE_BUDGET:
         raise SearchBoundExceeded(
             f"the unravelled tree passed its budget of {UNRAVEL_STATE_BUDGET} states"
@@ -225,66 +223,41 @@ def tree_unravel(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
 
 
 def _tree_size(c: Coalgebra) -> int:
-    """The number of states of the unravelled tree of c, which is acyclic and
-    reachable from its point: the sum over states of their paths from the
-    point, counted in topological order.  Counting stops once it passes
-    ``UNRAVEL_STATE_BUDGET``."""
-    spec = c.functor
-    counts = {
-        s: [(y, spec.unit_copies(w) or 1) for _, y, w in spec.split(c.struct_of(s))[1]]
-        for s in c.states
-    }
-    indegree = dict.fromkeys(c.states, 0)
-    for children in counts.values():
-        for y, _ in children:
-            indegree[y] += 1
-    paths = dict.fromkeys(c.states, 0)
-    paths[c.point] = 1
-    ready = [c.point]  # the only state without predecessors
-    total = 0
-    while ready:
-        x = ready.pop()
-        total += paths[x]
-        if total > UNRAVEL_STATE_BUDGET:
-            break
-        for y, k in counts[x]:
-            paths[y] += k * paths[x]
-            indegree[y] -= 1
-            if not indegree[y]:
-                ready.append(y)
-    return total
+    """The number of states of the unravelled tree of c, which is reachable
+    from its point, capped at ``UNRAVEL_STATE_BUDGET + 1``.
 
-
-def _find_cycle(c: Coalgebra) -> Optional[list[str]]:
-    """A cycle in the successor graph, as a state sequence, or None.
-
-    Depth-first search with an explicit stack, so deep chains need no
-    recursion; successors are visited in carrier order.
+    One depth-first search from the point, with an explicit stack so deep
+    chains need no recursion, visits successors in carrier order.  The first
+    edge back onto the search path raises ``CyclicReachablePart`` with that
+    cycle.  A state's size, computed when its search finishes, is 1 plus
+    each edge's :meth:`~coalgmin.functors.FunctorSpec.unit_copies` times
+    its target's size.  The search does not stop at the budget, so no cycle
+    hides behind a large acyclic part.
     """
     spec = c.functor
     index = c.state_index()
-    white, grey, black = 0, 1, 2
-    colour = {s: white for s in c.states}
+    size: dict[str, int] = {}
 
     def successors(x: str):
         return iter(sorted(spec.support(c.struct_of(x)), key=index.__getitem__))
 
-    for s in c.states:
-        if colour[s] != white:
-            continue
-        colour[s] = grey
-        path = [s]
-        pending = [successors(s)]
-        while pending:
-            for y in pending[-1]:
-                if colour[y] == grey:
-                    return path[path.index(y):] + [y]
-                if colour[y] == white:
-                    colour[y] = grey
-                    path.append(y)
-                    pending.append(successors(y))
-                    break
-            else:
-                colour[path.pop()] = black
-                pending.pop()
-    return None
+    path = [c.point]
+    on_path = {c.point}
+    pending = [successors(c.point)]
+    while pending:
+        for y in pending[-1]:
+            if y in on_path:
+                raise CyclicReachablePart(path[path.index(y):] + [y])
+            if y not in size:
+                path.append(y)
+                on_path.add(y)
+                pending.append(successors(y))
+                break
+        else:
+            x = path.pop()
+            on_path.remove(x)
+            pending.pop()
+            edges = spec.split(c.struct_of(x))[1]
+            total = 1 + sum((spec.unit_copies(w) or 1) * size[y] for _, y, w in edges)
+            size[x] = min(total, UNRAVEL_STATE_BUDGET + 1)
+    return size[c.point]

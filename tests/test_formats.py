@@ -266,8 +266,8 @@ json_leaves = (
     | st.integers(min_value=10**300, max_value=10**310)
     | st.floats()
 )
-# Floats, tuples and dicts with keys that are not strings take the
-# json.dumps fallback, and so does everything nested deeper than a payload.
+# Floats, tuples, dicts with keys that are not strings and deep nesting: these
+# pin that ``canonical_json`` is ``json.dumps`` for every value.
 json_values = st.recursive(
     json_leaves,
     lambda inner: st.lists(inner, max_size=4)

@@ -1,7 +1,9 @@
 """A fifth functor defined only here runs through the whole library.
 
 ``MaybeFunctor`` is 1 + X: a state either halts or has exactly one
-successor.  Nothing in ``src/`` knows about it; entering it in
+successor.  It is ``MaybeEdgesFunctor``, the same functor from its own parts
+alone (tested in ``test_functor_hooks.py``), plus a hand-written
+``pair_structure``.  Nothing in ``src/`` knows about it; entering it in
 ``functors.KINDS`` for each test, as the fixture below does, is all the
 registration there is.  Behavioural equivalence for 1 + X is equality of
 the distance to halting (or never halting).
@@ -45,10 +47,10 @@ class MaybeStruct:
 
 
 @dataclass(frozen=True)
-class MaybeFunctor(FunctorSpec):
-    """1 + X: no successor (halt) or one successor."""
+class MaybeEdgesFunctor(FunctorSpec):
+    """1 + X from its hooks alone: halt, or one unlabelled edge of weight 1."""
 
-    kind = "maybe"
+    kind = "maybe-edges"
     structure_type = MaybeStruct
 
     def check_structure(self, t):
@@ -83,6 +85,13 @@ class MaybeFunctor(FunctorSpec):
 
     def random_structure(self, states, rng, pool, density):
         return MaybeStruct(rng.choice(states) if rng.random() < density else None)
+
+
+class MaybeFunctor(MaybeEdgesFunctor):
+    """1 + X: no successor (halt) or one successor, with its kernel pairs
+    written by hand."""
+
+    kind = "maybe"
 
     def pair_structure(self, tx, ty, kappa, index, pair_id):
         if tx.successor is None:

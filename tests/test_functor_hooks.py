@@ -1,10 +1,9 @@
 """A functor that gives only its own parts gets every edge walk derived.
 
-``MaybeEdgesFunctor`` is 1 + X again, like ``MaybeFunctor`` of
-``test_functor_extension.py``, but it defines only ``check_structure``, its
-action (``fmap``, ``support``), its edge form (``split``/``join``), its
-document form (``read``/``write``), ``node_shape`` and
-``random_structure``.  Refinement, unravelling and DOT output walk
+``MaybeEdgesFunctor`` of ``test_functor_extension.py`` is 1 + X, and it
+defines only ``check_structure``, its action (``fmap``, ``support``), its
+edge form (``split``/``join``), its document form (``read``/``write``),
+``node_shape`` and ``random_structure``.  Refinement, unravelling and DOT output walk
 ``split`` and ``join`` themselves in the canonical edge order, and
 ``FunctorSpec`` derives kernel pairs from them.  The derived kernel pairs
 must agree with ``MaybeFunctor``'s hand-written ``pair_structure``, and the
@@ -14,12 +13,10 @@ enters it in ``functors.KINDS``, which is all the registration there is.
 
 import inspect
 import json
-from dataclasses import dataclass
 
 import pytest
 
 from coalgmin import (
-    FunctorSpec,
     behavioural_classes,
     check_greatest_quotient,
     check_simple_subterminal,
@@ -34,53 +31,12 @@ from coalgmin import (
     validate_coalgebra,
 )
 from coalgmin.cli import run_command
-from coalgmin.errors import MalformedStructure, ParseError
+from coalgmin.errors import ParseError
 from coalgmin.formats import canonical_json
 from coalgmin.functors import KINDS
 from coalgmin.oracles import kernel_pair_coalgebra
 from conftest import renamed_copy
-from test_functor_extension import DOC, MaybeFunctor, MaybeStruct
-
-
-@dataclass(frozen=True)
-class MaybeEdgesFunctor(FunctorSpec):
-    """1 + X from its hooks alone: halt, or one unlabelled edge of weight 1."""
-
-    kind = "maybe-edges"
-    structure_type = MaybeStruct
-
-    def check_structure(self, t):
-        self.require_structure(t)
-        if t.successor is not None and not isinstance(t.successor, str):
-            raise MalformedStructure(f"successor must be a state id, got {t.successor!r}")
-
-    def fmap(self, mapping, t):
-        if t.successor is None:
-            return t
-        return MaybeStruct(self._applied(mapping, t.successor))
-
-    def support(self, t):
-        return frozenset() if t.successor is None else frozenset({t.successor})
-
-    def split(self, t):
-        return None, ([] if t.successor is None else [(None, t.successor, 1)])
-
-    def join(self, constant, edges):
-        return MaybeStruct(next((s for _, s, _ in edges), None))
-
-    def write(self, t, index, quoted, newline):
-        return "null" if t.successor is None else quoted[t.successor]
-
-    def read(self, payload, state, carrier):
-        if payload is not None and not isinstance(payload, str):
-            raise ParseError(None, f"successor of {state!r} must be a string or null")
-        return MaybeStruct(payload), payload is None or payload in carrier
-
-    def node_shape(self, t):
-        return "box" if t.successor is None else "circle"
-
-    def random_structure(self, states, rng, pool, density):
-        return MaybeStruct(rng.choice(states) if rng.random() < density else None)
+from test_functor_extension import DOC, MaybeEdgesFunctor, MaybeFunctor, MaybeStruct
 
 
 @pytest.fixture(autouse=True)

@@ -292,6 +292,7 @@ def test_the_counted_tree_size_is_the_size_of_the_built_tree(spec, weight_pool):
     # random DAGs: every state's successors come later in carrier order
     pool = spec.random_pool(weight_pool)
     sizes = set()
+    cycles = 0
     for seed in range(20):
         rng = random.Random(seed)
         states = [f"s{i}" for i in range(7)]
@@ -302,7 +303,19 @@ def test_the_counted_tree_size_is_the_size_of_the_built_tree(spec, weight_pool):
         part = covering.cod
         assert wellpointed._tree_size(part) == len(tree.states)
         sizes.add(len(tree.states))
+        # random systems with back edges: the witness is a closed walk of the part
+        structure = {s: spec.random_structure(states, rng, pool, 0.4) for s in states}
+        c = Coalgebra(spec, states, structure, "s0")
+        try:
+            tree_unravel(c)
+        except CyclicReachablePart as err:
+            cycles += 1
+            part, _ = reachable_part(c)
+            assert err.cycle[0] == err.cycle[-1]
+            for x, y in zip(err.cycle, err.cycle[1:]):
+                assert y in spec.support(part.struct_of(x))
     assert len(sizes) > 5
+    assert cycles > 5
 
 
 def path_collision() -> Coalgebra:
@@ -341,6 +354,19 @@ def test_self_loop_is_rejected_with_its_cycle():
     with pytest.raises(CyclicReachablePart) as err:
         tree_unravel(systems.bag_self_loop())
     assert err.value.cycle == ("a", "a")
+
+
+def test_a_cycle_is_reported_before_a_tree_past_the_budget():
+    # the chain alone unravels to 2**40 states and is searched first
+    bag = WeightedFunctor("natural")
+    chain = [f"c{i}" for i in range(40)]
+    structure = {x: bag.struct({y: 2}) for x, y in zip(chain, chain[1:])}
+    structure.update(
+        c39=bag.struct({}), loop=bag.struct({"loop": 1}), p=bag.struct({"c0": 1, "loop": 1})
+    )
+    with pytest.raises(CyclicReachablePart) as err:
+        tree_unravel(Coalgebra(bag, ["p", *chain, "loop"], structure, "p"))
+    assert err.value.cycle == ("loop", "loop")
 
 
 def test_a_deep_chain_unravels_without_recursion():
