@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from pathlib import Path
 
@@ -149,13 +150,10 @@ def _cmd_homs(args) -> int:
     b = _load(args.b, pointed=args.pointed)
     if args.max is not None and args.max < 0:
         raise CoalgminError(f"--max must be nonnegative, got {args.max}")
-    homs = enumerate_homomorphisms(a, b, pointed=args.pointed)
-    listed = homs if args.max is None else homs[: args.max]
-    payload = {
-        "count": len(homs),
-        "maps": [dict(h.mapping) for h in listed],
-    }
-    sys.stdout.write(canonical_json(payload))
+    homs = enumerate_homomorphisms(a, b)
+    listed = [dict(h.mapping) for h in itertools.islice(homs, args.max)]
+    count = len(listed) + sum(1 for _ in homs)  # the rest are counted, not kept
+    sys.stdout.write(canonical_json({"count": count, "maps": listed}))
     return 0
 
 

@@ -68,9 +68,6 @@ class Coalgebra:
         # a mappingproxy cannot be pickled or deep-copied; rebuild from a dict
         return type(self), (self.functor, self.states, dict(self.structure), self.point)
 
-    def struct_of(self, state: str) -> FStructure:
-        return self.structure[state]
-
     def state_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.states)}
 
@@ -266,7 +263,7 @@ def hom_failures(h: Morphism) -> tuple[str, ...]:
         failures.append(h.dom.point)
     spec = dom.functor
     for x in dom.states:
-        if spec.fmap(h.mapping, dom.struct_of(x)) != cod.struct_of(h.mapping[x]):
+        if spec.fmap(h.mapping, dom.structure[x]) != cod.structure[h.mapping[x]]:
             if x not in failures:
                 failures.append(x)
     return tuple(failures)
@@ -344,7 +341,7 @@ def factorize(h: Morphism) -> Factorization:
     dom, cod = h.dom, h.cod
     hit = {h.mapping[x] for x in dom.states}
     image_states = tuple(y for y in cod.states if y in hit)
-    structure = {y: cod.struct_of(y) for y in image_states}
+    structure = {y: cod.structure[y] for y in image_states}
     point = h.mapping[dom.point] if h.pointed else None
     image = _derived(dom.functor, image_states, structure, point)
     e = Morphism(dom, image, h.mapping)
@@ -391,11 +388,6 @@ class Partition:
         return cls.of([s] for s in states)
 
     @classmethod
-    def single(cls, states: Iterable[str]) -> "Partition":
-        states = tuple(states)
-        return cls.of([states]) if states else cls(())
-
-    @classmethod
     def from_key(cls, states: Iterable[str], key) -> "Partition":
         groups: dict[object, list[str]] = {}
         for s in states:
@@ -438,9 +430,9 @@ def apply_partition_quotient(c: Coalgebra, p: Partition) -> tuple[Coalgebra, Mor
     spec = c.functor
     q_structure = {}
     for block in p.blocks:
-        first = spec.fmap(kappa, c.struct_of(block[0]))
+        first = spec.fmap(kappa, c.structure[block[0]])
         for x in block[1:]:
-            if spec.fmap(kappa, c.struct_of(x)) != first:
+            if spec.fmap(kappa, c.structure[x]) != first:
                 raise IncompatiblePartition(block, block[0], x)
         q_structure[block[0]] = first
     q = _derived(spec, tuple(q_structure), q_structure, kappa.get(c.point))

@@ -164,11 +164,11 @@ def emit_dot(c: Coalgebra) -> str:
             start += "_"
         lines.append(f"  {_quote(start)} [shape=none, label=\"\", width=0, height=0];")
     for s in c.states:
-        lines.append(f"  {_quote(s)} [shape={spec.node_shape(c.struct_of(s))}];")
+        lines.append(f"  {_quote(s)} [shape={spec.node_shape(c.structure[s])}];")
     if point is not None:
         lines.append(f"  {_quote(start)} -> {_quote(point)};")
     for s in c.states:
-        for label, target, weight in spec._ordered(spec.split(c.struct_of(s))[1], index):
+        for label, target, weight in spec._ordered(spec.split(c.structure[s])[1], index):
             if spec.weight_labels:
                 label = weight
             suffix = f" [label={_quote(str(label))}]" if label is not None else ""

@@ -92,9 +92,6 @@ class WeightedStruct:
 
     weights: tuple[tuple[str, Weight], ...]
 
-    def weight_dict(self) -> dict[str, Weight]:
-        return dict(self.weights)
-
 
 FStructure = Union[DfaStruct, SetStruct, LabelledStruct, WeightedStruct]
 
@@ -192,8 +189,6 @@ class FunctorSpec:
     def _ordered(self, edges: Iterable[tuple], index: Mapping[str, int]) -> list[tuple]:
         """Edges that start with (label, target) in canonical order: by label
         in :attr:`labels` order, then by target position in ``index``."""
-        if len(self.labels) == 1:
-            return sorted(edges, key=lambda e: index[e[1]])
         return sorted(edges, key=lambda e: (self.labels.index(e[0]), index[e[1]]))
 
     def refinement_scale(self, structures: Iterable[FStructure]) -> Optional[int]:

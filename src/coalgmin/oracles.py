@@ -3,8 +3,10 @@
 Everything here exists to cross-examine the production algorithms, so it is
 deliberately naive and independent of them:
 
-- homomorphism enumeration, a backtracking search that never calls the
-  reachability or refinement code;
+- homomorphism enumeration, a lazy backtracking search that never calls
+  the reachability or refinement code; its maps keep the point when both
+  coalgebras are pointed, and the unpointed checks pass ``underlying``
+  coalgebras;
 - the enumeration of pointed subcoalgebras (against ``reachable_part``) and
   of compatible partitions (against ``simple_quotient``);
 - ``naive_refinement``, the global-round fixpoint, and the bounded language
@@ -26,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Coalgebra,
@@ -38,6 +40,7 @@ from .core import (
     underlying,
 )
 from .errors import NotPointed, OracleBoundExceeded, SearchBoundExceeded, SpecMismatch, WrongFunctor
+from .formats import serialize_coalgebra
 from .functors import DfaFunctor, FunctorSpec
 from .quotient import behavioural_classes, is_simple, simple_quotient
 from .reachability import is_reachable, reachable_part
@@ -76,8 +79,6 @@ def stable_digest(c: Coalgebra) -> str:
     Hashes the canonical document form rather than reprs, since set reprs
     depend on the interpreter's hash seed.
     """
-    from .formats import serialize_coalgebra
-
     return hashlib.sha256(serialize_coalgebra(c).encode()).hexdigest()[:12]
 
 
@@ -86,32 +87,33 @@ def stable_digest(c: Coalgebra) -> str:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_homomorphisms(a: Coalgebra, b: Coalgebra, pointed: bool = False) -> list[Morphism]:
-    """Every homomorphism a -> b, point-preserving when ``pointed``, found by
-    pruned backtracking.
+def enumerate_homomorphisms(a: Coalgebra, b: Coalgebra) -> Iterator[Morphism]:
+    """Every homomorphism a -> b, found lazily by pruned backtracking.
 
-    Maps are extended state by state in carrier order; as soon as a state and
-    all its successors are assigned, the homomorphism equation at that state
-    is checked, cutting the dead branch immediately.  The result order is
-    lexicographic in codomain carrier positions.  This function deliberately
-    never consults the reachability or refinement algorithms.
+    When both coalgebras are pointed the maps preserve the point; when
+    neither is, they need not; one pointed and one unpointed raise
+    SpecMismatch.  The functors, the points and the state bound are checked
+    at the call; the candidate budget is spent, and may run out, while the
+    maps are drawn.  Maps are extended
+    state by state in carrier order; as soon as a state and all its
+    successors are assigned, the homomorphism equation at that state is
+    checked, cutting the dead branch immediately.  The maps come in
+    lexicographic order of codomain carrier positions.  This function
+    deliberately never consults the reachability or refinement algorithms.
     """
     if a.functor != b.functor:
         raise SpecMismatch("cannot search homomorphisms across functors")
+    if (a.point is None) != (b.point is None):
+        raise SpecMismatch("cannot search homomorphisms between pointed and unpointed coalgebras")
     if len(a.states) > HOM_SEARCH_STATE_BOUND:
         raise SearchBoundExceeded(
             f"domain has {len(a.states)} states, bound is {HOM_SEARCH_STATE_BOUND}"
         )
-    if not pointed:
-        # found maps need not preserve points, so their endpoints carry none
-        a, b = underlying(a), underlying(b)
-    elif a.point is None or b.point is None:
-        raise SpecMismatch("pointed search needs pointed coalgebras")
 
     spec = a.functor
     order = a.states
     needed = {
-        z: frozenset({z} | spec.support(a.struct_of(z))) for z in order
+        z: frozenset({z} | spec.support(a.structure[z])) for z in order
     }
     touched: dict[str, list[str]] = {s: [] for s in order}
     for z in order:
@@ -119,24 +121,18 @@ def enumerate_homomorphisms(a: Coalgebra, b: Coalgebra, pointed: bool = False) -
             touched[s].append(z)
     remaining = {z: len(needed[z]) for z in order}
 
-    candidates_by_state: dict[str, Sequence[str]] = {}
-    for x in order:
-        if pointed and x == a.point:
-            candidates_by_state[x] = (b.point,)
-        else:
-            candidates_by_state[x] = b.states
+    candidates_by_state = {x: (b.point,) if x == a.point else b.states for x in order}
 
     budget = HOM_SEARCH_BUDGET
-    found: list[Morphism] = []
     mapping: dict[str, str] = {}
 
     def law_holds(z: str) -> bool:
-        return spec.fmap(mapping, a.struct_of(z)) == b.struct_of(mapping[z])
+        return spec.fmap(mapping, a.structure[z]) == b.structure[mapping[z]]
 
-    def extend(i: int) -> None:
+    def extend(i: int) -> Iterator[Morphism]:
         nonlocal budget
         if i == len(order):
-            found.append(Morphism(a, b, dict(mapping)))
+            yield Morphism(a, b, dict(mapping))
             return
         x = order[i]
         for y in candidates_by_state[x]:
@@ -155,13 +151,12 @@ def enumerate_homomorphisms(a: Coalgebra, b: Coalgebra, pointed: bool = False) -
                     ok = False
                     break
             if ok:
-                extend(i + 1)
+                yield from extend(i + 1)
             for z in completed:
                 remaining[z] += 1
             del mapping[x]
 
-    extend(0)
-    return found
+    return extend(0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +179,7 @@ def enumerate_pointed_subcoalgebras(c: Coalgebra) -> list[tuple[str, ...]]:
             f"carrier has {n} states, oracle bound is {SUBCOALGEBRA_BOUND}"
         )
     spec = c.functor
-    supports = {s: spec.support(c.struct_of(s)) for s in c.states}
+    supports = {s: spec.support(c.structure[s]) for s in c.states}
     point_bit = c.states.index(c.point)
     out = []
     for mask in range(1 << n):
@@ -202,9 +197,9 @@ def partition_compatible(c: Coalgebra, p: Partition) -> Optional[tuple]:
     kappa = p.representative_map()
     spec = c.functor
     for block in p.blocks:
-        first = spec.fmap(kappa, c.struct_of(block[0]))
+        first = spec.fmap(kappa, c.structure[block[0]])
         for x in block[1:]:
-            if spec.fmap(kappa, c.struct_of(x)) != first:
+            if spec.fmap(kappa, c.structure[x]) != first:
                 return (block, block[0], x)
     return None
 
@@ -262,10 +257,10 @@ def naive_refinement(c: Coalgebra) -> Partition:
     if not c.states:
         return Partition(())
     spec = c.functor
-    partition = Partition.single(c.states)
+    partition = Partition.of([c.states])
     for _ in range(len(c.states)):
         kappa = partition.representative_map()
-        signature = {x: spec.fmap(kappa, c.struct_of(x)) for x in c.states}
+        signature = {x: spec.fmap(kappa, c.structure[x]) for x in c.states}
         refined = Partition.of(
             group
             for block in partition.blocks
@@ -297,7 +292,7 @@ def dfa_language_oracle(c: Coalgebra, max_len: int) -> dict[str, frozenset[str]]
     accepted: dict[str, set[str]] = {s: set() for s in c.states}
     # words of length k accepted from x, built back to front over the moves
     layer = {
-        s: ({""} if c.struct_of(s).accepting else set()) for s in c.states
+        s: ({""} if c.structure[s].accepting else set()) for s in c.states
     }
     for s in c.states:
         accepted[s] |= layer[s]
@@ -305,7 +300,7 @@ def dfa_language_oracle(c: Coalgebra, max_len: int) -> dict[str, frozenset[str]]
         layer = {
             s: {
                 sym + w
-                for sym, tgt in c.struct_of(s).moves
+                for sym, tgt in c.structure[s].moves
                 for w in layer[tgt]
             }
             for s in c.states
@@ -354,7 +349,7 @@ def kernel_pair_coalgebra(c: Coalgebra) -> Optional[tuple[Coalgebra, Morphism, M
     structure = {}
     for x, y in pairs:
         structure[_pair_id(x, y)] = spec.pair_structure(
-            c.struct_of(x), c.struct_of(y), kappa, index, _pair_id
+            c.structure[x], c.structure[y], kappa, index, _pair_id
         )
     carrier = tuple(_pair_id(x, y) for x, y in pairs)
     kernel = Coalgebra(spec, carrier, structure)
@@ -384,7 +379,7 @@ def check_minimal_iff_incoming_epi(c: Coalgebra, pool: Iterable[Coalgebra]) -> P
     pool = list(pool)
     if is_reachable(c):
         for d in pool:
-            for h in enumerate_homomorphisms(d, c, pointed=True):
+            for h in enumerate_homomorphisms(d, c):
                 if not h.is_surjective():
                     failures.append(
                         (stable_digest(d), f"non-surjective hom {sorted(h.mapping.items())}")
@@ -417,13 +412,13 @@ def check_simple_subterminal(c: Coalgebra, pool: Iterable[Coalgebra]) -> Propert
     pool = list(pool)
     if is_simple(c):
         for d in pool:
-            n = len(enumerate_homomorphisms(d, c))
+            n = len(list(enumerate_homomorphisms(underlying(d), underlying(c))))
             if n > 1:
                 failures.append(
                     (stable_digest(d), f"{n} homomorphisms into a simple coalgebra")
                 )
     else:
-        endos = enumerate_homomorphisms(c, c)
+        endos = list(enumerate_homomorphisms(underlying(c), underlying(c)))
         if len(endos) >= 2:
             witnesses.append(f"{len(endos)} endomorphisms of a non-simple coalgebra")
         else:
@@ -446,7 +441,7 @@ def check_simple_subterminal(c: Coalgebra, pool: Iterable[Coalgebra]) -> Propert
 
 
 def _subcoalgebra_on(c: Coalgebra, states: tuple[str, ...]) -> Coalgebra:
-    structure = {s: c.struct_of(s) for s in states}
+    structure = {s: c.structure[s] for s in states}
     return Coalgebra(c.functor, states, structure, c.point)
 
 
@@ -472,7 +467,7 @@ def check_least_subobject(c: Coalgebra) -> PropertyReport:
         if len(part.states) <= _SMALL:
             matching = [
                 h
-                for h in enumerate_homomorphisms(part, sub, pointed=True)
+                for h in enumerate_homomorphisms(part, sub)
                 if all(h.mapping[s] == s for s in part.states)
             ]
             if len(matching) != 1:
@@ -511,7 +506,7 @@ def check_greatest_quotient(c: Coalgebra) -> PropertyReport:
         if len(d.states) <= _SMALL:
             matching = [
                 h
-                for h in enumerate_homomorphisms(d, quotient)
+                for h in enumerate_homomorphisms(underlying(d), underlying(quotient))
                 if all(
                     h.mapping[e_prime.mapping[x]] == projection.mapping[x]
                     for x in c.states
@@ -532,10 +527,12 @@ def check_minimization_functorial(morphisms: Iterable[Morphism]) -> PropertyRepo
     since the inclusion is injective, u is h itself, corestricted.
     """
     failures = []
-    count = 0
+    morphisms = list(morphisms)  # kept alive, so the ids of their domains stay theirs
+    reachable: dict[int, bool] = {}  # each distinct domain, by identity, checked once
     for h in morphisms:
-        count += 1
-        if not is_reachable(h.dom):
+        if id(h.dom) not in reachable:
+            reachable[id(h.dom)] = is_reachable(h.dom)
+        if not reachable[id(h.dom)]:
             failures.append((stable_digest(h.dom), "domain of the pair is not reachable"))
             continue
         part, _ = reachable_part(h.cod)
@@ -549,7 +546,7 @@ def check_minimization_functorial(morphisms: Iterable[Morphism]) -> PropertyRepo
         mediating = Morphism(h.dom, part, h.mapping)
         if not check_homomorphism(mediating):
             failures.append((stable_digest(h.dom), "corestriction is not a homomorphism"))
-    return PropertyReport("minimization-functorial", count, tuple(failures))
+    return PropertyReport("minimization-functorial", len(morphisms), tuple(failures))
 
 
 def check_quotient_closure(c: Coalgebra) -> PropertyReport:

@@ -147,7 +147,7 @@ def _refinement_rows(spec, parts):
     index and each weight times the functor's ``refinement_scale`` for all
     their structures, as an int; at scale None the weights stay as they are."""
     scale = spec.refinement_scale(chain.from_iterable(c.structure.values() for c, _ in parts))
-    splits = ((spec.split(c.struct_of(s)), index) for c, index in parts for s in c.states)
+    splits = ((spec.split(c.structure[s]), index) for c, index in parts for s in c.states)
     if scale is None:
         return (
             (constant, [(l, index[s], w) for l, s, w in out]) for (constant, out), index in splits
@@ -158,14 +158,13 @@ def _refinement_rows(spec, parts):
     )
 
 
-def _refinement_fixpoint(c: Coalgebra) -> tuple[Partition, int]:
-    """Behavioural classes of c, and the engine's edge visits."""
+def behavioural_classes(c: Coalgebra) -> Partition:
+    """The partition of the carrier into behavioural equivalence classes."""
     spec = c.functor
     states = c.states
     rows = _refinement_rows(spec, [(c, c.state_index())])
-    members, visits = _refine(len(states), rows, spec.observe)
-    blocks = sorted(tuple(sorted([states[i] for i in m])) for m in members)
-    return Partition(tuple(blocks)), visits
+    members, _ = _refine(len(states), rows, spec.observe)
+    return Partition(tuple(sorted(tuple(sorted([states[i] for i in m])) for m in members)))
 
 
 def simple_quotient(c: Coalgebra) -> tuple[Coalgebra, Morphism, Partition]:
@@ -176,17 +175,11 @@ def simple_quotient(c: Coalgebra) -> tuple[Coalgebra, Morphism, Partition]:
     and the underlying partition.  Quotienting the result again is the
     identity up to state naming, since its partition is discrete.
     """
-    partition, _ = _refinement_fixpoint(c)
+    partition = behavioural_classes(c)
     quotient, projection = apply_partition_quotient(c, partition)
     return quotient, projection, partition
-
-
-def behavioural_classes(c: Coalgebra) -> Partition:
-    """The partition of the carrier into behavioural equivalence classes."""
-    return _refinement_fixpoint(c)[0]
 
 
 def is_simple(c: Coalgebra) -> bool:
     """True iff all states are pairwise behaviourally inequivalent."""
     return behavioural_classes(c).is_discrete
-

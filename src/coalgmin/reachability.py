@@ -29,14 +29,14 @@ def reachable_part(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
     queue = deque([c.point])
     while queue:
         x = queue.popleft()
-        successors = sorted(spec.support(c.struct_of(x)), key=index.__getitem__)
+        successors = sorted(spec.support(c.structure[x]), key=index.__getitem__)
         for y in successors:
             if y not in seen:
                 seen.add(y)
                 order.append(y)
                 queue.append(y)
     states = tuple(order)
-    structure = {s: c.struct_of(s) for s in states}
+    structure = {s: c.structure[s] for s in states}
     part = _derived(spec, states, structure, c.point)
     return part, _derived_morphism(part, c, {s: s for s in states})
 

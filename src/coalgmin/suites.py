@@ -18,14 +18,6 @@ from typing import Callable, Iterable, Sequence
 
 from .core import Coalgebra, Morphism, apply_partition_quotient
 from .errors import UnknownSuite
-from .functors import (
-    DfaFunctor,
-    LabelledFunctor,
-    NATURALS,
-    PowersetFunctor,
-    RATIONALS,
-    WeightedFunctor,
-)
 from .oracles import (
     PropertyReport,
     check_greatest_quotient,
@@ -46,11 +38,11 @@ from .wellpointed import commutation_check
 from . import systems
 
 FUNCTOR_FAMILIES: tuple[tuple[str, object, tuple | None], ...] = (
-    ("dfa", DfaFunctor(("a", "b")), None),
-    ("powerset", PowersetFunctor(), None),
-    ("labelled", LabelledFunctor(("a", "b")), None),
-    ("bag", WeightedFunctor(NATURALS), (1, 2)),
-    ("rational", WeightedFunctor(RATIONALS), (3, -3)),
+    ("dfa", systems.DFA_AB, None),
+    ("powerset", systems.POWERSET, None),
+    ("labelled", systems.LABELLED_AB, None),
+    ("bag", systems.BAG, (1, 2)),
+    ("rational", systems.RATIONAL_WEIGHTS, (3, -3)),
 )
 
 FLAGGED_FAMILIES = tuple(f for f in FUNCTOR_FAMILIES if f[1].preserves_inverse_images)
@@ -220,9 +212,8 @@ def suite_dfa_language(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyRep
     """Refinement on automata agrees with the bounded language oracle."""
     failures = []
     count = 0
-    spec = DfaFunctor(("a", "b"))
     for seed in seeds:
-        c = seeded_instance(spec, None, seed)
+        c = seeded_instance(systems.DFA_AB, None, seed)
         count += 1
         classes = behavioural_classes(c)
         bounded = language_kernel(c, 2 * len(c.states))

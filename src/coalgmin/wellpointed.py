@@ -206,7 +206,7 @@ def tree_unravel(c: Coalgebra) -> tuple[Coalgebra, Morphism]:
     endpoint = [part.point]  # tree state str(i) unravels endpoint[i]
     structure: dict[str, object] = {}
     for i, x in enumerate(endpoint):  # the loop reaches the children appended below
-        constant, out = spec.split(part.struct_of(x))
+        constant, out = spec.split(part.structure[x])
         edges = []
         for label, y, w in spec._ordered(out, index):
             k = spec.unit_copies(w)
@@ -239,7 +239,7 @@ def _tree_size(c: Coalgebra) -> int:
     size: dict[str, int] = {}
 
     def successors(x: str):
-        return iter(sorted(spec.support(c.struct_of(x)), key=index.__getitem__))
+        return iter(sorted(spec.support(c.structure[x]), key=index.__getitem__))
 
     path = [c.point]
     on_path = {c.point}
@@ -257,7 +257,7 @@ def _tree_size(c: Coalgebra) -> int:
             x = path.pop()
             on_path.remove(x)
             pending.pop()
-            edges = spec.split(c.struct_of(x))[1]
+            edges = spec.split(c.structure[x])[1]
             total = 1 + sum((spec.unit_copies(w) or 1) * size[y] for _, y, w in edges)
             size[x] = min(total, UNRAVEL_STATE_BUDGET + 1)
     return size[c.point]

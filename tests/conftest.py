@@ -63,7 +63,7 @@ def renamed_copy(c: Coalgebra, seed: int) -> tuple[Coalgebra, dict]:
     rng = random.Random(seed)
     renaming = {s: f"r{k}" for k, s in enumerate(rng.sample(c.states, len(c.states)))}
     spec = c.functor
-    structure = {renaming[s]: spec.fmap(renaming, c.struct_of(s)) for s in c.states}
+    structure = {renaming[s]: spec.fmap(renaming, c.structure[s]) for s in c.states}
     states = rng.sample([renaming[s] for s in c.states], len(c.states))
     point = renaming[c.point] if c.point is not None else None
     return Coalgebra(spec, tuple(states), structure, point), renaming
@@ -74,14 +74,14 @@ def moved_edge(c: Coalgebra, seed: int) -> Coalgebra:
     state u (its structure is mapped by t |-> u), chosen by the seed."""
     rng = random.Random(seed)
     spec = c.functor
-    sources = [s for s in c.states if spec.support(c.struct_of(s))]
+    sources = [s for s in c.states if spec.support(c.structure[s])]
     if not sources or len(c.states) < 2:
         return c
     s = rng.choice(sources)
-    t = rng.choice(sorted(spec.support(c.struct_of(s))))
+    t = rng.choice(sorted(spec.support(c.structure[s])))
     u = rng.choice([v for v in c.states if v != t])
     mapping = {v: v for v in c.states}
     mapping[t] = u
     structure = dict(c.structure)
-    structure[s] = spec.fmap(mapping, c.struct_of(s))
+    structure[s] = spec.fmap(mapping, c.structure[s])
     return Coalgebra(spec, c.states, structure, c.point)

@@ -88,9 +88,9 @@ def test_criterion_02_factorization_regression(capsys):
     fact = factorize(h)
     f = dom.functor
     assert fact.image.states == ("p_bar", "s", "r")
-    assert fact.image.struct_of("p_bar") == f.struct(True, {"a": "p_bar", "b": "r"})
-    assert fact.image.struct_of("s") == f.struct(True, {"a": "p_bar", "b": "r"})
-    assert fact.image.struct_of("r") == f.struct(False, {"a": "p_bar", "b": "r"})
+    assert fact.image.structure["p_bar"] == f.struct(True, {"a": "p_bar", "b": "r"})
+    assert fact.image.structure["s"] == f.struct(True, {"a": "p_bar", "b": "r"})
+    assert fact.image.structure["r"] == f.struct(False, {"a": "p_bar", "b": "r"})
     assert compose_morphisms(fact.m, fact.e).mapping == h.mapping
     assert fact.e.is_surjective()
     assert fact.m.is_injective()
@@ -153,7 +153,7 @@ def test_criterion_06_order_sensitivity(capsys):
     assert not is_reachable(outcome.reach_first)
     modification = well_pointed_modification(c)
     assert len(modification.states) == 1
-    assert modification.struct_of(modification.point).weights == ()
+    assert modification.structure[modification.point].weights == ()
     with capsys.disabled():
         report(6, "minimization orders disagree on the loop cancellation system")
 
@@ -177,7 +177,7 @@ def test_criterion_08_tree_unravelling(capsys):
     assert check_homomorphism(covering)
     automorphisms = [
         h
-        for h in enumerate_homomorphisms(tree, tree, pointed=True)
+        for h in enumerate_homomorphisms(tree, tree)
         if h.is_bijective()
         and all(covering.mapping[h.mapping[s]] == covering.mapping[s] for s in tree.states)
     ]

@@ -2,11 +2,22 @@
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from coalgmin import Coalgebra, PowersetFunctor, WeightedFunctor, core, formats, serialize_coalgebra
+from coalgmin import (
+    Coalgebra,
+    Partition,
+    PowersetFunctor,
+    WeightedFunctor,
+    core,
+    formats,
+    random_coalgebra,
+    serialize_coalgebra,
+    suites,
+)
 from coalgmin.cli import build_parser, run_command
 from coalgmin.wellpointed import UNRAVEL_STATE_BUDGET
 
@@ -290,6 +301,21 @@ def test_homs_lists_and_caps(capsys):
     assert len(payload["maps"]) == 1
 
 
+def test_homs_keeps_only_the_listed_maps(tmp_path, capsys):
+    # all 6 ** 6 maps of an edgeless system are homomorphisms; they are counted, not kept
+    path = tmp_path / "edgeless.json"
+    path.write_text(serialize_coalgebra(random_coalgebra(PowersetFunctor(), 6, 1, density=0.0)))
+    tracemalloc.start()
+    try:
+        assert run_command(["homs", str(path), str(path), "--max", "1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"count": 6 ** 6, "maps": [{f"s{i}": "s0" for i in range(6)}]}
+    assert peak < 4_000_000
+
+
 def test_homs_rejects_a_negative_max(capsys):
     assert run_command([
         "homs", doc("ts_branching"), doc("ts_branching"), "--max", "-1"
@@ -380,6 +406,20 @@ def test_props_runs_every_suite_by_default(capsys):
     assert run_command(["props", "--seeds", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(line.startswith("ok ") for line in lines)
+
+
+def test_props_reports_a_failing_suite(monkeypatch, capsys):
+    # a refinement that merges nothing is escaped by every coarser compatible partition
+    monkeypatch.setattr(suites, "behavioural_classes", lambda c: Partition.discrete(c.states))
+    assert run_command(["props", "--suite", "simple-oracle", "--seeds", "6"]) == 1
+    escape = "a compatible partition escapes the refinement one"
+    assert capsys.readouterr().out == (
+        f"FAIL simple-oracle[dfa] instances=6 first-failure=7be8ecc55e72:{escape}\n"
+        f"FAIL simple-oracle[powerset] instances=6 first-failure=94ad22674e2d:{escape}\n"
+        f"FAIL simple-oracle[labelled] instances=6 first-failure=9fef41b43774:{escape}\n"
+        "ok simple-oracle[bag] instances=6\n"
+        f"FAIL simple-oracle[rational] instances=6 first-failure=4b545eaa0537:{escape}\n"
+    )
 
 
 def test_props_runs_the_dfa_language_suite(capsys):

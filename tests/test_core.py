@@ -355,9 +355,9 @@ def test_factorization_of_the_dfa_morphism_matches_the_drawn_image():
     image = fact.image
     assert image.states == ("p_bar", "s", "r")
     f = image.functor
-    assert image.struct_of("p_bar") == f.struct(True, {"a": "p_bar", "b": "r"})
-    assert image.struct_of("s") == f.struct(True, {"a": "p_bar", "b": "r"})
-    assert image.struct_of("r") == f.struct(False, {"a": "p_bar", "b": "r"})
+    assert image.structure["p_bar"] == f.struct(True, {"a": "p_bar", "b": "r"})
+    assert image.structure["s"] == f.struct(True, {"a": "p_bar", "b": "r"})
+    assert image.structure["r"] == f.struct(False, {"a": "p_bar", "b": "r"})
     assert compose_morphisms(fact.m, fact.e).mapping == h.mapping
     assert fact.e.is_surjective() and not fact.e.is_injective()
     assert fact.m.is_injective() and not fact.m.is_surjective()
@@ -430,7 +430,7 @@ def test_cancellation_quotient_has_empty_point_structure():
     c = systems.cancel_fork()
     q, kappa = apply_partition_quotient(c, Partition.of([("a",), ("b1", "b2")]))
     assert q.states == ("a", "b1")
-    assert q.struct_of("a").weights == ()
+    assert q.structure["a"].weights == ()
     assert check_homomorphism(kappa)
 
 

@@ -364,7 +364,7 @@ def test_coalgebra_documents_are_the_bytes_of_json_dumps(c):
     payload = {
         "functor": c.functor.payload(),
         "states": list(c.states),
-        "structure": {s: reference_structure(c.functor, c.struct_of(s), index)
+        "structure": {s: reference_structure(c.functor, c.structure[s], index)
                       for s in c.states},
     }
     if c.point is not None:

@@ -66,7 +66,7 @@ def test_weight_strings_normalize_on_parse():
         "structure": {"x": {"y": "2/4"}, "y": {}},
     }
     c = parse_coalgebra(json.dumps(doc))
-    assert c.struct_of("x").weight_dict() == {"y": Fraction(1, 2)}
+    assert dict(c.structure["x"].weights) == {"y": Fraction(1, 2)}
     assert '"1/2"' in serialize_coalgebra(c)
 
 
@@ -184,7 +184,7 @@ def test_integer_and_fraction_literals_are_accepted(weight, value):
         "states": ["x"],
         "structure": {"x": {"x": weight}},
     }
-    assert parse_coalgebra(json.dumps(doc)).struct_of("x").weight_dict() == {"x": value}
+    assert dict(parse_coalgebra(json.dumps(doc)).structure["x"].weights) == {"x": value}
 
 
 def test_malformed_json_reports_the_line():
@@ -334,7 +334,7 @@ def test_a_weight_literal_reads_the_same_every_time(monoid, weight, expected):
     for _ in range(3):  # the first read fills the literal memo, the others hit it
         if isinstance(expected, Fraction):
             c = parse_coalgebra(weighted_doc(monoid, [weight]))
-            assert c.struct_of("s0").weight_dict() == {"s0": expected}
+            assert dict(c.structure["s0"].weights) == {"s0": expected}
         elif expected is ParseError:
             with pytest.raises(ParseError):
                 parse_coalgebra(weighted_doc(monoid, [weight]))
@@ -350,7 +350,7 @@ def test_more_distinct_weight_literals_than_the_memo_holds():
     for _ in range(2):
         c = parse_coalgebra(weighted_doc("rational", weights))
         for i, w in enumerate(weights):
-            assert c.struct_of(f"s{i}").weight_dict() == {f"s{i}": Fraction(w)}
+            assert dict(c.structure[f"s{i}"].weights) == {f"s{i}": Fraction(w)}
         assert _literal_weight.cache_info().currsize == bound
 
 

@@ -118,7 +118,7 @@ def test_documents_round_trip_byte_exactly():
     c = parse_coalgebra(TEXT)
     assert c.point is not None
     assert c.functor == MaybeFunctor()
-    assert c.struct_of("c") == MaybeStruct(None)
+    assert c.structure["c"] == MaybeStruct(None)
     assert serialize_coalgebra(c) == TEXT
 
 
@@ -147,7 +147,7 @@ def test_reachable_part_and_tree_unravel():
     assert inclusion.mapping == {"a": "a", "b": "b", "c": "c"}
     tree, covering = tree_unravel(c)
     assert tree.states == ("0", "1", "2")
-    assert tree.struct_of("1") == MaybeStruct("2")
+    assert tree.structure["1"] == MaybeStruct("2")
     assert covering.mapping == {"0": "a", "1": "b", "2": "c"}
 
 
@@ -191,5 +191,5 @@ def test_oracle_lab_checks_pass():
     assert check_simple_subterminal(quotient, pool).passed
     # the kernel pair's projections are checked homomorphisms on construction
     kernel, pr1, pr2 = kernel_pair_coalgebra(c)
-    assert kernel.struct_of("b|d") == MaybeStruct("c|c")
+    assert kernel.structure["b|d"] == MaybeStruct("c|c")
     assert pr1.mapping != pr2.mapping

@@ -58,10 +58,10 @@ def test_derived_methods_equal_the_hand_written_ones(seed):
     index = c.state_index()
     kappa = behavioural_classes(c).representative_map()
     for x in c.states:
-        t = c.struct_of(x)
+        t = c.structure[x]
         for y in c.states:
             if kappa[x] == kappa[y]:
-                ty = c.struct_of(y)
+                ty = c.structure[y]
                 assert HOOKS.pair_structure(t, ty, kappa, index, _pair_id) == (
                     MAYBE.pair_structure(t, ty, kappa, index, _pair_id)
                 )
@@ -111,8 +111,8 @@ def test_unravel_command_names_tree_states_by_the_generic_rule(doc, tmp_path):
     assert run_command(["unravel", str(doc), "--out-dir", str(tmp_path)]) == 0
     tree = parse_coalgebra((tmp_path / "tree.json").read_text())
     assert tree.states == ("0", "1", "2")
-    assert tree.struct_of("1") == MaybeStruct("2")
-    assert tree.struct_of("2") == MaybeStruct(None)
+    assert tree.structure["1"] == MaybeStruct("2")
+    assert tree.structure["2"] == MaybeStruct(None)
     covering = json.loads((tmp_path / "covering.json").read_text())
     assert covering["map"] == {"0": "a", "1": "b", "2": "c"}
 
@@ -157,5 +157,5 @@ def test_oracle_lab_checks_pass():
     quotient, _, _ = simple_quotient(c)
     assert check_simple_subterminal(quotient, pool).passed
     kernel, pr1, pr2 = kernel_pair_coalgebra(c)
-    assert kernel.struct_of("b|d") == MaybeStruct("c|c")
+    assert kernel.structure["b|d"] == MaybeStruct("c|c")
     assert pr1.mapping != pr2.mapping

@@ -2,15 +2,18 @@
 the oracle lab, and the oracle lab does not depend on the isomorphism and
 well-pointedness code whose results it is used to check.  Also: every method
 a functor must implement has a caller outside ``functors.py``, directly or
-through the ``FunctorSpec`` methods derived from it, and only
-``core`` and ``reachability`` build coalgebras without validating them."""
+through the ``FunctorSpec`` methods derived from it, only
+``core`` and ``reachability`` build coalgebras without validating them, and
+every library name the benchmark scripts in ``perfbench/`` use exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "coalgmin"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 PRODUCTION = ("core", "errors", "functors", "formats", "quotient", "reachability", "wellpointed")
 ORACLE_LAB = ("oracles", "suites", "systems")
@@ -102,3 +105,29 @@ def test_only_core_and_reachability_build_unchecked_coalgebras():
     # core._derived skips validation; only constructions that keep validity use it
     users = {path.stem for path in SRC.glob("*.py") if "_derived" in path.read_text()}
     assert users == {"core", "reachability"}
+
+
+def perfbench_names() -> set[tuple[str, str]]:
+    """The (module, name) pairs that ``perfbench/*.py`` take from coalgmin:
+    each ``coalgmin.<name>`` attribute and each ``from coalgmin... import``
+    name."""
+    names = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "coalgmin"
+            ):
+                names.add(("coalgmin", node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "coalgmin":
+                names |= {(node.module, alias.name) for alias in node.names}
+    return names
+
+
+def test_every_name_perfbench_uses_resolves():
+    # the scripts are only read: several of them no test runs
+    names = perfbench_names()
+    assert {("coalgmin", "behavioural_classes"), ("coalgmin.cli", "run_command")} <= names
+    missing = {(m, n) for m, n in names if not hasattr(importlib.import_module(m), n)}
+    assert missing == set()

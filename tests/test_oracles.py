@@ -22,7 +22,7 @@ from coalgmin import (
     underlying,
 )
 from coalgmin import systems
-from coalgmin.errors import SearchBoundExceeded, WeightedWithoutPool
+from coalgmin.errors import SearchBoundExceeded, SpecMismatch, WeightedWithoutPool
 from coalgmin.functors import (
     DfaFunctor,
     LabelledFunctor,
@@ -56,14 +56,14 @@ def test_single_loop_has_only_the_identity_endomorphism():
 
 def test_pointed_dfa_search_finds_exactly_the_book_morphism():
     dom, cod = systems.dfa_no_trailing_b(), systems.dfa_merge_target()
-    homs = enumerate_homomorphisms(dom, cod, pointed=True)
+    homs = enumerate_homomorphisms(dom, cod)
     assert [h.mapping for h in homs] == [systems.dfa_merge_map()]
 
 
 def test_branching_system_has_exactly_one_hom_onto_its_quotient():
     c = underlying(systems.ts_branching())
     q = underlying(simple_quotient(c)[0])
-    homs = enumerate_homomorphisms(c, q)
+    homs = list(enumerate_homomorphisms(c, q))
     assert len(homs) == 1  # frozen: brute force finds only the projection
     assert homs[0].mapping == {"x": "x", "y": "x", "z": "z"}
 
@@ -89,7 +89,8 @@ def test_enumeration_matches_naive_search(spec, pool):
         a = random_coalgebra(spec, 1 + seed % 3, seed, weight_pool=pool, density=0.5, pointed=True)
         b = random_coalgebra(spec, 1 + (seed + 1) % 3, seed + 100, weight_pool=pool, density=0.5, pointed=True)
         for pointed in (False, True):
-            fast = [h.mapping for h in enumerate_homomorphisms(a, b, pointed=pointed)]
+            ends = (a, b) if pointed else (underlying(a), underlying(b))
+            fast = [h.mapping for h in enumerate_homomorphisms(*ends)]
             assert fast == naive_homs(a, b, pointed=pointed)
 
 
@@ -97,7 +98,7 @@ def test_search_budget_is_enforced(monkeypatch):
     c = random_coalgebra(PowersetFunctor(), 6, 1, density=0.0)  # all maps are homs
     monkeypatch.setattr(oracles, "HOM_SEARCH_BUDGET", 10)
     with pytest.raises(SearchBoundExceeded):
-        enumerate_homomorphisms(c, c)
+        list(enumerate_homomorphisms(c, c))
     big = random_coalgebra(PowersetFunctor(), 13, 1, density=0.2)
     with pytest.raises(SearchBoundExceeded):
         enumerate_homomorphisms(big, big)
@@ -166,6 +167,21 @@ def test_subterminal_finds_two_endomorphisms_of_the_branching_system():
     report = check_simple_subterminal(c, [c])
     assert report.passed
     assert any("endomorphisms" in w for w in report.witnesses)
+
+
+def test_subterminal_counts_unpointed_endomorphisms_of_a_pointed_system():
+    # only the identity keeps the point, which would leave the kernel pair as witness
+    c = systems.ts_two_cycle()
+    report = check_simple_subterminal(c, [c])
+    assert report.passed
+    assert report.witnesses == ("2 endomorphisms of a non-simple coalgebra",)
+
+
+def test_enumeration_refuses_a_pointed_and_an_unpointed_end_at_the_call():
+    c = systems.ts_two_cycle()
+    for a, b in ((c, underlying(c)), (underlying(c), c)):
+        with pytest.raises(SpecMismatch):
+            enumerate_homomorphisms(a, b)
 
 
 def test_subterminal_on_the_empty_coalgebra_is_vacuous():
@@ -266,7 +282,7 @@ def test_random_coalgebra_and_dot_output_are_pinned():
 
 def test_random_coalgebra_density_zero_is_empty_structures():
     c = random_coalgebra(PowersetFunctor(), 4, 3, density=0.0)
-    assert all(c.struct_of(s).successors == frozenset() for s in c.states)
+    assert all(c.structure[s].successors == frozenset() for s in c.states)
 
 
 def test_random_coalgebra_weighted_needs_a_pool():

@@ -35,7 +35,7 @@ def test_feeder_states_are_pruned():
     c = systems.ts_cycle_with_feeder()
     part, _ = reachable_part(c)
     assert part.states == ("q0", "q1")
-    assert part.struct_of("q0").successors == {"q1"}
+    assert part.structure["q0"].successors == {"q1"}
     assert not is_reachable(c)
 
 

@@ -101,7 +101,7 @@ def test_cancelling_rational_systems_match_naive_refinement(degree):
         assert behavioural_classes(c) == classes, seed
         kappa = classes.representative_map()
         for x in c.states:
-            t = c.struct_of(x)
+            t = c.structure[x]
             cancelled += len({kappa[y] for y in spec.support(t)}) > len(spec.fmap(kappa, t).weights)
     assert cancelled  # some state's weights into some class sum to 0
 
@@ -226,10 +226,10 @@ def _scaled_instances(pool, pointed=False):
         c = random_coalgebra(
             spec, 300, seed, weight_pool=pool, density=density, pointed=pointed
         )
-        dead = [s for s in c.states if not c.struct_of(s).weights]
+        dead = [s for s in c.states if not c.structure[s].weights]
         structure = dict(c.structure)
         for x in c.states[::3]:
-            weights = c.struct_of(x).weight_dict()
+            weights = dict(c.structure[x].weights)
             sinks = [s for s in dead if s not in weights][:5]
             if len(sinks) == 5:
                 structure[x] = spec.struct({**weights, **dict(zip(sinks, CANCELLING))})
@@ -265,7 +265,7 @@ def _assert_classes_match_naive_refinement_with_a_cancelled_sum(instances):
         kappa = classes.representative_map()
         spec = c.functor
         for x in c.states:
-            t = c.struct_of(x)
+            t = c.structure[x]
             cancelled += len({kappa[y] for y in spec.support(t)}) > len(spec.fmap(kappa, t).weights)
     assert cancelled  # some state's weights into some class sum to 0
 

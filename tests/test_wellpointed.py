@@ -43,7 +43,7 @@ def test_loop_cancellation_modification_is_a_lonely_point():
     c = systems.cancel_fork_loops()
     m = well_pointed_modification(c)
     assert m.states == ("a",)
-    assert m.struct_of("a").weights == ()
+    assert m.structure["a"].weights == ()
     assert is_well_pointed(m)
 
 
@@ -130,7 +130,7 @@ def test_modification_receives_a_unique_hom_from_the_reachable_part():
             c = seeded_instance(spec, pool, seed)
             part, _ = reachable_part(c)
             m = well_pointed_modification(c)
-            homs = enumerate_homomorphisms(part, m, pointed=True)
+            homs = list(enumerate_homomorphisms(part, m))
             assert len(homs) == 1
             assert homs[0].is_surjective()
 
@@ -246,13 +246,13 @@ def test_renamed_copy_is_isomorphic_in_exactly_two_ways():
     f = tree.functor
     renaming = {"0": "n0", "1": "n1", "2": "n2"}
     structure = {
-        renaming[s]: f.fmap(renaming, tree.struct_of(s)) for s in tree.states
+        renaming[s]: f.fmap(renaming, tree.structure[s]) for s in tree.states
     }
     renamed = Coalgebra(f, ("n0", "n1", "n2"), structure, "n0")
     assert are_isomorphic(tree, renamed) is not None
     isos = [
         h
-        for h in enumerate_homomorphisms(tree, renamed, pointed=True)
+        for h in enumerate_homomorphisms(tree, renamed)
         if h.is_bijective()
     ]
     assert len(isos) == 2  # unique up to iso, not up to unique iso
@@ -264,7 +264,7 @@ def test_renamed_copy_is_isomorphic_in_exactly_two_ways():
 def test_double_edge_unravels_into_two_unit_siblings():
     tree, covering = tree_unravel(systems.bag_double_edge())
     assert tree.states == ("0", "1", "2")
-    assert tree.struct_of("0").weight_dict() == {"1": 1, "2": 1}
+    assert dict(tree.structure["0"].weights) == {"1": 1, "2": 1}
     assert covering.mapping == {"0": "a", "1": "b", "2": "b"}
     assert covering.is_surjective()
     assert check_homomorphism(covering)
@@ -273,7 +273,7 @@ def test_double_edge_unravels_into_two_unit_siblings():
 def test_rational_weights_unravel_into_one_edge_each():
     tree, covering = tree_unravel(systems.cancel_fork())
     assert tree.states == ("0", "1", "2")
-    assert tree.struct_of("0").weight_dict() == {"1": 3, "2": -3}
+    assert dict(tree.structure["0"].weights) == {"1": 3, "2": -3}
     assert covering.mapping == {"0": "a", "1": "b1", "2": "b2"}
     assert check_homomorphism(covering)
 
@@ -313,7 +313,7 @@ def test_the_counted_tree_size_is_the_size_of_the_built_tree(spec, weight_pool):
             part, _ = reachable_part(c)
             assert err.cycle[0] == err.cycle[-1]
             for x, y in zip(err.cycle, err.cycle[1:]):
-                assert y in spec.support(part.struct_of(x))
+                assert y in spec.support(part.structure[x])
     assert len(sizes) > 5
     assert cycles > 5
 
@@ -397,7 +397,7 @@ def test_unravelled_tree_has_unique_parents():
     incoming = {s: 0 for s in tree.states}
     spec = tree.functor
     for s in tree.states:
-        for t in spec.support(tree.struct_of(s)):
+        for t in spec.support(tree.structure[s]):
             incoming[t] += 1
     assert incoming[tree.point] == 0
     assert all(n == 1 for s, n in incoming.items() if s != tree.point)
