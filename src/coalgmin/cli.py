@@ -2,9 +2,10 @@
 
 Exit codes: 0 for success or a true property, 1 for a false property (a
 failed homomorphism check, a missing isomorphism, disagreeing minimization
-orders, a failing suite), 2 for input or validation errors, including files
-that cannot be read or written.  All file output is canonical JSON,
-byte-identical across runs.
+orders, a failing suite), 2 for bad arguments and for input or validation
+errors, including files that cannot be read or written; exit 2 prints one
+``error:`` line.  All file output is canonical JSON, byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -69,11 +70,15 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_check_hom(args) -> int:
+def _load_morphism(args):
+    """The homomorphism candidate of check-hom and factorize: --map from --dom to --cod."""
     dom = _load(args.dom, pointed=args.pointed)
     cod = _load(args.cod, pointed=args.pointed)
-    h = parse_morphism(_read(args.map), dom, cod)
-    failures = hom_failures(h)
+    return parse_morphism(_read(args.map), dom, cod)
+
+
+def _cmd_check_hom(args) -> int:
+    failures = hom_failures(_load_morphism(args))
     if failures:
         print("not a homomorphism; counterexamples: " + " ".join(failures))
         return 1
@@ -82,10 +87,7 @@ def _cmd_check_hom(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    dom = _load(args.dom, pointed=args.pointed)
-    cod = _load(args.cod, pointed=args.pointed)
-    h = parse_morphism(_read(args.map), dom, cod)
-    factorization = factorize(h)
+    factorization = factorize(_load_morphism(args))
     _write(args.out_dir, "e.json", serialize_morphism(factorization.e))
     _write(args.out_dir, "image.json", serialize_coalgebra(factorization.image))
     _write(args.out_dir, "m.json", serialize_morphism(factorization.m))
@@ -183,90 +185,63 @@ def _cmd_props(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argv as a CoalgminError, so it gets the one error line."""
+
+    def error(self, message):
+        raise CoalgminError(f"{self.prog}: {message}")
+
+
+def _arg(*flags, **options) -> argparse.ArgumentParser:
+    """A parent parser holding one argument, to list in a command's row."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **options)
+    return parent
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared afterwards: building
     it costs far more than a parse, and parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coalgmin",
         description="Minimize finite coalgebraic state systems and verify their laws.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate a coalgebra document")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("check-hom", help="check the homomorphism law for a map")
-    p.add_argument("--dom", required=True)
-    p.add_argument("--cod", required=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--pointed", action="store_true")
-    p.set_defaults(fn=_cmd_check_hom)
-
-    p = sub.add_parser("factorize", help="split a homomorphism through its image")
-    p.add_argument("--dom", required=True)
-    p.add_argument("--cod", required=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--pointed", action="store_true")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(fn=_cmd_factorize)
-
-    p = sub.add_parser("reach", help="compute the reachable part")
-    p.add_argument("file")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(fn=_cmd_reach)
-
-    p = sub.add_parser("minimize", help="compute the simple quotient")
-    p.add_argument("file")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(fn=_cmd_minimize)
-
-    p = sub.add_parser("quotient", help="quotient by an explicit partition")
-    p.add_argument("file")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(fn=_cmd_quotient)
-
-    p = sub.add_parser("wellpoint", help="minimize under both aspects")
-    p.add_argument("file")
-    p.add_argument("--order", choices=("simple-first", "reach-first", "both"), default="simple-first")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(fn=_cmd_wellpoint)
-
-    p = sub.add_parser("iso", help="search for an isomorphism between two systems")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--pointed", action="store_true")
-    p.set_defaults(fn=_cmd_iso)
-
-    p = sub.add_parser("homs", help="enumerate all homomorphisms between two systems")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--pointed", action="store_true")
-    p.add_argument("--max", type=int, default=None)
-    p.set_defaults(fn=_cmd_homs)
-
-    p = sub.add_parser("unravel", help="tree-unravel an acyclic reachable part")
-    p.add_argument("file")
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(fn=_cmd_unravel)
-
-    p = sub.add_parser("dot", help="emit Graphviz DOT text")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_dot)
-
-    p = sub.add_parser("props", help="run a seeded property suite")
-    p.add_argument("--suite", default="all", help=f"one of {sorted(SUITES)} or 'all'")
-    p.add_argument("--seeds", type=int, default=None, help="number of seeds (default 200)")
-    p.set_defaults(fn=_cmd_props)
-
+    file, out_dir = _arg("file"), _arg("--out-dir", default=".")
+    pointed = _arg("--pointed", action="store_true")
+    morphism = [_arg(flag, required=True) for flag in ("--dom", "--cod", "--map")]
+    pair = [_arg("a"), _arg("b")]
+    orders = ("simple-first", "reach-first", "both")
+    commands = (
+        ("validate", _cmd_validate, "validate a coalgebra document", [file]),
+        ("check-hom", _cmd_check_hom, "check the homomorphism law for a map", [*morphism, pointed]),
+        ("factorize", _cmd_factorize, "split a homomorphism through its image",
+         [*morphism, pointed, out_dir]),
+        ("reach", _cmd_reach, "compute the reachable part", [file, out_dir]),
+        ("minimize", _cmd_minimize, "compute the simple quotient", [file, out_dir]),
+        ("quotient", _cmd_quotient, "quotient by an explicit partition",
+         [file, _arg("--partition", required=True), out_dir]),
+        ("wellpoint", _cmd_wellpoint, "minimize under both aspects",
+         [file, _arg("--order", choices=orders, default="simple-first"), out_dir]),
+        ("iso", _cmd_iso, "search for an isomorphism between two systems", [*pair, pointed]),
+        ("homs", _cmd_homs, "enumerate all homomorphisms between two systems",
+         [*pair, pointed, _arg("--max", type=int, default=None)]),
+        ("unravel", _cmd_unravel, "tree-unravel an acyclic reachable part", [file, out_dir]),
+        ("dot", _cmd_dot, "emit Graphviz DOT text", [file]),
+        ("props", _cmd_props, "run a seeded property suite", [
+            _arg("--suite", default="all", help=f"one of {sorted(SUITES)} or 'all'"),
+            _arg("--seeds", type=int, default=None, help="number of seeds (default 200)"),
+        ]),
+    )
+    for name, fn, summary, parents in commands:
+        sub.add_parser(name, help=summary, parents=parents).set_defaults(fn=fn)
     return parser
 
 
 def run_command(argv) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (CoalgminError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -272,12 +272,6 @@ class FunctorSpec:
 
     # -- shared helpers ----------------------------------------------------
 
-    def _applied(self, mapping: Mapping[str, str], state: str) -> str:
-        try:
-            return mapping[state]
-        except KeyError:
-            raise self._unmapped(mapping, (state,)) from None
-
     @staticmethod
     def _unmapped(mapping: Mapping[str, str], states: Iterable[str]) -> PartialMap:
         """The error naming the first of ``states`` that ``mapping`` misses,

@@ -34,6 +34,7 @@ from .core import (
     Coalgebra,
     Morphism,
     Partition,
+    _derived_morphism,
     check_homomorphism,
     apply_partition_quotient,
     require_homomorphism,
@@ -98,8 +99,11 @@ def enumerate_homomorphisms(a: Coalgebra, b: Coalgebra) -> Iterator[Morphism]:
     state by state in carrier order; as soon as a state and all its
     successors are assigned, the homomorphism equation at that state is
     checked, cutting the dead branch immediately.  The maps come in
-    lexicographic order of codomain carrier positions.  This function
-    deliberately never consults the reachability or refinement algorithms.
+    lexicographic order of codomain carrier positions.  Each map is built
+    unchecked: the search maps every state of ``a`` into ``b`` and checks
+    the law at every state itself, so a check of the result would only
+    repeat it.  This function deliberately never consults the reachability
+    or refinement algorithms.
     """
     if a.functor != b.functor:
         raise SpecMismatch("cannot search homomorphisms across functors")
@@ -132,7 +136,7 @@ def enumerate_homomorphisms(a: Coalgebra, b: Coalgebra) -> Iterator[Morphism]:
     def extend(i: int) -> Iterator[Morphism]:
         nonlocal budget
         if i == len(order):
-            yield Morphism(a, b, dict(mapping))
+            yield _derived_morphism(a, b, dict(mapping))
             return
         x = order[i]
         for y in candidates_by_state[x]:

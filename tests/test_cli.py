@@ -199,11 +199,45 @@ def test_a_document_is_validated_once(tmp_path, monkeypatch, capsys, argv, docum
 def test_the_parser_is_built_once_and_survives_a_bad_argv(tmp_path, capsys):
     assert build_parser() is build_parser()
     assert run_command(["validate", doc("dfa_no_trailing_b")]) == 0
-    with pytest.raises(SystemExit) as err:
-        run_command(["minimize", doc("weighted_pair_merge"), "--no-such-flag"])
-    assert err.value.code == 2
+    capsys.readouterr()
+    assert run_command(["minimize", doc("weighted_pair_merge"), "--no-such-flag"]) == 2
+    assert capsys.readouterr() == ("", "error: coalgmin: unrecognized arguments: --no-such-flag\n")
     assert run_command(["minimize", doc("weighted_pair_merge"), "--out-dir", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "partition.json").read_text())["blocks"] == [["x"], ["y1", "y2"]]
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["check-hom", "--map", "x"],
+         "coalgmin check-hom: the following arguments are required: --dom, --cod"),
+        (["wellpoint", doc("ts_branching"), "--order", "bad"],
+         "coalgmin wellpoint: argument --order: invalid choice: 'bad' "
+         "(choose from 'simple-first', 'reach-first', 'both')"),
+        (["homs", doc("ts_branching"), doc("ts_branching"), "--max", "x"],
+         "coalgmin homs: argument --max: invalid int value: 'x'"),
+        ([], "coalgmin: the following arguments are required: command"),
+        (["check-hom", "--dom", doc("dfa_no_trailing_b"), "--cod", doc("ts_branching"),
+          "--map", {"map": {"q": "x", "p": "x", "s": "y", "r": "z"}}],
+         "morphism endpoints use different functors"),
+        (["homs", doc("dfa_no_trailing_b"), doc("ts_branching")],
+         "cannot search homomorphisms across functors"),
+        (["quotient", doc("cancel_fork"), "--partition", {"blocks": [[]]}], "empty block"),
+        (["quotient", doc("cancel_fork"), "--partition", []],
+         "partition document must be an object with 'blocks'"),
+    ],
+    ids=["missing-option", "bad-choice", "bad-int", "no-command", "map-across-functors",
+         "homs-across-functors", "empty-block", "partition-not-an-object"],
+)
+def test_a_bad_argv_or_document_gives_one_error_line(tmp_path, capsys, argv, line):
+    # a JSON value in argv stands for a file holding it
+    document = tmp_path / "document.json"
+    for value in argv:
+        if not isinstance(value, str):
+            document.write_text(json.dumps(value))
+    argv = [value if isinstance(value, str) else str(document) for value in argv]
+    assert run_command(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
 def test_quotient_by_explicit_partition(tmp_path):

@@ -23,6 +23,7 @@ from coalgmin import (
     identity_morphism,
     kernel_partition,
     parse_coalgebra,
+    random_coalgebra,
     reachable_part,
     serialize_coalgebra,
     simple_quotient,
@@ -33,10 +34,12 @@ from coalgmin import systems
 from coalgmin.errors import (
     DomainMismatch,
     IncompatiblePartition,
+    InvalidMorphism,
     NotAHomomorphism,
     NotAPartition,
     NotInjective,
     NotSurjective,
+    SpecMismatch,
     SquareDoesNotCommute,
     ValidationError,
 )
@@ -467,3 +470,35 @@ def test_partition_canonical_form_and_join():
     assert p.blocks == (("a",), ("b", "c"))
     assert Partition.discrete("abc").refines(p)
     assert not p.refines(Partition.discrete("abc"))
+
+
+_RATIONAL = WeightedFunctor("rational")
+_ONE_EDGE = _RATIONAL.struct({"a": 1})
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: diagonal_fill_in({"a": "b"}, {"c": "d"}, {}, {"b": "d"}),
+         InvalidMorphism, "e and f must share their domain"),
+        (lambda: diagonal_fill_in({"a": "x"}, {"c": "d"}, {"a": "c"}, {"b": "d"}),
+         InvalidMorphism, "e must land in the domain of g"),
+        (lambda: diagonal_fill_in({"a": "b"}, {"c": "d"}, {"a": "z"}, {"b": "d"}),
+         InvalidMorphism, "f must land in the domain of m"),
+        (lambda: WeightedFunctor("integer"), ValueError, "unknown monoid 'integer'"),
+        (lambda: Coalgebra(_RATIONAL, ("a",), {"a": WeightedStruct((("a", 0.5),))}),
+         ValidationError, "malformed-structure: state 'a': non-exact weight 0.5"),
+        (lambda: _RATIONAL.pair_structure(_ONE_EDGE, _ONE_EDGE, {"a": "a"}, {"a": 0}, min),
+         SpecMismatch, "no kernel-pair structure for WeightedFunctor(monoid='rational')"),
+        (lambda: random_coalgebra(PowersetFunctor(), -1, 0),
+         ValueError, "n_states must be nonnegative"),
+        (lambda: random_coalgebra(PowersetFunctor(), 0, 0, pointed=True),
+         ValueError, "a pointed coalgebra needs at least one state"),
+    ],
+    ids=["fill-in-domains", "fill-in-e", "fill-in-f", "monoid", "float-weight",
+         "rational-kernel-pair", "negative-size", "pointed-empty"],
+)
+def test_each_refusal_has_its_type_and_message(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message

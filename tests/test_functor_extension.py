@@ -61,7 +61,10 @@ class MaybeEdgesFunctor(FunctorSpec):
     def fmap(self, mapping, t):
         if t.successor is None:
             return t
-        return MaybeStruct(self._applied(mapping, t.successor))
+        try:
+            return MaybeStruct(mapping[t.successor])
+        except KeyError:
+            raise self._unmapped(mapping, (t.successor,)) from None
 
     def support(self, t):
         return frozenset() if t.successor is None else frozenset({t.successor})

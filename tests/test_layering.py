@@ -102,9 +102,13 @@ def test_every_abstract_functor_method_is_called_outside_functors():
 
 
 def test_only_core_and_reachability_build_unchecked_coalgebras():
-    # core._derived skips validation; only constructions that keep validity use it
-    users = {path.stem for path in SRC.glob("*.py") if "_derived" in path.read_text()}
-    assert users == {"core", "reachability"}
+    # core._derived and core._derived_morphism skip validation; only
+    # constructions that keep validity use them
+    def users(call):
+        return {path.stem for path in SRC.glob("*.py") if call in path.read_text()}
+
+    assert users("_derived(") == {"core", "reachability"}
+    assert users("_derived_morphism(") == {"core", "reachability", "oracles"}
 
 
 def perfbench_names() -> set[tuple[str, str]]:

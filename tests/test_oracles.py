@@ -6,7 +6,10 @@ import itertools
 import pytest
 
 from coalgmin import (
+    Coalgebra,
     Morphism,
+    Partition,
+    behavioural_classes,
     check_homomorphism,
     emit_dot,
     check_greatest_quotient,
@@ -189,6 +192,13 @@ def test_subterminal_on_the_empty_coalgebra_is_vacuous():
 
     empty = Coalgebra(PowersetFunctor(), (), {})
     assert check_simple_subterminal(empty, []).passed
+
+
+def test_partition_oracles_on_the_empty_carrier_match_behavioural_classes():
+    empty = Coalgebra(PowersetFunctor(), (), {})
+    assert behavioural_classes(empty) == Partition(())
+    assert oracles.enumerate_compatible_partitions(empty) == [Partition(())]
+    assert oracles.naive_refinement(empty) == Partition(())
 
 
 def test_subterminal_converse_is_noted_not_failed_for_rationals():

@@ -36,6 +36,7 @@ from coalgmin import (
     quotient,
     wellpointed,
 )
+from coalgmin.oracles import naive_refinement
 from coalgmin.suites import FUNCTOR_FAMILIES, seeded_instance
 from conftest import chains, hubs, renamed_copy
 
@@ -123,7 +124,7 @@ def test_sparse_systems_visit_at_most_2_n_plus_m_log_n_edges(spec, pool, seed, m
     c = random_coalgebra(spec, n, seed, weight_pool=pool, density=3 / n)
     m = _edges(c)
     partition, visits = _refine_counting(c, monkeypatch)
-    assert partition == behavioural_classes(c)
+    assert partition == naive_refinement(c)
     assert m <= visits <= 2 * (n + m) * math.ceil(math.log2(n))
 
 
