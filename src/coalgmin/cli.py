@@ -176,7 +176,7 @@ def _cmd_dot(args) -> int:
 def _cmd_props(args) -> int:
     if args.seeds is not None and args.seeds < 1:
         raise CoalgminError(f"--seeds must be positive, got {args.seeds}")
-    seeds = DEFAULT_SEEDS if args.seeds is None else tuple(range(args.seeds))
+    seeds = DEFAULT_SEEDS if args.seeds is None else range(args.seeds)
     reports = run_suite(args.suite, seeds)
     ok = True
     for report in reports:

@@ -14,7 +14,8 @@ deliberately naive and independent of them:
 - the ``check_*`` functions, which verify universal properties (least
   subobject, greatest quotient, functoriality of minimization, closure under
   quotients) by exhaustive inspection, reporting witnesses instead of
-  relying on the theory.
+  relying on the theory; the least subobject and the greatest quotient,
+  the two minimization aspects, share one check of the mediating map.
 
 The enumerations are exponential, so each has a fixed bound.  Carriers
 larger than ``SUBCOALGEBRA_BOUND`` or ``PARTITION_BOUND`` raise
@@ -95,15 +96,15 @@ def enumerate_homomorphisms(a: Coalgebra, b: Coalgebra) -> Iterator[Morphism]:
     neither is, they need not; one pointed and one unpointed raise
     SpecMismatch.  The functors, the points and the state bound are checked
     at the call; the candidate budget is spent, and may run out, while the
-    maps are drawn.  Maps are extended
-    state by state in carrier order; as soon as a state and all its
-    successors are assigned, the homomorphism equation at that state is
-    checked, cutting the dead branch immediately.  The maps come in
-    lexicographic order of codomain carrier positions.  Each map is built
-    unchecked: the search maps every state of ``a`` into ``b`` and checks
-    the law at every state itself, so a check of the result would only
-    repeat it.  This function deliberately never consults the reachability
-    or refinement algorithms.
+    maps are drawn.  Maps are extended state by state in carrier order.  The
+    law at a state is checked as soon as it and all its successors are
+    mapped: a table made before the search lists, for each carrier
+    position, the states whose last such state sits there, so the dead
+    branch is cut at once.  The maps come in lexicographic order of
+    codomain carrier positions.  Each map is built unchecked: the search
+    maps every state of ``a`` into ``b`` and checks the law at every state
+    itself, so a check of the result would only repeat it.  This function
+    deliberately never consults the reachability or refinement algorithms.
     """
     if a.functor != b.functor:
         raise SpecMismatch("cannot search homomorphisms across functors")
@@ -116,49 +117,35 @@ def enumerate_homomorphisms(a: Coalgebra, b: Coalgebra) -> Iterator[Morphism]:
 
     spec = a.functor
     order = a.states
-    needed = {
-        z: frozenset({z} | spec.support(a.structure[z])) for z in order
-    }
-    touched: dict[str, list[str]] = {s: [] for s in order}
+    position = a.state_index()
+    checkable: list[list[str]] = [[] for _ in order]
     for z in order:
-        for s in needed[z]:
-            touched[s].append(z)
-    remaining = {z: len(needed[z]) for z in order}
-
-    candidates_by_state = {x: (b.point,) if x == a.point else b.states for x in order}
+        last = max(position[s] for s in spec.support(a.structure[z]) | {z})
+        checkable[last].append(z)
+    candidates = [(b.point,) if x == a.point else b.states for x in order]
 
     budget = HOM_SEARCH_BUDGET
+    # entries past position i stay from earlier branches; no law checked at
+    # i reads them, and every map drawn has overwritten them all
     mapping: dict[str, str] = {}
-
-    def law_holds(z: str) -> bool:
-        return spec.fmap(mapping, a.structure[z]) == b.structure[mapping[z]]
 
     def extend(i: int) -> Iterator[Morphism]:
         nonlocal budget
         if i == len(order):
             yield _derived_morphism(a, b, dict(mapping))
             return
-        x = order[i]
-        for y in candidates_by_state[x]:
+        for y in candidates[i]:
             budget -= 1
             if budget < 0:
                 raise SearchBoundExceeded(
                     f"homomorphism search exceeded {HOM_SEARCH_BUDGET} candidates"
                 )
-            mapping[x] = y
-            completed = []
-            ok = True
-            for z in touched[x]:
-                remaining[z] -= 1
-                completed.append(z)
-                if remaining[z] == 0 and not law_holds(z):
-                    ok = False
+            mapping[order[i]] = y
+            for z in checkable[i]:
+                if spec.fmap(mapping, a.structure[z]) != b.structure[mapping[z]]:
                     break
-            if ok:
+            else:
                 yield from extend(i + 1)
-            for z in completed:
-                remaining[z] += 1
-            del mapping[x]
 
     return extend(0)
 
@@ -254,9 +241,10 @@ def naive_refinement(c: Coalgebra) -> Partition:
     """Behavioural classes by global refinement rounds, the reference for
     the worklist refinement behind ``behavioural_classes``.
 
-    Every round maps all states' structures to block representatives and
-    splits each block by the results, until a round changes nothing.  A
-    chain needing n rounds costs n**2 signature evaluations.
+    Every round keys each state by its block and the image of its structure
+    under the block representatives, and regroups the whole carrier by that
+    key, until a round changes nothing.  A chain needing n rounds costs n**2
+    signature evaluations.
     """
     if not c.states:
         return Partition(())
@@ -264,23 +252,13 @@ def naive_refinement(c: Coalgebra) -> Partition:
     partition = Partition.of([c.states])
     for _ in range(len(c.states)):
         kappa = partition.representative_map()
-        signature = {x: spec.fmap(kappa, c.structure[x]) for x in c.states}
-        refined = Partition.of(
-            group
-            for block in partition.blocks
-            for group in _split(block, signature)
+        refined = Partition.from_key(
+            c.states, lambda x: (kappa[x], spec.fmap(kappa, c.structure[x]))
         )
         if refined == partition:
             break
         partition = refined
     return partition
-
-
-def _split(block: tuple[str, ...], signature) -> list[list[str]]:
-    groups: dict[object, list[str]] = {}
-    for x in block:
-        groups.setdefault(signature[x], []).append(x)
-    return list(groups.values())
 
 
 def dfa_language_oracle(c: Coalgebra, max_len: int) -> dict[str, frozenset[str]]:
@@ -416,15 +394,15 @@ def check_simple_subterminal(c: Coalgebra, pool: Iterable[Coalgebra]) -> Propert
     pool = list(pool)
     if is_simple(c):
         for d in pool:
-            n = len(list(enumerate_homomorphisms(underlying(d), underlying(c))))
+            n = sum(1 for _ in enumerate_homomorphisms(underlying(d), underlying(c)))
             if n > 1:
                 failures.append(
                     (stable_digest(d), f"{n} homomorphisms into a simple coalgebra")
                 )
     else:
-        endos = list(enumerate_homomorphisms(underlying(c), underlying(c)))
-        if len(endos) >= 2:
-            witnesses.append(f"{len(endos)} endomorphisms of a non-simple coalgebra")
+        endos = sum(1 for _ in enumerate_homomorphisms(underlying(c), underlying(c)))
+        if endos >= 2:
+            witnesses.append(f"{endos} endomorphisms of a non-simple coalgebra")
         else:
             kernel = kernel_pair_coalgebra(c)
             if kernel is not None and kernel[1].mapping != kernel[2].mapping:
@@ -449,78 +427,60 @@ def _subcoalgebra_on(c: Coalgebra, states: tuple[str, ...]) -> Coalgebra:
     return Coalgebra(c.functor, states, structure, c.point)
 
 
+def _mediating_failure(dom: Coalgebra, cod: Coalgebra, forced: dict) -> Optional[str]:
+    """Why the forced mediating map dom -> cod fails, or None if it does not.
+
+    The triangle the map must close fixes it at every state, so it is a
+    homomorphism or no mediating homomorphism exists; on instances of at
+    most ``_SMALL`` states the search also confirms that it is the only
+    homomorphism that closes the triangle, rather than trusting the theory
+    that forces it.
+    """
+    if not check_homomorphism(Morphism(dom, cod, forced)):
+        return "forced mediating map is not a hom"
+    if len(dom.states) <= _SMALL:
+        matching = sum(h.mapping == forced for h in enumerate_homomorphisms(dom, cod))
+        if matching != 1:
+            return f"{matching} mediating homomorphisms"
+    return None
+
+
 def check_least_subobject(c: Coalgebra) -> PropertyReport:
-    """The reachable part embeds uniquely into every pointed subcoalgebra."""
-    part, inclusion = reachable_part(c)
+    """The reachable part embeds uniquely into every pointed subcoalgebra:
+    the mediating map is forced to be the identity on the part."""
+    part, _ = reachable_part(c)
     failures = []
-    count = 0
-    for states in enumerate_pointed_subcoalgebras(c):
-        count += 1
+    subcoalgebras = enumerate_pointed_subcoalgebras(c)
+    for states in subcoalgebras:
         sub = _subcoalgebra_on(c, states)
         if not set(part.states) <= set(states):
-            failures.append(
-                (stable_digest(sub), "reachable part escapes a pointed subcoalgebra")
-            )
-            continue
-        mediating = Morphism(part, sub, {s: s for s in part.states})
-        if not check_homomorphism(mediating):
-            failures.append((stable_digest(sub), "forced mediating map is not a hom"))
-            continue
-        # uniqueness is forced pointwise by injectivity of the inclusion; on
-        # tiny instances double-check by exhaustive search anyway
-        if len(part.states) <= _SMALL:
-            matching = [
-                h
-                for h in enumerate_homomorphisms(part, sub)
-                if all(h.mapping[s] == s for s in part.states)
-            ]
-            if len(matching) != 1:
-                failures.append(
-                    (stable_digest(sub), f"{len(matching)} mediating homomorphisms")
-                )
-    return PropertyReport("least-subobject", count, tuple(failures))
+            why = "reachable part escapes a pointed subcoalgebra"
+        else:
+            why = _mediating_failure(part, sub, {s: s for s in part.states})
+        if why:
+            failures.append((stable_digest(sub), why))
+    return PropertyReport("least-subobject", len(subcoalgebras), tuple(failures))
 
 
 def check_greatest_quotient(c: Coalgebra) -> PropertyReport:
-    """Every quotient factors uniquely through the simple quotient."""
+    """Every quotient factors uniquely through the simple quotient: the
+    mediating map sends the class of x to the simple class of x."""
     quotient, projection, _ = simple_quotient(c)
     failures = []
-    count = 0
-    for partition in enumerate_compatible_partitions(c):
-        count += 1
+    partitions = enumerate_compatible_partitions(c)
+    for partition in partitions:
         d, e_prime = apply_partition_quotient(c, partition)
-        u_map: dict[str, str] = {}
-        conflict = None
+        forced: dict[str, str] = {}
         for x in c.states:
             source, target = e_prime.mapping[x], projection.mapping[x]
-            if u_map.setdefault(source, target) != target:
-                conflict = x
+            if forced.setdefault(source, target) != target:
+                why = f"no mediating map: conflict at {x!r}"
                 break
-        if conflict is not None:
-            failures.append(
-                (stable_digest(d), f"no mediating map: conflict at {conflict!r}")
-            )
-            continue
-        mediating = Morphism(d, quotient, u_map)
-        if not check_homomorphism(mediating):
-            failures.append((stable_digest(d), "forced mediating map is not a hom"))
-            continue
-        # uniqueness is forced because the quotient projection is surjective;
-        # cross-check by enumeration on tiny instances
-        if len(d.states) <= _SMALL:
-            matching = [
-                h
-                for h in enumerate_homomorphisms(underlying(d), underlying(quotient))
-                if all(
-                    h.mapping[e_prime.mapping[x]] == projection.mapping[x]
-                    for x in c.states
-                )
-            ]
-            if len(matching) != 1:
-                failures.append(
-                    (stable_digest(d), f"{len(matching)} mediating homomorphisms")
-                )
-    return PropertyReport("greatest-quotient", count, tuple(failures))
+        else:
+            why = _mediating_failure(d, quotient, forced)
+        if why:
+            failures.append((stable_digest(d), why))
+    return PropertyReport("greatest-quotient", len(partitions), tuple(failures))
 
 
 def check_minimization_functorial(morphisms: Iterable[Morphism]) -> PropertyReport:

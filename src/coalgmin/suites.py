@@ -63,21 +63,19 @@ def seeded_instance(spec, pool, seed: int) -> Coalgebra:
 def _run_per_instance(
     name: str,
     seeds: Sequence[int],
-    flagged_only: bool,
+    families: tuple,
     fn: Callable[[Coalgebra], Iterable[tuple[str, str]]],
 ) -> list[PropertyReport]:
-    reports = []
-    for family, spec, pool in FLAGGED_FAMILIES if flagged_only else FUNCTOR_FAMILIES:
-        failures = []
-        count = 0
-        for seed in seeds:
-            c = seeded_instance(spec, pool, seed)
-            count += 1
-            failures.extend(fn(c))
-        reports.append(
-            PropertyReport(f"{name}[{family}]", count, tuple(failures))
+    """One report per family in ``families``: the failures ``fn`` finds on
+    the family's instance for each seed."""
+    return [
+        PropertyReport(
+            f"{name}[{family}]",
+            len(seeds),
+            tuple(f for seed in seeds for f in fn(seeded_instance(spec, pool, seed))),
         )
-    return reports
+        for family, spec, pool in families
+    ]
 
 
 def suite_reach_oracle(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyReport]:
@@ -92,7 +90,7 @@ def suite_reach_oracle(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyRep
         if frozenset(part.states) != intersection:
             yield (stable_digest(c), "bfs closure differs from the intersection oracle")
 
-    return _run_per_instance("reach-oracle", seeds, False, check)
+    return _run_per_instance("reach-oracle", seeds, FUNCTOR_FAMILIES, check)
 
 
 def suite_simple_oracle(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyReport]:
@@ -108,19 +106,16 @@ def suite_simple_oracle(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyRe
             if not other.refines(partition):
                 yield (stable_digest(c), "a compatible partition escapes the refinement one")
 
-    return _run_per_instance("simple-oracle", seeds, False, check)
+    return _run_per_instance("simple-oracle", seeds, FUNCTOR_FAMILIES, check)
 
 
 def suite_universality(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyReport]:
     """Least-subobject and greatest-quotient mediating morphisms are unique."""
 
     def check(c):
-        sub = check_least_subobject(c)
-        quot = check_greatest_quotient(c)
-        yield from sub.failures
-        yield from quot.failures
+        return check_least_subobject(c).failures + check_greatest_quotient(c).failures
 
-    return _run_per_instance("universality", seeds, False, check)
+    return _run_per_instance("universality", seeds, FUNCTOR_FAMILIES, check)
 
 
 def suite_functoriality(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyReport]:
@@ -140,7 +135,7 @@ def suite_functoriality(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyRe
         report = check_minimization_functorial(morphisms)
         yield from report.failures
 
-    return _run_per_instance("functoriality", seeds, True, check)
+    return _run_per_instance("functoriality", seeds, FLAGGED_FAMILIES, check)
 
 
 def suite_commutation(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyReport]:
@@ -151,7 +146,7 @@ def suite_commutation(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyRepo
         if not report.agree:
             yield (stable_digest(c), "minimization orders disagree")
 
-    return _run_per_instance("commutation", seeds, True, check)
+    return _run_per_instance("commutation", seeds, FLAGGED_FAMILIES, check)
 
 
 def suite_quotient_closure(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyReport]:
@@ -166,7 +161,7 @@ def suite_quotient_closure(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[Propert
         report = check_quotient_closure(part)
         yield from report.failures
 
-    reports = _run_per_instance("quotient-closure", seeds, True, check)
+    reports = _run_per_instance("quotient-closure", seeds, FLAGGED_FAMILIES, check)
     witness = systems.cancel_fork()
     report = check_quotient_closure(witness)
     failures = tuple(report.failures)
@@ -184,7 +179,6 @@ def suite_quotient_closure(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[Propert
 
 def suite_lemmas(seeds: Sequence[int] = tuple(range(25))) -> list[PropertyReport]:
     """Minimality lemma checks over the named corpus plus seeded pools."""
-    reports: list[PropertyReport] = []
     corpus = [
         systems.dfa_no_trailing_b(),
         systems.ts_branching(),
@@ -196,32 +190,28 @@ def suite_lemmas(seeds: Sequence[int] = tuple(range(25))) -> list[PropertyReport
         systems.bag_double_edge(),
         systems.labelled_handshake(),
     ]
-    for c in corpus:
-        pool = [c, reachable_part(c)[0]]
-        reports.append(check_minimal_iff_incoming_epi(c, pool))
-        reports.append(check_simple_subterminal(c, [c, simple_quotient(c)[0]]))
+
+    def lemmas(c):
+        return (
+            check_minimal_iff_incoming_epi(c, [c, reachable_part(c)[0]]),
+            check_simple_subterminal(c, [c, simple_quotient(c)[0]]),
+        )
 
     def check(c):
-        yield from check_minimal_iff_incoming_epi(c, [c, reachable_part(c)[0]]).failures
-        yield from check_simple_subterminal(c, [c, simple_quotient(c)[0]]).failures
+        return [f for report in lemmas(c) for f in report.failures]
 
-    return reports + _run_per_instance("lemmas", seeds, False, check)
+    reports = [report for c in corpus for report in lemmas(c)]
+    return reports + _run_per_instance("lemmas", seeds, FUNCTOR_FAMILIES, check)
 
 
 def suite_dfa_language(seeds: Sequence[int] = DEFAULT_SEEDS) -> list[PropertyReport]:
     """Refinement on automata agrees with the bounded language oracle."""
     failures = []
-    count = 0
     for seed in seeds:
         c = seeded_instance(systems.DFA_AB, None, seed)
-        count += 1
-        classes = behavioural_classes(c)
-        bounded = language_kernel(c, 2 * len(c.states))
-        if classes != bounded:
-            failures.append(
-                (stable_digest(c), "refinement differs from the language kernel")
-            )
-    return [PropertyReport("dfa-language", count, tuple(failures))]
+        if behavioural_classes(c) != language_kernel(c, 2 * len(c.states)):
+            failures.append((stable_digest(c), "refinement differs from the language kernel"))
+    return [PropertyReport("dfa-language", len(seeds), tuple(failures))]
 
 
 SUITES: dict[str, Callable[[Sequence[int]], list[PropertyReport]]] = {

@@ -12,6 +12,7 @@ from coalgmin import (
     Partition,
     PowersetFunctor,
     WeightedFunctor,
+    cli,
     core,
     formats,
     random_coalgebra,
@@ -434,6 +435,20 @@ def test_props_runs_a_small_suite(capsys):
 def test_props_refuses_fewer_than_one_seed(capsys, seeds):
     assert run_command(["props", "--suite", "commutation", "--seeds", seeds]) == 2
     assert capsys.readouterr() == ("", f"error: --seeds must be positive, got {seeds}\n")
+
+
+
+def test_props_does_not_materialize_its_seeds(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, seeds: seen.append(seeds) or [])
+    tracemalloc.start()
+    try:
+        assert run_command(["props", "--seeds", "1000000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(seeds) for seeds in seen] == [1_000_000]
+    assert peak < 1_000_000
 
 
 def test_props_runs_every_suite_by_default(capsys):

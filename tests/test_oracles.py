@@ -9,6 +9,7 @@ from coalgmin import (
     Coalgebra,
     Morphism,
     Partition,
+    apply_partition_quotient,
     behavioural_classes,
     check_homomorphism,
     emit_dot,
@@ -19,6 +20,7 @@ from coalgmin import (
     check_quotient_closure,
     check_simple_subterminal,
     enumerate_homomorphisms,
+    identity_morphism,
     random_coalgebra,
     reachable_part,
     simple_quotient,
@@ -34,7 +36,7 @@ from coalgmin.functors import (
 )
 from coalgmin import oracles
 from coalgmin.oracles import kernel_pair_coalgebra, stable_digest
-from coalgmin.suites import FUNCTOR_FAMILIES
+from coalgmin.suites import FUNCTOR_FAMILIES, seeded_instance, suite_universality
 
 
 def naive_homs(a, b, pointed=False):
@@ -113,6 +115,37 @@ def test_enumeration_order_is_deterministic():
     second = [h.mapping for h in enumerate_homomorphisms(c, c)]
     assert first == second
     assert len(first) == 4 ** 4  # empty structures put no constraint on maps
+
+
+def test_search_work_and_maps_are_pinned(monkeypatch):
+    # fmap calls and maps of the pointed and unpointed endomorphism searches
+    # over the suite instances; a change to the pruning moves the counts
+    expected = {
+        "dfa": (17297, "81722a8cc69e4e0337cd87f2256ef3e2b1a4c5ca0a7ec3ff7040f2dcb041f498"),
+        "powerset": (144069, "e21484c3e78ec238ffef131ff7f43db64c7632016b69125c78d86debe82c645a"),
+        "labelled": (189398, "164d0cfd07ffad7eba0b78c137e5055c4477eb926c4ccc02318a24280865d538"),
+        "bag": (131772, "e80faffd1473d537c22901599b227e7363754161b2a879a4c3292996c52f886e"),
+        "rational": (77815, "c7bdd20af3dcbdc976d665607f68f41f75a6540e6aabfc6930f63547725dfcce"),
+    }
+    for family, spec, pool in FUNCTOR_FAMILIES:
+        calls = 0
+        fmap = type(spec).fmap
+
+        def counting(self, mapping, t):
+            nonlocal calls
+            calls += 1
+            return fmap(self, mapping, t)
+
+        monkeypatch.setattr(type(spec), "fmap", counting)
+        digest = hashlib.sha256()
+        for seed in range(30):
+            c = seeded_instance(spec, pool, seed)
+            for ends in ((c, c), (underlying(c), underlying(c))):
+                for h in enumerate_homomorphisms(*ends):
+                    digest.update(repr(sorted(h.mapping.items())).encode())
+                digest.update(b"|")
+        monkeypatch.undo()
+        assert (calls, digest.hexdigest()) == expected[family], family
 
 
 # -- kernel pairs --------------------------------------------------------------
@@ -234,6 +267,101 @@ def test_greatest_quotient_covers_the_cancellation_merges():
     report = check_greatest_quotient(underlying(systems.cancel_fork()))
     assert report.passed
     assert report.instances >= 2
+
+
+# Each sabotage breaks one collaborator of the universality checks; the
+# suite must then report the failure branch it was written for.
+
+
+def _whole_carrier_as_reachable_part(c):
+    return c, identity_morphism(c)
+
+
+def _discrete_simple_quotient(c):
+    partition = Partition.discrete(c.states)
+    return (*apply_partition_quotient(c, partition), partition)
+
+
+def _each_hom_twice(a, b):
+    for h in _real_enumerate_homomorphisms(a, b):
+        yield h
+        yield h
+
+
+def _rotated(c):
+    """c with each state given the structure of the next in carrier order."""
+    s = c.states
+    structure = {x: c.structure[s[(i + 1) % len(s)]] for i, x in enumerate(s)}
+    return Coalgebra(c.functor, s, structure, c.point)
+
+
+def _rotated_reachable_part(c):
+    part, inclusion = _real_reachable_part(c)
+    return _rotated(part), inclusion
+
+
+def _rotated_simple_quotient(c):
+    quotient, projection, partition = _real_simple_quotient(c)
+    return _rotated(quotient), projection, partition
+
+
+_real_enumerate_homomorphisms = oracles.enumerate_homomorphisms
+_real_reachable_part = oracles.reachable_part
+_real_simple_quotient = oracles.simple_quotient
+
+_SABOTAGED_UNIVERSALITY = {
+    ("reachable_part", _whole_carrier_as_reachable_part): ([18, 21, 10, 30, 29], (
+        "1946fcb07954:reachable part escapes a pointed subcoalgebra",
+        "0e829ac0c463:reachable part escapes a pointed subcoalgebra",
+        "e9fe0ad25d99:reachable part escapes a pointed subcoalgebra",
+        "ef7e0edd8342:reachable part escapes a pointed subcoalgebra",
+        "d4776eb116a3:reachable part escapes a pointed subcoalgebra",
+    )),
+    ("simple_quotient", _discrete_simple_quotient): ([18, 313, 140, 15, 23], (
+        "e59c62dc28cc:no mediating map: conflict at 's1'",
+        "0b7d370faecb:no mediating map: conflict at 's1'",
+        "3ee6f4a6c464:no mediating map: conflict at 's1'",
+        "d1f10c4d6103:no mediating map: conflict at 's1'",
+        "a1965081ad51:no mediating map: conflict at 's3'",
+    )),
+    ("enumerate_homomorphisms", _each_hom_twice): ([90, 380, 204, 100, 107], (
+        "e59c62dc28cc:2 mediating homomorphisms",
+        "937b260b68bf:2 mediating homomorphisms",
+        "62022ee08c87:2 mediating homomorphisms",
+        "d8993852b1c5:2 mediating homomorphisms",
+        "cdbca6295ecf:2 mediating homomorphisms",
+    )),
+    ("reachable_part", _rotated_reachable_part): ([40, 35, 31, 25, 26], (
+        "025957572633:forced mediating map is not a hom",
+        "14299ea823b3:forced mediating map is not a hom",
+        "9fef41b43774:forced mediating map is not a hom",
+        "2f526c1db356:forced mediating map is not a hom",
+        "ddc0454a1006:forced mediating map is not a hom",
+    )),
+    ("simple_quotient", _rotated_simple_quotient): ([34, 14, 15, 42, 54], (
+        "025957572633:forced mediating map is not a hom",
+        "6beaeeadb80b:forced mediating map is not a hom",
+        "7b2eea662c96:forced mediating map is not a hom",
+        "2f526c1db356:forced mediating map is not a hom",
+        "d70957826ca5:forced mediating map is not a hom",
+    )),
+}
+
+
+@pytest.mark.parametrize(
+    "name,sabotage",
+    list(_SABOTAGED_UNIVERSALITY),
+    ids=[f"{name}-{fn.__name__.strip('_')}" for name, fn in _SABOTAGED_UNIVERSALITY],
+)
+def test_universality_reports_each_failure_branch(monkeypatch, name, sabotage):
+    monkeypatch.setattr(oracles, name, sabotage)
+    reports = suite_universality(range(40))
+    counts, first = _SABOTAGED_UNIVERSALITY[name, sabotage]
+    assert [r.line() for r in reports] == [
+        f"FAIL universality[{family}] instances=40 first-failure={line}"
+        for (family, _, _), line in zip(FUNCTOR_FAMILIES, first)
+    ]
+    assert [len(r.failures) for r in reports] == counts
 
 
 def test_functoriality_uses_the_inclusion_and_identity_pairs():

@@ -18,6 +18,7 @@ from coalgmin import (
 from coalgmin import systems
 from coalgmin.errors import NotPointed, OracleBoundExceeded
 from coalgmin.functors import PowersetFunctor
+from coalgmin.suites import FUNCTOR_FAMILIES
 
 
 def test_whole_dfa_is_reachable_from_its_point():
@@ -134,3 +135,29 @@ def test_bfs_equals_subcoalgebra_intersection(seed):
     for subset in subsets:
         intersection &= frozenset(subset)
     assert frozenset(part.states) == intersection
+
+
+def closure_from_the_point(c) -> set:
+    """{point} ∪ supports, iterated to a fixpoint with no queue and no order."""
+    closed = {c.point}
+    while True:
+        grown = closed.union(*(c.functor.support(c.structure[s]) for s in closed))
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+@pytest.mark.parametrize("family,spec,pool", FUNCTOR_FAMILIES, ids=[f[0] for f in FUNCTOR_FAMILIES])
+def test_reachable_part_is_the_naive_closure_at_hundreds_of_states(family, spec, pool):
+    sizes = []
+    for n in (200, 400):
+        for degree in (1.5, 3):
+            c = random_coalgebra(spec, n, 7, weight_pool=pool, density=degree / n, pointed=True)
+            part, inclusion = reachable_part(c)
+            assert set(part.states) == closure_from_the_point(c)
+            assert len(part.states) == len(set(part.states))
+            assert part.states[0] == c.point
+            assert inclusion.mapping == {s: s for s in part.states}
+            assert reachable_part(part)[0] == part
+            sizes.append(len(part.states))
+    assert max(sizes) > 100  # the sparse draws still reach far

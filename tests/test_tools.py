@@ -54,3 +54,27 @@ def test_a_class_counts_the_rounds_its_summed_time_beat_the_second_parent():
     assert ab_jobs_module.rounds_won(again, change) == 2
     assert ab_jobs_module.rounds_won(change, again) == 1
     assert ab_jobs_module.rounds_won(again, again) == 0
+
+
+def test_the_first_difference_names_the_part_and_the_two_sides():
+    same = (0, "out\n", "", (("a.json", b"{}"), ("b.json", b"[]")))
+    first_difference = ab_jobs_module.first_difference
+    assert first_difference({"parent": same, "again": same, "change": same}) is None
+    cases = [
+        ((1, *same[1:]), "change", "exit code differs between parent and change"),
+        ((0, "other\n", *same[2:]), "change", "stdout differs between parent and change"),
+        ((0, "out\n", "warn\n", same[3]), "change", "stderr differs between parent and change"),
+        (
+            (*same[:3], (("a.json", b"{}"), ("b.json", b"[1]"))),
+            "change",
+            "output file b.json differs between parent and change",
+        ),
+        (
+            (0, "other\n", "warn\n", same[3]),
+            "again",
+            "stdout differs between parent and again (the parent is not deterministic)",
+        ),
+    ]
+    for result, side, message in cases:
+        left = {"parent": same, "again": same, "change": same, side: result}
+        assert first_difference(left) == message

@@ -12,7 +12,8 @@ relatively, so each package keeps to its own modules.  The job list of
 reads) is built once.  Every round runs each job on the three sides
 through ``cli.run_command``, back to back, rotating which side goes
 first, and fails unless exit code, stdout, stderr and every output file
-are byte-identical.
+are byte-identical, naming the first part that differs and the two sides
+that disagree.
 
 It prints, per job class (the job id without its size and index), the
 median over the rounds of the class's summed parent time over its summed
@@ -78,6 +79,23 @@ def rounds_won(again: list[float], change: list[float]) -> int:
     return sum(c < a for a, c in zip(again, change))
 
 
+def first_difference(left: dict) -> str | None:
+    """The first part of a job's results (exit code, stdout, stderr, then
+    each output file) on which two sides disagree, and which two; None when
+    all three sides agree.  The parent is checked against its second copy
+    first: a difference there means the parent is not deterministic, which
+    is no fault of the change."""
+    for a, b in (("parent", "again"), ("parent", "change")):
+        (*fields_a, files_a), (*fields_b, files_b) = left[a], left[b]
+        parts = list(zip(("exit code", "stdout", "stderr"), fields_a, fields_b))
+        parts += [(f"output file {name}", x, y) for (name, x), (_, y) in zip(files_a, files_b)]
+        for part, x, y in parts:
+            if x != y:
+                why = " (the parent is not deterministic)" if b == "again" else ""
+                return f"{part} differs between {a} and {b}{why}"
+    return None
+
+
 def run_job(run_command, job, out_dir: Path) -> tuple[float, tuple]:
     """Seconds taken, and everything the job left behind."""
     out, err = io.StringIO(), io.StringIO()
@@ -118,8 +136,9 @@ def main(argv=None) -> int:
                 for side in SIDES[first:] + SIDES[:first]:
                     elapsed, left[side] = run_job(run[side], job, work / side)
                     times[side][job.id].append(elapsed)
-                if not left["parent"] == left["again"] == left["change"]:
-                    print(f"error: {job.id}: outputs differ between the trees", file=sys.stderr)
+                difference = first_difference(left)
+                if difference:
+                    print(f"error: {job.id}: {difference}", file=sys.stderr)
                     return 1
     finally:
         shutil.rmtree(work, ignore_errors=True)
