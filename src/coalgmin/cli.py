@@ -6,6 +6,12 @@ orders, a failing suite), 2 for bad arguments and for input or validation
 errors, including files that cannot be read or written; exit 2 prints one
 ``error:`` line.  All file output is canonical JSON, byte-identical across
 runs.
+
+A command's names beyond the production modules resolve on first use, in
+the command: only ``homs`` and ``props`` import the oracle lab, and only
+``wellpoint``, ``iso`` and ``unravel`` import the well-pointedness code, so
+``validate``, ``reach``, ``minimize`` and the other production commands
+load neither.
 """
 
 from __future__ import annotations
@@ -28,11 +34,8 @@ from .formats import (
     serialize_partition,
     canonical_json,
 )
-from .oracles import enumerate_homomorphisms
 from .quotient import simple_quotient
 from .reachability import reachable_part
-from .suites import DEFAULT_SEEDS, SUITES, run_suite
-from .wellpointed import are_isomorphic, commutation_check, tree_unravel, well_pointed_modification
 
 
 def _load(path: str, pointed: bool | None = None):
@@ -121,6 +124,8 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_wellpoint(args) -> int:
+    from .wellpointed import commutation_check, well_pointed_modification
+
     c = _load(args.file, pointed=True)
     if args.order == "simple-first":
         simple_first = well_pointed_modification(c)
@@ -137,6 +142,8 @@ def _cmd_wellpoint(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from .wellpointed import are_isomorphic
+
     a = _load(args.a, pointed=args.pointed)
     b = _load(args.b, pointed=args.pointed)
     iso = are_isomorphic(a, b)
@@ -148,6 +155,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_homs(args) -> int:
+    from .oracles import enumerate_homomorphisms
+
     a = _load(args.a, pointed=args.pointed)
     b = _load(args.b, pointed=args.pointed)
     if args.max is not None and args.max < 0:
@@ -160,6 +169,8 @@ def _cmd_homs(args) -> int:
 
 
 def _cmd_unravel(args) -> int:
+    from .wellpointed import tree_unravel
+
     c = _load(args.file, pointed=True)
     tree, covering = tree_unravel(c)
     _write(args.out_dir, "tree.json", serialize_coalgebra(tree))
@@ -174,6 +185,8 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_props(args) -> int:
+    from .suites import DEFAULT_SEEDS, run_suite
+
     if args.seeds is not None and args.seeds < 1:
         raise CoalgminError(f"--seeds must be positive, got {args.seeds}")
     seeds = DEFAULT_SEEDS if args.seeds is None else range(args.seeds)
@@ -230,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("unravel", _cmd_unravel, "tree-unravel an acyclic reachable part", [file, out_dir]),
         ("dot", _cmd_dot, "emit Graphviz DOT text", [file]),
         ("props", _cmd_props, "run a seeded property suite", [
-            _arg("--suite", default="all", help=f"one of {sorted(SUITES)} or 'all'"),
+            _arg("--suite", default="all", help="a suite name, or 'all'"),
             _arg("--seeds", type=int, default=None, help="number of seeds (default 200)"),
         ]),
     )

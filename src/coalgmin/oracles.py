@@ -205,12 +205,17 @@ def enumerate_compatible_partitions(c: Coalgebra) -> list[Partition]:
     n = len(c.states)
     if n > PARTITION_BOUND:
         raise OracleBoundExceeded(f"carrier has {n} states, oracle bound is {PARTITION_BOUND}")
+    # Visiting the states in name order fills each block in sorted order and
+    # meets the blocks in the order of their least members: the canonical form
+    # that Partition.of would produce, for blocks that are disjoint and
+    # nonempty by construction.
+    by_name = sorted((state, i) for i, state in enumerate(c.states))
     out = []
     for assignment in _growth_strings(n):
         blocks: dict[int, list[str]] = {}
-        for state, b in zip(c.states, assignment):
-            blocks.setdefault(b, []).append(state)
-        partition = Partition.of(blocks.values())
+        for state, i in by_name:
+            blocks.setdefault(assignment[i], []).append(state)
+        partition = Partition(tuple(map(tuple, blocks.values())))
         if partition_compatible(c, partition) is None:
             out.append(partition)
     return out

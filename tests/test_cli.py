@@ -440,7 +440,7 @@ def test_props_refuses_fewer_than_one_seed(capsys, seeds):
 
 def test_props_does_not_materialize_its_seeds(monkeypatch, capsys):
     seen = []
-    monkeypatch.setattr(cli, "run_suite", lambda name, seeds: seen.append(seeds) or [])
+    monkeypatch.setattr("coalgmin.suites.run_suite", lambda name, seeds: seen.append(seeds) or [])
     tracemalloc.start()
     try:
         assert run_command(["props", "--seeds", "1000000"]) == 0

@@ -3,11 +3,15 @@ the oracle lab, and the oracle lab does not depend on the isomorphism and
 well-pointedness code whose results it is used to check.  Also: every method
 a functor must implement has a caller outside ``functors.py``, directly or
 through the ``FunctorSpec`` methods derived from it, only
-``core`` and ``reachability`` build coalgebras without validating them, and
-every library name the benchmark scripts in ``perfbench/`` use exists."""
+``core`` and ``reachability`` build coalgebras without validating them,
+every library name the benchmark scripts in ``perfbench/`` use exists, and
+the production commands run without loading the oracle lab or the
+well-pointedness code."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,3 +139,47 @@ def test_every_name_perfbench_uses_resolves():
     assert {("coalgmin", "behavioural_classes"), ("coalgmin.cli", "run_command")} <= names
     missing = {(m, n) for m, n in names if not hasattr(importlib.import_module(m), n)}
     assert missing == set()
+
+
+# Run in a fresh interpreter: the test session has long since imported everything.
+PRODUCTION_COMMANDS = """
+import sys
+src, corpus, out = sys.argv[1:]
+sys.path.insert(0, src)
+from coalgmin.cli import run_command
+for argv in (
+    ["validate", f"{corpus}/weighted_flow.json"],
+    ["reach", f"{corpus}/labelled_handshake.json", "--out-dir", out],
+    ["minimize", f"{corpus}/dfa_no_trailing_b.json", "--out-dir", out],
+    ["minimize", f"{corpus}/weighted_flow.json", "--out-dir", out],
+    ["dot", f"{corpus}/ts_branching.json"],
+):
+    assert run_command(argv) == 0, argv
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_the_production_commands_load_neither_the_oracle_lab_nor_wellpointed(tmp_path):
+    corpus = SRC.parent.parent / "corpus"
+    run = subprocess.run(
+        [sys.executable, "-c", PRODUCTION_COMMANDS, str(SRC.parent), str(corpus), str(tmp_path)],
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(run.stdout.splitlines()[-1].split())  # after the commands' own output
+    assert {"coalgmin.cli", "coalgmin.quotient", "coalgmin.reachability"} <= loaded
+    unwanted = {f"coalgmin.{name}" for name in (*ORACLE_LAB, "wellpointed")} | {"hashlib"}
+    assert loaded & unwanted == set()
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    import coalgmin
+
+    for name in coalgmin.__all__:
+        home = importlib.import_module(f"coalgmin.{coalgmin._HOME[name]}")
+        assert getattr(coalgmin, name) is getattr(home, name)
+    assert set(coalgmin.__all__) <= set(dir(coalgmin))
+    star = {}
+    exec("from coalgmin import *", star)
+    assert set(star) - {"__builtins__"} == set(coalgmin.__all__)
+    with pytest.raises(AttributeError, match="^module 'coalgmin' has no attribute 'no_such_name'$"):
+        coalgmin.no_such_name

@@ -28,6 +28,10 @@ def test_a_tree_timed_against_itself_gives_identical_outputs():
     assert lines[0].startswith("deep-chain seed 0: ")
     assert lines[0].endswith(" jobs, 3 rounds, outputs byte-identical")
     assert any(line.startswith("all jobs ") for line in lines[2:])
+    # the fresh-interpreter import is timed too, on its own line
+    assert lines[-1].startswith("import coalgmin.cli ")
+    assert lines[-1].split()[2] == "-"
+    assert lines[-1].endswith("/3")
 
 
 @pytest.mark.parametrize("rounds", ["2", "1", "0"])

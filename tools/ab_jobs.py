@@ -23,10 +23,13 @@ from 1 only by noise, the A/A spread (the least and greatest of those
 per-round A/A ratios), and the rounds the change won: those in which it ran
 the class in less time than the parent's second copy, as ``wins 4/5``.
 When the change alters nothing, each round is a fair coin, so 5 wins or
-none of 5 come by chance once in 16.  The last line does the same for the
-whole job list.  Whole benchmark runs of identical code can differ by tens
-of percent on a shared machine, while back-to-back runs see the same
-machine state.
+none of 5 come by chance once in 16.  The "all jobs" line does the same for
+the whole job list.  Jobs run in this one process, which has long since
+imported both trees, so each round also times, for each side in rotating
+order, ``import coalgmin.cli`` in a fresh interpreter; the last line
+compares those import times, which are not part of "all jobs".  Whole
+benchmark runs of identical code can differ by tens of percent on a shared
+machine, while back-to-back runs see the same machine state.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import importlib.util
 import io
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -46,6 +50,11 @@ from time import perf_counter
 
 HERE = Path(__file__).resolve().parent
 SIDES = ("parent", "again", "change")
+IMPORT = "import coalgmin.cli"
+_TIME_IMPORT = (
+    "import sys, time; sys.path.insert(0, sys.argv[1]); "
+    "t = time.perf_counter(); import coalgmin.cli; print(time.perf_counter() - t)"
+)
 
 
 def load_cli(root: Path, name: str):
@@ -58,6 +67,16 @@ def load_cli(root: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return importlib.import_module(f"{name}.cli").run_command
+
+
+def import_seconds(root: Path) -> float:
+    """Time ``import coalgmin.cli`` of the tree under ``root`` in a fresh
+    interpreter, start-up excluded."""
+    run = subprocess.run(
+        [sys.executable, "-c", _TIME_IMPORT, str(root / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    return float(run.stdout)
 
 
 def job_class(job_id: str) -> str:
@@ -122,14 +141,16 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.change / "perfbench"))
     import workloads
 
-    run = {side: load_cli(root.resolve(), f"coalgmin_{side}")
-           for side, root in zip(SIDES, (args.parent, args.parent, args.change))}
+    roots = dict(zip(SIDES, (args.parent.resolve(), args.parent.resolve(), args.change.resolve())))
+    run = {side: load_cli(root, f"coalgmin_{side}") for side, root in roots.items()}
     work = Path(tempfile.mkdtemp(prefix="ab_jobs-"))
     try:
         jobs, _ = workloads.build(args.workload, args.seed, work / "in")
-        times = {side: {job.id: [] for job in jobs} for side in SIDES}
+        times = {side: {job.id: [] for job in jobs} | {IMPORT: []} for side in SIDES}
         for r in range(args.rounds):
             gc.collect()
+            for side in SIDES[r % len(SIDES):] + SIDES[:r % len(SIDES)]:
+                times[side][IMPORT].append(import_seconds(roots[side]))
             for k, job in enumerate(jobs):
                 first = (r + k) % len(SIDES)
                 left = {}
@@ -148,6 +169,7 @@ def main(argv=None) -> int:
     for job in jobs:
         classes.setdefault(job_class(job.id), []).append(job.id)
     classes["all jobs"] = [job.id for job in jobs]
+    classes[IMPORT] = [IMPORT]
     print(f"{args.workload} seed {args.seed}: {len(jobs)} jobs, {args.rounds} rounds, "
           "outputs byte-identical")
     print(f"{'class':32} {'jobs':>4} {'parent ms':>10} {'change ms':>10} "
@@ -159,7 +181,8 @@ def main(argv=None) -> int:
         parent_ms, change_ms = (
             1000 * sum(median[side][j] for j in ids) for side in ("parent", "change")
         )
-        print(f"{name:32} {len(ids):4} {parent_ms:10.1f} {change_ms:10.1f} "
+        count = "-" if name == IMPORT else len(ids)
+        print(f"{name:32} {count:>4} {parent_ms:10.1f} {change_ms:10.1f} "
               f"{statistics.median(aa):6.3f} {min(aa):6.3f}-{max(aa):6.3f} {ratio:6.3f} "
               f"wins {rounds_won(again, change)}/{args.rounds}")
     return 0
