@@ -3,8 +3,8 @@
 A coalgebra is a finite carrier of string state ids together with a total
 structure map into the functor's successor structures, and optionally a point:
 a distinguished initial state.  There is one type for both; a coalgebra is
-pointed when its ``point`` is not None.  Values are immutable; every
-operation here is pure.
+pointed when its ``point`` is not None.  Values are immutable, built on
+``functors.Value``; every operation here is pure.
 
 The factorization system in use is (surjective, injective) on finite
 carriers.  ``factorize`` splits a homomorphism through its image coalgebra and
@@ -13,7 +13,6 @@ carriers.  ``factorize`` splits a homomorphism through its image coalgebra and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -31,18 +30,17 @@ from .errors import (
     ValidationError,
     ZeroWeightEntry,
 )
-from .functors import FStructure, FunctorSpec
+from .functors import FStructure, FunctorSpec, Value
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-    witness: Optional[str] = None
+class Violation(Value):
+    _fields = ("code", "message", "witness")
+
+    def __init__(self, code: str, message: str, witness: Optional[str] = None):
+        self.__dict__.update(code=code, message=message, witness=witness)
 
 
-@dataclass(frozen=True)
-class Coalgebra:
+class Coalgebra(Value):
     """A carrier plus one successor structure per state, and an optional point.
 
     Construction checks every invariant and raises ValidationError listing
@@ -51,15 +49,14 @@ class Coalgebra:
     copy.
     """
 
-    functor: FunctorSpec
-    states: tuple[str, ...]
-    structure: Mapping[str, FStructure]
-    point: Optional[str] = None
+    _fields = ("functor", "states", "structure", "point")
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        if isinstance(self.structure, Mapping):
-            object.__setattr__(self, "structure", MappingProxyType(dict(self.structure)))
+    def __init__(self, functor: FunctorSpec, states: Iterable[str],
+                 structure: Mapping[str, FStructure], point: Optional[str] = None):
+        if isinstance(structure, Mapping):
+            structure = MappingProxyType(dict(structure))
+        self.__dict__.update(functor=functor, states=tuple(states), structure=structure,
+                             point=point)
         violations = validate_coalgebra(self)
         if violations:
             raise ValidationError(violations)
@@ -177,8 +174,7 @@ def admit_coalgebra(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Value):
     """A total state map between two coalgebras of the same kind.
 
     Construction checks only that the map is a function dom -> cod, and
@@ -188,14 +184,12 @@ class Morphism:
     read-only view of a private copy.
     """
 
-    dom: Coalgebra
-    cod: Coalgebra
-    mapping: Mapping[str, str]
+    _fields = ("dom", "cod", "mapping")
 
-    def __post_init__(self):
-        if not isinstance(self.mapping, Mapping):
-            raise ValidationError([Violation("malformed-map", f"{self.mapping!r} is not a map")])
-        object.__setattr__(self, "mapping", MappingProxyType(dict(self.mapping)))
+    def __init__(self, dom: Coalgebra, cod: Coalgebra, mapping: Mapping[str, str]):
+        if not isinstance(mapping, Mapping):
+            raise ValidationError([Violation("malformed-map", f"{mapping!r} is not a map")])
+        self.__dict__.update(dom=dom, cod=cod, mapping=MappingProxyType(dict(mapping)))
         cod_states = set(self.cod.states)
         violations = []
         for s in self.dom.states:
@@ -321,13 +315,13 @@ def diagonal_fill_in(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Value):
     """h = m . e with e surjective onto the image and m injective."""
 
-    e: Morphism
-    image: Coalgebra
-    m: Morphism
+    _fields = ("e", "image", "m")
+
+    def __init__(self, e: Morphism, image: Coalgebra, m: Morphism):
+        self.__dict__.update(e=e, image=image, m=m)
 
 
 def factorize(h: Morphism) -> Factorization:
@@ -354,8 +348,7 @@ def factorize(h: Morphism) -> Factorization:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Disjoint nonempty blocks in canonical form.
 
     Members of each block are sorted and blocks are ordered by their least
@@ -363,7 +356,10 @@ class Partition:
     checked where a carrier is available (see apply_partition_quotient).
     """
 
-    blocks: tuple[tuple[str, ...], ...]
+    __slots__ = _fields = ("blocks",)
+
+    def __init__(self, blocks: tuple[tuple[str, ...], ...]):
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def of(cls, blocks: Iterable[Iterable[str]]) -> "Partition":

@@ -9,7 +9,10 @@ the action ``fmap``/``support``, the edge form ``split``/``join`` (a
 constant part and (label, target, weight) edges) and the document form
 ``read``/``write``: ``read`` decodes a payload and says in the same pass
 whether the structure is admitted, and ``write`` writes its JSON text from
-a table of quoted state ids.  ``split``/``join`` is the only edge walk a
+a table of quoted state ids.  A functor's parameters are :class:`Value`
+fields: it names them in ``_fields`` and its ``__init__`` checks and sets
+them.  A ``@dataclass(frozen=True)`` subclass works too, but cannot inherit
+a built-in functor's fields.  ``split``/``join`` is the only edge walk a
 functor supplies: partition refinement (``quotient._refinement_rows``),
 tree unravelling (``wellpointed.tree_unravel``) and DOT output
 (``formats.emit_dot``) walk it themselves in the canonical order of
@@ -38,11 +41,11 @@ and the oracles compare successor structures with ``==``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quoted
 from math import lcm
+from operator import attrgetter
 from typing import AbstractSet, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -68,29 +71,78 @@ NATURALS = "natural"
 REFINEMENT_SCALE_BITS = 512
 
 
-@dataclass(frozen=True)
-class DfaStruct:
+class Value:
+    """An immutable value.  A class names its fields once, in ``_fields``,
+    and its ``__init__`` checks and sets them (in ``__slots__`` through
+    ``object.__setattr__``, or in ``__dict__``).  Equality, hashing and
+    pickling go by class and fields; the repr is a dataclass's, which
+    ``oracles.random_coalgebra`` seeds its generator with."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _key = staticmethod(lambda value: ())  # what equality and hashing compare
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__dict__.get("_fields"):
+            cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # a subclass that does not name its own _fields, such as a dataclass
+        # functor, may take other arguments: it pickles as an object does
+        if "_fields" not in type(self).__dict__:
+            return object.__reduce__(self)
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+class DfaStruct(Value):
     """Acceptance flag plus one successor per symbol, in alphabet order."""
 
-    accepting: bool
-    moves: tuple[tuple[str, str], ...]
+    __slots__ = _fields = ("accepting", "moves")
+
+    def __init__(self, accepting: bool, moves: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "accepting", accepting)
+        object.__setattr__(self, "moves", moves)
 
 
-@dataclass(frozen=True)
-class SetStruct:
-    successors: frozenset[str]
+class SetStruct(Value):
+    __slots__ = _fields = ("successors",)
+
+    def __init__(self, successors: frozenset[str]):
+        object.__setattr__(self, "successors", successors)
 
 
-@dataclass(frozen=True)
-class LabelledStruct:
-    edges: frozenset[tuple[str, str]]  # (label, target)
+class LabelledStruct(Value):
+    __slots__ = _fields = ("edges",)
+
+    def __init__(self, edges: frozenset[tuple[str, str]]):  # (label, target) pairs
+        object.__setattr__(self, "edges", edges)
 
 
-@dataclass(frozen=True)
-class WeightedStruct:
+class WeightedStruct(Value):
     """Finite map target -> nonzero weight, stored sorted by target id."""
 
-    weights: tuple[tuple[str, Weight], ...]
+    __slots__ = _fields = ("weights",)
+
+    def __init__(self, weights: tuple[tuple[str, Weight], ...]):
+        object.__setattr__(self, "weights", weights)
 
 
 FStructure = Union[DfaStruct, SetStruct, LabelledStruct, WeightedStruct]
@@ -139,7 +191,7 @@ def json_container(opening: str, items: list[str], closing: str, newline: str) -
     return opening + inner + ("," + inner).join(items) + newline + closing
 
 
-class FunctorSpec:
+class FunctorSpec(Value):
     """Interface shared by the built-in functors.
 
     ``preserves_inverse_images`` is advisory: it records for which functors
@@ -291,17 +343,15 @@ class FunctorSpec:
             )
 
 
-@dataclass(frozen=True)
 class DfaFunctor(FunctorSpec):
     """Deterministic automata: an acceptance bit and one successor per symbol."""
 
-    alphabet: tuple[str, ...]
-
+    _fields = ("alphabet",)
     kind = "dfa"
     structure_type = DfaStruct
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", _check_distinct(self.alphabet, "alphabet"))
+    def __init__(self, alphabet: Sequence[str]):
+        object.__setattr__(self, "alphabet", _check_distinct(alphabet, "alphabet"))
 
     def struct(self, accepting: bool, moves: Mapping[str, str]) -> DfaStruct:
         return self._checked(DfaStruct(accepting, self._moves(moves)))
@@ -392,7 +442,6 @@ class DfaFunctor(FunctorSpec):
         )
 
 
-@dataclass(frozen=True)
 class PowersetFunctor(FunctorSpec):
     """Transition systems: a finite set of successors."""
 
@@ -435,18 +484,15 @@ class PowersetFunctor(FunctorSpec):
         return SetStruct(successors), successors <= carrier
 
 
-@dataclass(frozen=True)
 class LabelledFunctor(FunctorSpec):
     """Labelled transition systems: a finite set of (label, successor) edges."""
 
-    # a bare annotation would take the inherited FunctorSpec.labels as default
-    labels: tuple[str, ...] = field()
-
+    _fields = ("labels",)
     kind = "labelled-powerset"
     structure_type = LabelledStruct
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", _check_distinct(self.labels, "labels"))
+    def __init__(self, labels: Sequence[str]):
+        object.__setattr__(self, "labels", _check_distinct(labels, "labels"))
 
     def struct(self, edges: Iterable[tuple[str, str]]) -> LabelledStruct:
         return self._checked(LabelledStruct(frozenset((l, s) for l, s in edges)))
@@ -558,7 +604,6 @@ def _parse_weight(text, state: str) -> Weight:
     return weight
 
 
-@dataclass(frozen=True)
 class WeightedFunctor(FunctorSpec):
     """Weighted systems over a commutative monoid of exact weights.
 
@@ -567,15 +612,15 @@ class WeightedFunctor(FunctorSpec):
     entries are never stored.
     """
 
-    monoid: str
-
+    _fields = ("monoid",)
     kind = "weighted"
     structure_type = WeightedStruct
     weight_labels = True
 
-    def __post_init__(self):
-        if self.monoid not in (RATIONALS, NATURALS):
-            raise ValueError(f"unknown monoid {self.monoid!r}")
+    def __init__(self, monoid: str):
+        if monoid not in (RATIONALS, NATURALS):
+            raise ValueError(f"unknown monoid {monoid!r}")
+        object.__setattr__(self, "monoid", monoid)
 
     @property
     def preserves_inverse_images(self) -> bool:

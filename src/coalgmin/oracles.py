@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -43,7 +42,7 @@ from .core import (
 )
 from .errors import NotPointed, OracleBoundExceeded, SearchBoundExceeded, SpecMismatch, WrongFunctor
 from .formats import serialize_coalgebra
-from .functors import DfaFunctor, FunctorSpec
+from .functors import DfaFunctor, FunctorSpec, Value
 from .quotient import behavioural_classes, is_simple, simple_quotient
 from .reachability import is_reachable, reachable_part
 
@@ -53,14 +52,14 @@ HOM_SEARCH_STATE_BOUND = 12
 HOM_SEARCH_BUDGET = 1_000_000  # candidate assignments tried by one search
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Value):
     """Outcome of one property check: empty failures means the check passed."""
 
-    name: str
-    instances: int
-    failures: tuple[tuple[str, str], ...]
-    witnesses: tuple[str, ...] = ()
+    _fields = ("name", "instances", "failures", "witnesses")
+
+    def __init__(self, name: str, instances: int, failures: tuple[tuple[str, str], ...],
+                 witnesses: tuple[str, ...] = ()):
+        self.__dict__.update(name=name, instances=instances, failures=failures, witnesses=witnesses)
 
     @property
     def passed(self) -> bool:

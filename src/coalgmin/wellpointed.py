@@ -29,7 +29,6 @@ past which the search raises ``SearchBoundExceeded``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -41,7 +40,7 @@ from .core import (
     require_homomorphism,
 )
 from .errors import CyclicReachablePart, NotPointed, SearchBoundExceeded, SpecMismatch
-from .functors import FunctorSpec
+from .functors import FunctorSpec, Value
 from .quotient import _refine, _refinement_rows, is_simple, simple_quotient
 from .reachability import is_reachable, reachable_part
 
@@ -67,12 +66,13 @@ def is_well_pointed(c: Coalgebra) -> bool:
     return is_reachable(c) and is_simple(c)
 
 
-@dataclass(frozen=True)
-class CommutationReport:
-    simple_first: Coalgebra
-    reach_first: Coalgebra
-    agree: bool
-    iso: Optional[Morphism]
+class CommutationReport(Value):
+    _fields = ("simple_first", "reach_first", "agree", "iso")
+
+    def __init__(self, simple_first: Coalgebra, reach_first: Coalgebra, agree: bool,
+                 iso: Optional[Morphism]):
+        self.__dict__.update(simple_first=simple_first, reach_first=reach_first, agree=agree,
+                             iso=iso)
 
 
 def commutation_check(c: Coalgebra) -> CommutationReport:

@@ -31,6 +31,7 @@ from coalgmin import (
     validate_coalgebra,
 )
 from coalgmin import systems
+from coalgmin.core import Factorization, Violation
 from coalgmin.errors import (
     DomainMismatch,
     IncompatiblePartition,
@@ -43,7 +44,9 @@ from coalgmin.errors import (
     SquareDoesNotCommute,
     ValidationError,
 )
-from coalgmin.functors import DfaFunctor, DfaStruct, WeightedStruct
+from coalgmin.functors import DfaFunctor, DfaStruct, SetStruct, WeightedStruct
+from coalgmin.oracles import PropertyReport
+from coalgmin.wellpointed import CommutationReport
 from fractions import Fraction
 
 PS = PowersetFunctor()
@@ -502,3 +505,67 @@ def test_each_refusal_has_its_type_and_message(make, error, message):
     with pytest.raises(error) as err:
         make()
     assert str(err.value) == message
+
+
+# -- value semantics -----------------------------------------------------------
+
+
+def _two_cycle_values():
+    """Each value class of core, oracles and wellpointed, built from the
+    two-cycle system, with one value of other fields."""
+    c = systems.ts_two_cycle()
+    h = identity_morphism(c)
+    f = factorize(h)
+    return {
+        "Violation": (Violation("dangling-state", "m", "z"), Violation("dangling-state", "m")),
+        "Coalgebra": (c, underlying(c)),
+        "Morphism": (h, identity_morphism(underlying(c))),
+        "Factorization": (f, factorize(identity_morphism(underlying(c)))),
+        "Partition": (Partition.discrete(c.states), Partition.of([c.states])),
+        "PropertyReport": (PropertyReport("p", 2, ()), PropertyReport("p", 3, ())),
+        "CommutationReport": (CommutationReport(c, c, True, h), CommutationReport(c, c, False, None)),
+    }
+
+
+VALUE_CLASSES = list(_two_cycle_values())
+
+
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_values_compare_by_their_fields_and_stay_read_only(name):
+    a, other = _two_cycle_values()[name]
+    b, _ = _two_cycle_values()[name]
+    assert a is not b
+    assert a == b and not a != b
+    assert a != other and not a == other
+    if name in ("Violation", "Partition", "PropertyReport"):  # fields all hashable
+        assert hash(a) == hash(b) and len({a, b}) == 1
+    for field in (*a._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a == b
+
+
+@pytest.mark.parametrize("name", VALUE_CLASSES)
+def test_values_pickle_and_deep_copy(name):
+    a, _ = _two_cycle_values()[name]
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert copy.deepcopy(a) == a
+
+
+def test_equal_fields_of_different_classes_are_unequal():
+    assert Violation("a", "b", "c") != Factorization("a", "b", "c")
+    # a one-field value compares its bare field, so the class must match too
+    assert Partition(()) != SetStruct(())
+
+
+def test_value_reprs_are_pinned():
+    assert repr(Partition.of([["b", "a"], ["c"]])) == "Partition(blocks=(('a', 'b'), ('c',)))"
+    assert repr(Violation("dangling-state", "map sends 'a' outside the codomain", "a")) == (
+        "Violation(code='dangling-state', message=\"map sends 'a' outside the codomain\", "
+        "witness='a')"
+    )
+    assert repr(Violation("non-string-id", "m")) == (
+        "Violation(code='non-string-id', message='m', witness=None)"
+    )

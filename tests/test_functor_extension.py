@@ -9,7 +9,9 @@ registration there is.  Behavioural equivalence for 1 + X is equality of
 the distance to halting (or never halting).
 """
 
+import copy
 import json
+import pickle
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,6 +102,16 @@ class MaybeFunctor(MaybeEdgesFunctor):
         if tx.successor is None:
             return tx
         return MaybeStruct(pair_id(tx.successor, ty.successor))
+
+
+@dataclass(frozen=True)
+class TaggedMaybeFunctor(MaybeFunctor):
+    """1 + X with a parameter: a dataclass functor declares its fields
+    itself, and ``FunctorSpec`` must not take them for its own."""
+
+    tag: str
+
+    kind = "tagged-maybe"
 
 
 @pytest.fixture(autouse=True)
@@ -196,3 +208,20 @@ def test_oracle_lab_checks_pass():
     kernel, pr1, pr2 = kernel_pair_coalgebra(c)
     assert kernel.structure["b|d"] == MaybeStruct("c|c")
     assert pr1.mapping != pr2.mapping
+
+
+@pytest.mark.parametrize("spec", [MaybeEdgesFunctor(), MaybeFunctor(), TaggedMaybeFunctor("t")],
+                         ids=["maybe-edges", "maybe", "tagged"])
+def test_dataclass_functors_pickle_and_keep_dataclass_semantics(spec):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(spec, protocol)) == spec
+    assert copy.deepcopy(spec) == spec
+    assert hash(copy.deepcopy(spec)) == hash(spec)
+
+
+def test_a_dataclass_functor_field_takes_part_in_equality_and_repr():
+    assert TaggedMaybeFunctor("t") == TaggedMaybeFunctor(tag="t") != TaggedMaybeFunctor("u")
+    assert repr(TaggedMaybeFunctor("t")) == "TaggedMaybeFunctor(tag='t')"
+    assert pickle.loads(pickle.dumps(TaggedMaybeFunctor("t"))).tag == "t"
+    with pytest.raises(AttributeError):
+        TaggedMaybeFunctor("t").tag = "u"

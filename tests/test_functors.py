@@ -1,5 +1,7 @@
 """Functor kernel: structure construction, fmap, support."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -319,3 +321,70 @@ def test_exact_weight_arithmetic_roundtrips(a, b, p, q):
     x, y = Fraction(a, p), Fraction(b, q)
     assert x + y - y == x
     assert (x + y).denominator > 0
+
+
+# -- value semantics -----------------------------------------------------------
+
+# each value class of functors.py: a value, built twice, and one with other fields
+VALUES = {
+    "DfaStruct": (lambda: DfaStruct(True, (("a", "s"), ("b", "t"))),
+                  DfaStruct(False, (("a", "s"), ("b", "t")))),
+    "SetStruct": (lambda: SetStruct(frozenset({"s", "t"})), SetStruct(frozenset({"s"}))),
+    "LabelledStruct": (lambda: LabelledStruct(frozenset({("a", "s")})),
+                       LabelledStruct(frozenset({("b", "s")}))),
+    "WeightedStruct": (lambda: WeightedStruct((("s", Fraction(1, 2)),)),
+                       WeightedStruct((("s", Fraction(1, 3)),))),
+    "DfaFunctor": (lambda: DfaFunctor(["a", "b"]), DfaFunctor(("b", "a"))),
+    "PowersetFunctor": (lambda: PowersetFunctor(), None),
+    "LabelledFunctor": (lambda: LabelledFunctor(("a", "b")), LabelledFunctor(("a",))),
+    "WeightedFunctor": (lambda: WeightedFunctor("rational"), WeightedFunctor("natural")),
+}
+
+
+@pytest.mark.parametrize("make, other", VALUES.values(), ids=VALUES.keys())
+def test_values_compare_and_hash_by_their_fields(make, other):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    if other is not None:
+        assert a != other and not a == other
+    assert a != object() and a != repr(a)
+
+
+@pytest.mark.parametrize("make", [make for make, _ in VALUES.values()], ids=VALUES.keys())
+def test_values_are_read_only(make):
+    a = make()
+    for name in (*a._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == make()
+
+
+@pytest.mark.parametrize("make", [make for make, _ in VALUES.values()], ids=VALUES.keys())
+def test_values_pickle_and_deep_copy(make):
+    a = make()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(a, protocol)) == a
+    assert copy.deepcopy(a) == a
+    assert copy.copy(a) == a
+
+
+def test_equal_fields_of_different_classes_are_unequal():
+    assert DfaFunctor(("a", "b")) != LabelledFunctor(("a", "b"))
+    assert SetStruct(frozenset()) != LabelledStruct(frozenset())
+    assert WeightedStruct(()) != DfaStruct(True, ())
+
+
+def test_value_reprs_are_pinned():
+    assert repr(PowersetFunctor()) == "PowersetFunctor()"
+    assert repr(DfaStruct(True, (("a", "s"),))) == "DfaStruct(accepting=True, moves=(('a', 's'),))"
+    assert repr(DfaFunctor(["a"])) == "DfaFunctor(alphabet=('a',))"
+    assert repr(LabelledFunctor(("a",))) == "LabelledFunctor(labels=('a',))"
+    assert repr(WeightedFunctor("natural")) == "WeightedFunctor(monoid='natural')"
+    assert repr(WeightedStruct((("s", Fraction(1, 2)),))) == (
+        "WeightedStruct(weights=(('s', Fraction(1, 2)),))"
+    )

@@ -6,10 +6,11 @@ through the ``FunctorSpec`` methods derived from it, only
 ``core`` and ``reachability`` build coalgebras without validating them,
 every library name the benchmark scripts in ``perfbench/`` use exists, and
 the production commands run without loading the oracle lab or the
-well-pointedness code."""
+well-pointedness code, and no command loads ``dataclasses`` or ``inspect``."""
 
 import ast
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -142,33 +143,55 @@ def test_every_name_perfbench_uses_resolves():
 
 
 # Run in a fresh interpreter: the test session has long since imported everything.
-PRODUCTION_COMMANDS = """
-import sys
-src, corpus, out = sys.argv[1:]
-sys.path.insert(0, src)
+RUN_COMMANDS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
 from coalgmin.cli import run_command
-for argv in (
-    ["validate", f"{corpus}/weighted_flow.json"],
-    ["reach", f"{corpus}/labelled_handshake.json", "--out-dir", out],
-    ["minimize", f"{corpus}/dfa_no_trailing_b.json", "--out-dir", out],
-    ["minimize", f"{corpus}/weighted_flow.json", "--out-dir", out],
-    ["dot", f"{corpus}/ts_branching.json"],
-):
+for argv in json.loads(sys.argv[2]):
     assert run_command(argv) == 0, argv
 print(" ".join(sorted(sys.modules)))
 """
 
+CORPUS = SRC.parent.parent / "corpus"
 
-def test_the_production_commands_load_neither_the_oracle_lab_nor_wellpointed(tmp_path):
-    corpus = SRC.parent.parent / "corpus"
+# the standard modules the value classes would load if they were dataclasses
+DATACLASS_IMPORTS = {"dataclasses", "inspect"}
+
+
+def modules_loaded_by(*commands: list[str]) -> set[str]:
+    """The modules a fresh interpreter holds after running each of
+    ``commands`` through ``run_command``, which must exit 0."""
     run = subprocess.run(
-        [sys.executable, "-c", PRODUCTION_COMMANDS, str(SRC.parent), str(corpus), str(tmp_path)],
+        [sys.executable, "-c", RUN_COMMANDS, str(SRC.parent), json.dumps(commands)],
         capture_output=True, text=True, check=True,
     )
-    loaded = set(run.stdout.splitlines()[-1].split())  # after the commands' own output
+    return set(run.stdout.splitlines()[-1].split())  # after the commands' own output
+
+
+def test_the_production_commands_load_neither_the_oracle_lab_nor_wellpointed(tmp_path):
+    out = str(tmp_path)
+    loaded = modules_loaded_by(
+        ["validate", f"{CORPUS}/weighted_flow.json"],
+        ["reach", f"{CORPUS}/labelled_handshake.json", "--out-dir", out],
+        ["minimize", f"{CORPUS}/dfa_no_trailing_b.json", "--out-dir", out],
+        ["minimize", f"{CORPUS}/weighted_flow.json", "--out-dir", out],
+        ["dot", f"{CORPUS}/ts_branching.json"],
+    )
     assert {"coalgmin.cli", "coalgmin.quotient", "coalgmin.reachability"} <= loaded
     unwanted = {f"coalgmin.{name}" for name in (*ORACLE_LAB, "wellpointed")} | {"hashlib"}
-    assert loaded & unwanted == set()
+    assert loaded & (unwanted | DATACLASS_IMPORTS) == set()
+
+
+def test_the_oracle_lab_and_wellpointed_commands_load_no_dataclasses(tmp_path):
+    loaded = modules_loaded_by(
+        ["wellpoint", f"{CORPUS}/ts_cycle_with_feeder.json", "--order", "both",
+         "--out-dir", str(tmp_path)],
+        ["iso", f"{CORPUS}/ts_two_cycle.json", f"{CORPUS}/ts_two_cycle.json"],
+        ["homs", f"{CORPUS}/ts_branching.json", f"{CORPUS}/ts_branching_reduced.json"],
+        ["props", "--suite", "all", "--seeds", "2"],
+    )
+    assert {"coalgmin.oracles", "coalgmin.suites", "coalgmin.wellpointed"} <= loaded
+    assert loaded & DATACLASS_IMPORTS == set()
 
 
 def test_every_public_name_resolves_to_its_defining_module():

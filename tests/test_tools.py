@@ -22,6 +22,7 @@ def ab_jobs(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_a_tree_timed_against_itself_gives_identical_outputs():
+    caches = sorted(ROOT.rglob("__pycache__"))
     run = ab_jobs("--workload", "deep-chain", "--seed", "0", "--rounds", "3")
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
@@ -32,6 +33,11 @@ def test_a_tree_timed_against_itself_gives_identical_outputs():
     assert lines[-1].startswith("import coalgmin.cli ")
     assert lines[-1].split()[2] == "-"
     assert lines[-1].endswith("/3")
+    # and from bytecode caches, kept outside the tree
+    assert lines[-2].startswith("import coalgmin.cli, cached ")
+    assert lines[-2].split()[3] == "-"
+    assert lines[-2].endswith("/3")
+    assert sorted(ROOT.rglob("__pycache__")) == caches
 
 
 @pytest.mark.parametrize("rounds", ["2", "1", "0"])

@@ -26,8 +26,13 @@ When the change alters nothing, each round is a fair coin, so 5 wins or
 none of 5 come by chance once in 16.  The "all jobs" line does the same for
 the whole job list.  Jobs run in this one process, which has long since
 imported both trees, so each round also times, for each side in rotating
-order, ``import coalgmin.cli`` in a fresh interpreter; the last line
-compares those import times, which are not part of "all jobs".  Whole
+order, ``import coalgmin.cli`` in a fresh interpreter, twice: once from
+bytecode caches kept under a temporary ``PYTHONPYCACHEPREFIX``, filled by
+one untimed import of each tree, and once under ``PYTHONDONTWRITEBYTECODE=1``
+with no prefix, which compiles the tree's sources unless the tree holds
+bytecode of its own; the last two lines compare those import times, which
+are not part of "all jobs".  Neither import, nor this process, writes a
+``__pycache__`` into either tree.  Whole
 benchmark runs of identical code can differ by tens of percent on a shared
 machine, while back-to-back runs see the same machine state.
 """
@@ -39,6 +44,7 @@ import gc
 import importlib
 import importlib.util
 import io
+import os
 import shutil
 import statistics
 import subprocess
@@ -51,6 +57,7 @@ from time import perf_counter
 HERE = Path(__file__).resolve().parent
 SIDES = ("parent", "again", "change")
 IMPORT = "import coalgmin.cli"
+CACHED_IMPORT = "import coalgmin.cli, cached"
 _TIME_IMPORT = (
     "import sys, time; sys.path.insert(0, sys.argv[1]); "
     "t = time.perf_counter(); import coalgmin.cli; print(time.perf_counter() - t)"
@@ -69,12 +76,19 @@ def load_cli(root: Path, name: str):
     return importlib.import_module(f"{name}.cli").run_command
 
 
-def import_seconds(root: Path) -> float:
+def import_seconds(root: Path, pycache: Path | None = None) -> float:
     """Time ``import coalgmin.cli`` of the tree under ``root`` in a fresh
-    interpreter, start-up excluded."""
+    interpreter, start-up excluded: with bytecode caches read and written
+    under ``pycache``, or, without it, written nowhere."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    if pycache:
+        env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    else:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
     run = subprocess.run(
         [sys.executable, "-c", _TIME_IMPORT, str(root / "src")],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=env,
     )
     return float(run.stdout)
 
@@ -138,6 +152,7 @@ def main(argv=None) -> int:
     if args.rounds < 3:  # all of 2 rounds are won by chance once in 4
         parser.error(f"--rounds must be at least 3, got {args.rounds}")
 
+    sys.dont_write_bytecode = True  # the trees gain no __pycache__ from this process
     sys.path.insert(0, str(args.change / "perfbench"))
     import workloads
 
@@ -146,10 +161,14 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp(prefix="ab_jobs-"))
     try:
         jobs, _ = workloads.build(args.workload, args.seed, work / "in")
-        times = {side: {job.id: [] for job in jobs} | {IMPORT: []} for side in SIDES}
+        times = {side: {job.id: [] for job in jobs} | {CACHED_IMPORT: [], IMPORT: []}
+                 for side in SIDES}
+        for root in set(roots.values()):
+            import_seconds(root, work / "pycache")  # fills the caches
         for r in range(args.rounds):
             gc.collect()
             for side in SIDES[r % len(SIDES):] + SIDES[:r % len(SIDES)]:
+                times[side][CACHED_IMPORT].append(import_seconds(roots[side], work / "pycache"))
                 times[side][IMPORT].append(import_seconds(roots[side]))
             for k, job in enumerate(jobs):
                 first = (r + k) % len(SIDES)
@@ -169,7 +188,7 @@ def main(argv=None) -> int:
     for job in jobs:
         classes.setdefault(job_class(job.id), []).append(job.id)
     classes["all jobs"] = [job.id for job in jobs]
-    classes[IMPORT] = [IMPORT]
+    classes[CACHED_IMPORT], classes[IMPORT] = [CACHED_IMPORT], [IMPORT]
     print(f"{args.workload} seed {args.seed}: {len(jobs)} jobs, {args.rounds} rounds, "
           "outputs byte-identical")
     print(f"{'class':32} {'jobs':>4} {'parent ms':>10} {'change ms':>10} "
@@ -181,7 +200,7 @@ def main(argv=None) -> int:
         parent_ms, change_ms = (
             1000 * sum(median[side][j] for j in ids) for side in ("parent", "change")
         )
-        count = "-" if name == IMPORT else len(ids)
+        count = "-" if name in (CACHED_IMPORT, IMPORT) else len(ids)
         print(f"{name:32} {count:>4} {parent_ms:10.1f} {change_ms:10.1f} "
               f"{statistics.median(aa):6.3f} {min(aa):6.3f}-{max(aa):6.3f} {ratio:6.3f} "
               f"wins {rounds_won(again, change)}/{args.rounds}")
