@@ -17,6 +17,7 @@ carrier rules as set operations.  A document that passes is built without
 validating it again; any other goes through the
 :class:`coalgmin.core.Coalgebra` constructor, which reports every violation
 at once.  Later operations on the parsed coalgebra do not validate it again.
+Every document reader rejects a JSON object that repeats a key.
 """
 
 from __future__ import annotations
@@ -89,9 +90,22 @@ def parse_coalgebra(text: str) -> Coalgebra:
     return admit_coalgebra(spec, states, carrier, structure, point, admitted)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of ``pairs``; a repeated key is a ParseError, not
+    the last of its values."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(None, f"duplicate key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def _loads(text: str):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, exc.msg) from None
     except (RecursionError, ValueError) as exc:  # deep nesting, or too many digits

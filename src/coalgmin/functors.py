@@ -11,8 +11,11 @@ constant part and (label, target, weight) edges) and the document form
 whether the structure is admitted, and ``write`` writes its JSON text from
 a table of quoted state ids.  A functor's parameters are :class:`Value`
 fields: it names them in ``_fields`` and its ``__init__`` checks and sets
-them.  A ``@dataclass(frozen=True)`` subclass works too, but cannot inherit
-a built-in functor's fields.  ``split``/``join`` is the only edge walk a
+them, raising ValueError for a bad one.  Its JSON descriptor follows from
+them: ``payload`` is the kind and each field, and ``from_payload`` passes
+each field's entry to ``__init__``.  A ``@dataclass(frozen=True)`` subclass
+works too, but cannot inherit a built-in functor's fields, and its
+descriptor is its kind alone.  ``split``/``join`` is the only edge walk a
 functor supplies: partition refinement (``quotient._refinement_rows``),
 tree unravelling (``wellpointed.tree_unravel``) and DOT output
 (``formats.emit_dot``) walk it themselves in the canonical order of
@@ -149,13 +152,12 @@ FStructure = Union[DfaStruct, SetStruct, LabelledStruct, WeightedStruct]
 
 
 def _check_distinct(symbols: Sequence[str], what: str) -> tuple[str, ...]:
-    if isinstance(symbols, str):  # not split into its characters
-        raise ValueError(f"{what} entries must be strings, got the string {symbols!r}")
+    # not a string's characters, nor a dict's keys
+    if not isinstance(symbols, (list, tuple)) or not _strings(symbols):
+        raise ValueError(f"{what} must be a list of strings, got {symbols!r}")
     symbols = tuple(symbols)
     if not symbols:
         raise ValueError(f"{what} must be nonempty")
-    if not all(isinstance(s, str) for s in symbols):
-        raise ValueError(f"{what} entries must be strings")
     if len(set(symbols)) != len(symbols):
         raise ValueError(f"{what} contains duplicates: {symbols!r}")
     return symbols
@@ -261,13 +263,14 @@ class FunctorSpec(Value):
     # -- documents and rendering -------------------------------------------
 
     def payload(self) -> dict:
-        """The functor's JSON descriptor."""
-        return {"kind": self.kind}
+        """The functor's JSON descriptor: its kind and its fields."""
+        return {"kind": self.kind, **{f: getattr(self, f) for f in self._fields}}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FunctorSpec":
-        """Inverse of :meth:`payload`; ``payload["kind"]`` is already matched."""
-        return cls()
+        """Inverse of :meth:`payload`; ``payload["kind"]`` is already matched,
+        and ``__init__`` checks each field, raising ValueError."""
+        return cls(*[payload.get(f) for f in cls._fields])
 
     def write(
         self, t: FStructure, index: Mapping[str, int], quoted: Mapping[str, str], newline: str
@@ -402,13 +405,6 @@ class DfaFunctor(FunctorSpec):
     def _ordered(self, edges, index):
         return edges  # moves are canonical already: one per symbol, in alphabet order
 
-    def payload(self):
-        return {"kind": self.kind, "alphabet": list(self.alphabet)}
-
-    @classmethod
-    def from_payload(cls, payload):
-        return cls(tuple(string_list(payload.get("alphabet"), "alphabet")))
-
     def write(self, t, index, quoted, newline):
         inner = newline + "  "
         moves = [_quoted(sym) + ": " + quoted[tgt] for sym, tgt in sorted(t.moves)]
@@ -524,13 +520,6 @@ class LabelledFunctor(FunctorSpec):
 
     observe = staticmethod(bool)
 
-    def payload(self):
-        return {"kind": self.kind, "labels": list(self.labels)}
-
-    @classmethod
-    def from_payload(cls, payload):
-        return cls(tuple(string_list(payload.get("labels"), "labels")))
-
     def write(self, t, index, quoted, newline):
         inner = newline + "  "
         edges = [json_container("[", [_quoted(l), quoted[s]], "]", inner)
@@ -619,7 +608,7 @@ class WeightedFunctor(FunctorSpec):
 
     def __init__(self, monoid: str):
         if monoid not in (RATIONALS, NATURALS):
-            raise ValueError(f"unknown monoid {monoid!r}")
+            raise ValueError(f"monoid must be {RATIONALS} or {NATURALS}, got {monoid!r}")
         object.__setattr__(self, "monoid", monoid)
 
     @property
@@ -687,16 +676,6 @@ class WeightedFunctor(FunctorSpec):
             if scale.bit_length() > REFINEMENT_SCALE_BITS:
                 return None
         return scale
-
-    def payload(self):
-        return {"kind": self.kind, "monoid": self.monoid}
-
-    @classmethod
-    def from_payload(cls, payload):
-        monoid = payload.get("monoid")
-        if monoid not in (RATIONALS, NATURALS):
-            raise ParseError(None, f"weighted monoid must be rational or natural, got {monoid!r}")
-        return cls(monoid)
 
     def write(self, t, index, quoted, newline):
         weights = [quoted[s] + ": " + _quoted(str(w)) for s, w in t.weights]

@@ -51,8 +51,6 @@ its block's quotient structure.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .core import Coalgebra, Morphism, Partition, apply_partition_quotient
 
 
@@ -141,29 +139,26 @@ def _refine(n: int, rows, observe) -> tuple[list[set[int]], int]:
     return members, visits
 
 
-def _refinement_rows(spec, parts):
-    """The :meth:`~coalgmin.functors.FunctorSpec.split` row of every state of
-    the (coalgebra, index) parts in turn, each target as its position in the
-    index and each weight times the functor's ``refinement_scale`` for all
-    their structures, as an int; at scale None the weights stay as they are."""
-    scale = spec.refinement_scale(chain.from_iterable(c.structure.values() for c, _ in parts))
-    splits = ((spec.split(c.structure[s]), index) for c, index in parts for s in c.states)
+def _refinement_rows(c: Coalgebra):
+    """The :meth:`~coalgmin.functors.FunctorSpec.split` row of every state
+    of c, each target as its carrier position and each weight times the
+    functor's ``refinement_scale`` for c's structures, as an int; at scale
+    None the weights stay as they are."""
+    spec, index = c.functor, c.state_index()
+    scale = spec.refinement_scale(c.structure.values())
+    splits = (spec.split(c.structure[s]) for s in c.states)
     if scale is None:
-        return (
-            (constant, [(l, index[s], w) for l, s, w in out]) for (constant, out), index in splits
-        )
+        return ((constant, [(l, index[s], w) for l, s, w in out]) for constant, out in splits)
     return (
         (constant, [(l, index[s], w.numerator * (scale // w.denominator)) for l, s, w in out])
-        for (constant, out), index in splits
+        for constant, out in splits
     )
 
 
 def behavioural_classes(c: Coalgebra) -> Partition:
     """The partition of the carrier into behavioural equivalence classes."""
-    spec = c.functor
     states = c.states
-    rows = _refinement_rows(spec, [(c, c.state_index())])
-    members, _ = _refine(len(states), rows, spec.observe)
+    members, _ = _refine(len(states), _refinement_rows(c), c.functor.observe)
     return Partition(tuple(sorted(tuple(sorted([states[i] for i in m])) for m in members)))
 
 

@@ -488,7 +488,8 @@ _ONE_EDGE = _RATIONAL.struct({"a": 1})
          InvalidMorphism, "e must land in the domain of g"),
         (lambda: diagonal_fill_in({"a": "b"}, {"c": "d"}, {"a": "z"}, {"b": "d"}),
          InvalidMorphism, "f must land in the domain of m"),
-        (lambda: WeightedFunctor("integer"), ValueError, "unknown monoid 'integer'"),
+        (lambda: WeightedFunctor("integer"), ValueError,
+         "monoid must be rational or natural, got 'integer'"),
         (lambda: Coalgebra(_RATIONAL, ("a",), {"a": WeightedStruct((("a", 0.5),))}),
          ValidationError, "malformed-structure: state 'a': non-exact weight 0.5"),
         (lambda: _RATIONAL.pair_structure(_ONE_EDGE, _ONE_EDGE, {"a": "a"}, {"a": 0}, min),

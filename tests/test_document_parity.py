@@ -134,7 +134,11 @@ ERROR_LINES = [
     ("parse-functor-alphabet", d({"kind": "dfa", "alphabet": ["a", "a"]}, [], {}),
      "bad dfa functor: alphabet contains duplicates: ('a', 'a')"),
     ("parse-functor-monoid", d({"kind": "weighted", "monoid": "real"}, [], {}),
-     "weighted monoid must be rational or natural, got 'real'"),
+     "bad weighted functor: monoid must be rational or natural, got 'real'"),
+    ("parse-functor-monoid-missing", d({"kind": "weighted"}, [], {}),
+     "bad weighted functor: monoid must be rational or natural, got None"),
+    ("parse-functor-monoid-list", d({"kind": "weighted", "monoid": ["natural"]}, [], {}),
+     "bad weighted functor: monoid must be rational or natural, got ['natural']"),
     ("parse-not-json", '{"functor": {"kind": "powerset"},\n "states": [}',
      "line 2: Expecting value"),
     ("parse-not-object", "[1, 2]", "document must be a JSON object"),
@@ -190,6 +194,44 @@ ERROR_LINES = [
 ]
 
 
+# each list parameter missing, or not a list of strings: an object is not
+# read as its keys, nor a string as its characters
+ERROR_LINES += [
+    (f"parse-functor-{field}-{name}",
+     d(dict({"kind": kind}, **({} if name == "missing" else {field: value})), [], {}),
+     f"bad {kind} functor: {field} must be a list of strings, got {value!r}")
+    for kind, field in [("dfa", "alphabet"), ("labelled-powerset", "labels")]
+    for name, value in [("missing", None), ("null", None), ("object", {"a": 1}),
+                        ("number", 3), ("string", "ab"), ("number-entry", ["a", 1])]
+]
+
+# A repeated key in any object of a document: JSON would keep its last value.
+ERROR_LINES += [
+    ("duplicate-key-weighted",
+     '{"functor": {"kind": "weighted", "monoid": "rational"}, "states": ["x"], '
+     '"structure": {"x": {"x": "1", "x": "2"}}}',
+     "duplicate key 'x'"),
+    ("duplicate-key-structure",
+     '{"functor": {"kind": "powerset"}, "states": ["x"], "structure": {"x": [], "x": ["x"]}}',
+     "duplicate key 'x'"),
+    ("duplicate-key-dfa-next",
+     '{"functor": {"kind": "dfa", "alphabet": ["a", "b"]}, "states": ["s"], '
+     '"structure": {"s": {"accepting": true, "next": {"a": "s", "b": "s", "a": "s"}}}}',
+     "duplicate key 'a'"),
+    ("duplicate-key-dfa-accepting",
+     '{"functor": {"kind": "dfa", "alphabet": ["a"]}, "states": ["s"], '
+     '"structure": {"s": {"accepting": true, "next": {"a": "s"}, "accepting": false}}}',
+     "duplicate key 'accepting'"),
+    ("duplicate-key-functor",
+     '{"functor": {"kind": "dfa", "alphabet": ["a"], "alphabet": ["b"]}, '
+     '"states": [], "structure": {}}',
+     "duplicate key 'alphabet'"),
+    ("duplicate-key-document",
+     '{"functor": {"kind": "powerset"}, "states": ["x"], "structure": {}, "states": []}',
+     "duplicate key 'states'"),
+]
+
+
 @pytest.mark.parametrize(
     "text, line", [case[1:] for case in ERROR_LINES], ids=[case[0] for case in ERROR_LINES]
 )
@@ -198,6 +240,28 @@ def test_a_bad_document_gives_its_recorded_error_line(tmp_path, capsys, text, li
     path.write_text(text, encoding="utf-8")
     assert run_command(["validate", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+SYSTEM = d(PS, ["x", "y"], {"x": ["y"], "y": ["y"]})
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("check-hom", '{"map": {"x": "x", "y": "y", "x": "y"}}', "x"),
+    ("check-hom", '{"map": {"x": "x", "y": "y"}, "map": {}}', "map"),
+    ("quotient", '{"blocks": [["x"], ["y"]], "blocks": [["x", "y"]]}', "blocks"),
+], ids=["morphism-map", "morphism", "partition"])
+def test_a_repeated_key_in_a_morphism_or_partition_is_one_error_line(
+    tmp_path, capsys, command, text, key
+):
+    system, document = tmp_path / "system.json", tmp_path / "document.json"
+    system.write_text(SYSTEM, encoding="utf-8")
+    document.write_text(text, encoding="utf-8")
+    if command == "check-hom":
+        argv = ["check-hom", "--dom", str(system), "--cod", str(system), "--map", str(document)]
+    else:
+        argv = ["quotient", str(system), "--partition", str(document), "--out-dir", str(tmp_path)]
+    assert run_command(argv) == 2
+    assert capsys.readouterr() == ("", f"error: duplicate key {key!r}\n")
 
 
 # -- the one-pass read against the constructor ---------------------------------

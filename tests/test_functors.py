@@ -1,6 +1,7 @@
 """Functor kernel: structure construction, fmap, support."""
 
 import copy
+import json
 import pickle
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from coalgmin import (
     serialize_coalgebra,
 )
 from coalgmin.errors import MalformedStructure, PartialMap, ValidationError
-from coalgmin.functors import DfaStruct, LabelledStruct, SetStruct, WeightedStruct
+from coalgmin.formats import parse_functor
+from coalgmin.functors import KINDS, DfaStruct, LabelledStruct, SetStruct, WeightedStruct
 
 DFA = DfaFunctor(("a", "b"))
 PS = PowersetFunctor()
@@ -39,6 +41,24 @@ def test_alphabet_must_be_distinct_and_nonempty():
         LabelledFunctor(([1],))
     with pytest.raises(ValueError):
         DfaFunctor("ab")  # not the alphabet ("a", "b")
+    for parameter in ({"a": 1}, None, 3):  # not a dict's keys, nor a TypeError
+        with pytest.raises(ValueError):
+            DfaFunctor(parameter)
+        with pytest.raises(ValueError):
+            LabelledFunctor(parameter)
+        with pytest.raises(ValueError):
+            WeightedFunctor(parameter)
+
+
+def test_every_kind_parses_its_own_descriptor():
+    specs = [DFA, PS, LTS, RAT, BAG]
+    assert {spec.kind for spec in specs} == set(KINDS)
+    for spec in specs:
+        assert parse_functor(spec.payload()) == spec
+        assert parse_functor(json.loads(json.dumps(spec.payload()))) == spec
+    assert json.loads(json.dumps(DFA.payload())) == {"kind": "dfa", "alphabet": ["a", "b"]}
+    assert PS.payload() == {"kind": "powerset"}
+    assert RAT.payload() == {"kind": "weighted", "monoid": "rational"}
 
 
 def test_inverse_image_flags():
