@@ -25,8 +25,8 @@ _HOME = {
         ("errors", "CoalgminError"),
         ("formats", "emit_dot parse_coalgebra parse_morphism parse_partition "
                     "serialize_coalgebra serialize_morphism serialize_partition"),
-        ("functors", "DfaFunctor DfaStruct FunctorSpec LabelledFunctor LabelledStruct "
-                     "PowersetFunctor SetStruct Weight WeightedFunctor WeightedStruct"),
+        ("functors", "DfaFunctor DfaStruct FunctorSpec LabelledFunctor PowersetFunctor Weight "
+                     "WeightedFunctor"),
         ("oracles", "PropertyReport check_greatest_quotient check_least_subobject "
                     "check_minimal_iff_incoming_epi check_minimization_functorial "
                     "check_quotient_closure check_simple_subterminal dfa_language_oracle "

@@ -17,7 +17,9 @@ carrier rules as set operations.  A document that passes is built without
 validating it again; any other goes through the
 :class:`coalgmin.core.Coalgebra` constructor, which reports every violation
 at once.  Later operations on the parsed coalgebra do not validate it again.
-Every document reader rejects a JSON object that repeats a key.
+Every document reader rejects a JSON object that repeats a key, and a key
+that it does not read: a document, a morphism, a partition, a functor
+descriptor (its ``kind`` and fields) and a DFA state each name their keys.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from json.encoder import encode_basestring_ascii as _quoted
 
 from .core import Coalgebra, Morphism, Partition, admit_coalgebra
 from .errors import ParseError
-from .functors import KINDS, FunctorSpec, json_container, string_list
+from .functors import KINDS, FunctorSpec, json_container, known_keys, string_list
 
 
 def canonical_json(payload) -> str:
@@ -73,6 +75,7 @@ def parse_coalgebra(text: str) -> Coalgebra:
     doc = _loads(text)
     if not isinstance(doc, dict):
         raise ParseError(None, "document must be a JSON object")
+    known_keys(doc, ("functor", "states", "structure", "point"), "document")
     spec = parse_functor(doc.get("functor"))
     states = tuple(string_list(doc.get("states"), "states"))
     structure_doc = doc.get("structure")
@@ -136,6 +139,7 @@ def parse_morphism(text: str, dom: Coalgebra, cod: Coalgebra) -> Morphism:
     mapping = doc.get("map") if isinstance(doc, dict) else None
     if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
         raise ParseError(None, "morphism document must be an object with a 'map' of strings")
+    known_keys(doc, ("map",), "morphism document")
     return Morphism(dom, cod, mapping)
 
 
@@ -148,6 +152,7 @@ def parse_partition(text: str) -> Partition:
     doc = _loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("blocks"), list):
         raise ParseError(None, "partition document must be an object with 'blocks'")
+    known_keys(doc, ("blocks",), "partition document")
     return Partition.of(string_list(b, "each partition block") for b in doc["blocks"])
 
 

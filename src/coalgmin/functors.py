@@ -38,7 +38,13 @@ of a coalgebra are always well formed.
 
 Structures are immutable, canonical and hashable: two structures are
 semantically equal iff they compare equal, which is what lets the quotient
-and the oracles compare successor structures with ``==``.
+and the oracles compare successor structures with ``==``.  A DFA structure
+is a :class:`DfaStruct`; the others are the value they hold: a powerset
+structure is a frozenset of state ids, a labelled one a frozenset of
+(label, state) pairs, and a weighted one a tuple of (state, weight) pairs
+sorted by state id.  A functor's ``structure_type`` names its container,
+which ``require_structure`` checks; a user functor may use a class of its
+own.
 """
 
 from __future__ import annotations
@@ -125,30 +131,7 @@ class DfaStruct(Value):
         object.__setattr__(self, "moves", moves)
 
 
-class SetStruct(Value):
-    __slots__ = _fields = ("successors",)
-
-    def __init__(self, successors: frozenset[str]):
-        object.__setattr__(self, "successors", successors)
-
-
-class LabelledStruct(Value):
-    __slots__ = _fields = ("edges",)
-
-    def __init__(self, edges: frozenset[tuple[str, str]]):  # (label, target) pairs
-        object.__setattr__(self, "edges", edges)
-
-
-class WeightedStruct(Value):
-    """Finite map target -> nonzero weight, stored sorted by target id."""
-
-    __slots__ = _fields = ("weights",)
-
-    def __init__(self, weights: tuple[tuple[str, Weight], ...]):
-        object.__setattr__(self, "weights", weights)
-
-
-FStructure = Union[DfaStruct, SetStruct, LabelledStruct, WeightedStruct]
+FStructure = Union[DfaStruct, frozenset, tuple]
 
 
 def _check_distinct(symbols: Sequence[str], what: str) -> tuple[str, ...]:
@@ -181,6 +164,14 @@ def string_list(value, what: str) -> list[str]:
     if not isinstance(value, list) or not _strings(value):
         raise ParseError(None, f"{what} must be a list of strings")
     return value
+
+
+def known_keys(payload: dict, keys, what: str) -> None:
+    """A ParseError naming the first key of the JSON object ``payload`` that
+    is not among ``keys``: a reader refuses a key it would ignore."""
+    for key in payload:
+        if key not in keys:
+            raise ParseError(None, f"{what} has unknown key {key!r}")
 
 
 def json_container(opening: str, items: list[str], closing: str, newline: str) -> str:
@@ -269,7 +260,9 @@ class FunctorSpec(Value):
     @classmethod
     def from_payload(cls, payload: dict) -> "FunctorSpec":
         """Inverse of :meth:`payload`; ``payload["kind"]`` is already matched,
-        and ``__init__`` checks each field, raising ValueError."""
+        any other key must be a field, and ``__init__`` checks each field,
+        raising ValueError."""
+        known_keys(payload, ("kind", *cls._fields), f"{cls.kind} functor")
         return cls(*[payload.get(f) for f in cls._fields])
 
     def write(
@@ -422,6 +415,8 @@ class DfaFunctor(FunctorSpec):
             raise ParseError(
                 None, f"dfa structure of {state!r} needs a boolean 'accepting' and a 'next' object"
             )
+        if len(payload) > 2:
+            known_keys(payload, ("accepting", "next"), f"dfa structure of {state!r}")
         moves = payload["next"]
         if not _strings(moves.values()):  # word the error only when there is one
             string_list(list(moves.values()), f"'next' targets of {state!r}")
@@ -442,42 +437,40 @@ class PowersetFunctor(FunctorSpec):
     """Transition systems: a finite set of successors."""
 
     kind = "powerset"
-    structure_type = SetStruct
+    structure_type = frozenset
 
-    def struct(self, successors: Iterable[str]) -> SetStruct:
-        return self._checked(SetStruct(frozenset(successors)))
+    def struct(self, successors: Iterable[str]) -> frozenset[str]:
+        return self._checked(frozenset(successors))
 
     def check_structure(self, t: FStructure) -> None:
         self.require_structure(t)
-        if not isinstance(t.successors, frozenset):
-            raise MalformedStructure(f"successors must be a frozenset, got {t.successors!r}")
 
     def fmap(self, mapping, t):
         try:
-            return SetStruct(frozenset(map(mapping.__getitem__, t.successors)))
+            return frozenset(map(mapping.__getitem__, t))
         except KeyError:
-            raise self._unmapped(mapping, t.successors) from None
+            raise self._unmapped(mapping, t) from None
 
     def support(self, t):
-        return t.successors
+        return t
 
     def split(self, t):
-        return None, [(None, s, 1) for s in t.successors]
+        return None, [(None, s, 1) for s in t]
 
     def join(self, constant, edges):
-        return SetStruct(frozenset([s for _, s, _ in edges]))
+        return frozenset([s for _, s, _ in edges])
 
     observe = staticmethod(bool)  # a set sees whether an edge exists, not how many
 
     def write(self, t, index, quoted, newline):
-        targets = sorted(t.successors, key=index.__getitem__)
+        targets = sorted(t, key=index.__getitem__)
         return json_container("[", [quoted[s] for s in targets], "]", newline)
 
     def read(self, payload, state, carrier):
         if not (isinstance(payload, list) and _strings(payload)):  # as in DfaFunctor.read
             string_list(payload, f"successors of {state!r}")
-        successors = frozenset(payload)
-        return SetStruct(successors), successors <= carrier
+        t = frozenset(payload)
+        return t, t <= carrier
 
 
 class LabelledFunctor(FunctorSpec):
@@ -485,18 +478,18 @@ class LabelledFunctor(FunctorSpec):
 
     _fields = ("labels",)
     kind = "labelled-powerset"
-    structure_type = LabelledStruct
+    structure_type = frozenset
 
     def __init__(self, labels: Sequence[str]):
         object.__setattr__(self, "labels", _check_distinct(labels, "labels"))
 
-    def struct(self, edges: Iterable[tuple[str, str]]) -> LabelledStruct:
-        return self._checked(LabelledStruct(frozenset((l, s) for l, s in edges)))
+    def struct(self, edges: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+        return self._checked(frozenset([(l, s) for l, s in edges]))
 
     def check_structure(self, t: FStructure) -> None:
         self.require_structure(t)
-        _require_pairs(t.edges, frozenset, "edges")
-        bad = self._unknown_labels(t.edges)
+        _require_pairs(t, frozenset, "edges")
+        bad = self._unknown_labels(t)
         if bad:
             raise MalformedStructure(f"unknown labels {sorted(bad, key=repr)!r}")
 
@@ -505,25 +498,25 @@ class LabelledFunctor(FunctorSpec):
 
     def fmap(self, mapping, t):
         try:
-            return LabelledStruct(frozenset([(l, mapping[s]) for l, s in t.edges]))
+            return frozenset([(l, mapping[s]) for l, s in t])
         except KeyError:
-            raise self._unmapped(mapping, (s for _, s in t.edges)) from None
+            raise self._unmapped(mapping, (s for _, s in t)) from None
 
     def support(self, t):
-        return frozenset(s for _, s in t.edges)
+        return frozenset(s for _, s in t)
 
     def split(self, t):
-        return None, [(l, s, 1) for l, s in t.edges]
+        return None, [(l, s, 1) for l, s in t]
 
     def join(self, constant, edges):
-        return LabelledStruct(frozenset([(l, s) for l, s, _ in edges]))
+        return frozenset([(l, s) for l, s, _ in edges])
 
     observe = staticmethod(bool)
 
     def write(self, t, index, quoted, newline):
         inner = newline + "  "
         edges = [json_container("[", [_quoted(l), quoted[s]], "]", inner)
-                 for l, s in self._ordered(t.edges, index)]
+                 for l, s in self._ordered(t, index)]
         return json_container("[", edges, "]", newline)
 
     def read(self, payload, state, carrier):
@@ -535,8 +528,8 @@ class LabelledFunctor(FunctorSpec):
         if len(edges) < len(payload):  # name the first edge that is not two strings
             for e in payload:
                 string_list(e, f"edge {e!r} of {state!r}")
-        t = LabelledStruct(frozenset(edges))
-        return t, not self._unknown_labels(t.edges) and carrier.issuperset([s for _, s in edges])
+        t = frozenset(edges)
+        return t, not self._unknown_labels(t) and carrier.issuperset([s for _, s in edges])
 
 
 _WEIGHT_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -603,7 +596,7 @@ class WeightedFunctor(FunctorSpec):
 
     _fields = ("monoid",)
     kind = "weighted"
-    structure_type = WeightedStruct
+    structure_type = tuple
     weight_labels = True
 
     def __init__(self, monoid: str):
@@ -628,21 +621,20 @@ class WeightedFunctor(FunctorSpec):
                 f"natural-weighted structures need positive integer weights, got {w}"
             )
 
-    def struct(self, weights: Mapping[str, object]) -> WeightedStruct:
-        entries = sorted((s, _as_weight(w)) for s, w in weights.items())
-        return self._checked(WeightedStruct(tuple(entries)))
+    def struct(self, weights: Mapping[str, object]) -> tuple[tuple[str, Weight], ...]:
+        return self._checked(tuple(sorted([(s, _as_weight(w)) for s, w in weights.items()])))
 
     def check_structure(self, t: FStructure) -> None:
         self.require_structure(t)
-        _require_pairs(t.weights, tuple, "weights")
-        targets = [s for s, _ in t.weights]
+        _require_pairs(t, tuple, "weights")
+        targets = [s for s, _ in t]
         try:
             canonical = targets == sorted(set(targets))
         except TypeError:  # targets that cannot be hashed or ordered together
             canonical = False
         if not canonical:
-            raise MalformedStructure(f"weight entries not canonical: {t.weights!r}")
-        for _, w in t.weights:
+            raise MalformedStructure(f"weight entries not canonical: {t!r}")
+        for _, w in t:
             if not isinstance(w, Fraction):
                 raise MalformedStructure(f"non-exact weight {w!r}")
             self.check_weight(w)
@@ -650,35 +642,35 @@ class WeightedFunctor(FunctorSpec):
     def fmap(self, mapping, t):
         sums: dict[str, Weight] = {}
         try:
-            for state, w in t.weights:
+            for state, w in t:
                 image = mapping[state]
                 if image in sums:
                     sums[image] += w
                 else:
                     sums[image] = w
         except KeyError:
-            raise self._unmapped(mapping, (s for s, _ in t.weights)) from None
-        return WeightedStruct(tuple([(s, w) for s, w in sorted(sums.items()) if w]))
+            raise self._unmapped(mapping, (s for s, _ in t)) from None
+        return tuple([(s, w) for s, w in sorted(sums.items()) if w])
 
     def support(self, t):
-        return frozenset(s for s, _ in t.weights)
+        return frozenset(s for s, _ in t)
 
     def split(self, t):
-        return None, [(None, s, w) for s, w in t.weights]
+        return None, [(None, s, w) for s, w in t]
 
     def join(self, constant, edges):
-        return WeightedStruct(tuple(sorted([(s, w) for _, s, w in edges])))
+        return tuple(sorted([(s, w) for _, s, w in edges]))
 
     def refinement_scale(self, structures):
         scale = 1
-        for d in {w.denominator for t in structures for _, w in t.weights}:
+        for d in {w.denominator for t in structures for _, w in t}:
             scale = lcm(scale, d)
             if scale.bit_length() > REFINEMENT_SCALE_BITS:
                 return None
         return scale
 
     def write(self, t, index, quoted, newline):
-        weights = [quoted[s] + ": " + _quoted(str(w)) for s, w in t.weights]
+        weights = [quoted[s] + ": " + _quoted(str(w)) for s, w in t]
         return json_container("{", weights, "}", newline)
 
     def read(self, payload, state, carrier):
@@ -686,7 +678,7 @@ class WeightedFunctor(FunctorSpec):
             raise ParseError(None, f"weighted structure of {state!r} must be an object")
         literals = payload.values()
         weights = [_parse_weight(w, state) for w in literals]
-        t = WeightedStruct(tuple(sorted(zip(payload, weights))))
+        t = tuple(sorted(zip(payload, weights)))
         monoid = self.monoid
         return t, carrier.issuperset(payload) and all(
             [_admits_literal(monoid, w) for w in literals]
@@ -707,7 +699,7 @@ class WeightedFunctor(FunctorSpec):
         if self.monoid != NATURALS:
             raise SpecMismatch(f"no kernel-pair structure for {self!r}")
         entries = []
-        ex, ey = (sorted(t.weights, key=lambda e: index[e[0]]) for t in (tx, ty))
+        ex, ey = (sorted(t, key=lambda e: index[e[0]]) for t in (tx, ty))
         for block in sorted({kappa[s] for s, _ in ex} | {kappa[s] for s, _ in ey}):
             sources = [[s, w] for s, w in ex if kappa[s] == block]
             sinks = [[s, w] for s, w in ey if kappa[s] == block]

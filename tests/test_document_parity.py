@@ -231,6 +231,20 @@ ERROR_LINES += [
      "duplicate key 'states'"),
 ]
 
+# A key that no reader reads: JSON would drop it without a word.
+ERROR_LINES += [
+    ("unknown-key-document", d(PS, ["x", "y"], {"x": ["y"], "y": ["x"]}, pointt="x"),
+     "document has unknown key 'pointt'"),
+    ("unknown-key-dfa-functor",
+     d({"kind": "dfa", "alphabet": ["a"], "monoid": "natural"}, [], {}),
+     "dfa functor has unknown key 'monoid'"),
+    ("unknown-key-powerset-functor", d({"kind": "powerset", "labels": ["a"]}, [], {}),
+     "powerset functor has unknown key 'labels'"),
+    ("unknown-key-dfa-state",
+     d(DFA, ["s"], {"s": {"accepting": True, "acceptng": False, "next": {"a": "s", "b": "s"}}}),
+     "dfa structure of 's' has unknown key 'acceptng'"),
+]
+
 
 @pytest.mark.parametrize(
     "text, line", [case[1:] for case in ERROR_LINES], ids=[case[0] for case in ERROR_LINES]
@@ -253,6 +267,26 @@ SYSTEM = d(PS, ["x", "y"], {"x": ["y"], "y": ["y"]})
 def test_a_repeated_key_in_a_morphism_or_partition_is_one_error_line(
     tmp_path, capsys, command, text, key
 ):
+    assert run_on_system(tmp_path, command, text) == 2
+    assert capsys.readouterr() == ("", f"error: duplicate key {key!r}\n")
+
+
+@pytest.mark.parametrize("command, text, line", [
+    ("check-hom", '{"map": {"x": "x", "y": "y"}, "mapp": {}}',
+     "morphism document has unknown key 'mapp'"),
+    ("quotient", '{"blocks": [["x"], ["y"]], "block": []}',
+     "partition document has unknown key 'block'"),
+], ids=["morphism", "partition"])
+def test_an_unknown_key_in_a_morphism_or_partition_is_one_error_line(
+    tmp_path, capsys, command, text, line
+):
+    assert run_on_system(tmp_path, command, text) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+def run_on_system(tmp_path, command: str, text: str) -> int:
+    """The exit code of ``check-hom`` with the map ``text``, or of
+    ``quotient`` with the partition ``text``, on :data:`SYSTEM`."""
     system, document = tmp_path / "system.json", tmp_path / "document.json"
     system.write_text(SYSTEM, encoding="utf-8")
     document.write_text(text, encoding="utf-8")
@@ -260,8 +294,7 @@ def test_a_repeated_key_in_a_morphism_or_partition_is_one_error_line(
         argv = ["check-hom", "--dom", str(system), "--cod", str(system), "--map", str(document)]
     else:
         argv = ["quotient", str(system), "--partition", str(document), "--out-dir", str(tmp_path)]
-    assert run_command(argv) == 2
-    assert capsys.readouterr() == ("", f"error: duplicate key {key!r}\n")
+    return run_command(argv)
 
 
 # -- the one-pass read against the constructor ---------------------------------

@@ -19,7 +19,8 @@ from coalgmin import (
 )
 from coalgmin.errors import MalformedStructure, PartialMap, ValidationError
 from coalgmin.formats import parse_functor
-from coalgmin.functors import KINDS, DfaStruct, LabelledStruct, SetStruct, WeightedStruct
+from coalgmin.functors import KINDS, DfaStruct
+from coalgmin.suites import FUNCTOR_FAMILIES
 
 DFA = DfaFunctor(("a", "b"))
 PS = PowersetFunctor()
@@ -79,25 +80,25 @@ def test_weighted_fmap_sums_weights_of_merged_targets():
 def test_weighted_fmap_drops_cancelled_weights():
     t = RAT.struct({"b1": 3, "b2": -3})
     merged = RAT.fmap({"b1": "b", "b2": "b"}, t)
-    assert merged.weights == ()
+    assert merged == ()
     assert RAT.support(merged) == frozenset()
 
 
 def test_weighted_fmap_drops_an_entry_whose_merged_weights_cancel():
     t = RAT.struct({"p": 1, "q": -1, "r": 2})
-    assert RAT.fmap({"p": "s", "q": "s", "r": "r"}, t).weights == (("r", Fraction(2)),)
+    assert RAT.fmap({"p": "s", "q": "s", "r": "r"}, t) == (("r", Fraction(2)),)
 
 
 def test_weighted_fmap_adds_merged_fractions_exactly():
     t = RAT.struct({"p": Fraction(1, 2), "q": Fraction(1, 2)})
     merged = RAT.fmap({"p": "s", "q": "s"}, t)
-    assert merged.weights == (("s", Fraction(1)),)
+    assert merged == (("s", Fraction(1)),)
 
 
 def test_weighted_fmap_under_an_injective_map_keeps_the_weights():
     t = RAT.struct({"p": Fraction(-1, 3), "q": 4})
     renamed = RAT.fmap({"p": "b", "q": "a"}, t)
-    assert renamed.weights == (("a", Fraction(4)), ("b", Fraction(-1, 3)))
+    assert renamed == (("a", Fraction(4)), ("b", Fraction(-1, 3)))
 
 
 @pytest.mark.parametrize("spec", [RAT, BAG], ids=["rational", "natural"])
@@ -109,8 +110,8 @@ def test_weighted_fmap_under_an_injective_map_keeps_the_weights():
 def test_weighted_fmap_weights_are_fractions(spec, mapping):
     t = spec.struct({"p": 1, "q": 2, "r": 3})
     image = spec.fmap(mapping, t)
-    assert image.weights
-    assert all(type(w) is Fraction for _, w in image.weights)
+    assert image
+    assert all(type(w) is Fraction for _, w in image)
     spec.check_structure(image)
 
 
@@ -123,9 +124,9 @@ def test_powerset_fmap_is_set_image():
     "spec, t, targets",
     [
         (DFA, DFA.struct(True, {"a": "p", "b": "r"}), lambda t: [s for _, s in t.moves]),
-        (PS, PS.struct(["p", "q", "r", "s"]), lambda t: list(t.successors)),
-        (LTS, LTS.struct([("a", "p"), ("b", "q"), ("a", "r")]), lambda t: [s for _, s in t.edges]),
-        (RAT, RAT.struct({"p": 1, "q": -1, "r": "1/2"}), lambda t: [s for s, _ in t.weights]),
+        (PS, PS.struct(["p", "q", "r", "s"]), lambda t: list(t)),
+        (LTS, LTS.struct([("a", "p"), ("b", "q"), ("a", "r")]), lambda t: [s for _, s in t]),
+        (RAT, RAT.struct({"p": 1, "q": -1, "r": "1/2"}), lambda t: [s for s, _ in t]),
     ],
     ids=["dfa", "powerset", "labelled", "weighted"],
 )
@@ -173,23 +174,7 @@ def test_naturals_reject_negative_and_fractional_weights():
         BAG.struct({"p": -1})
     with pytest.raises(MalformedStructure):
         BAG.struct({"p": Fraction(1, 2)})
-    assert BAG.struct({"p": 2}).weights == (("p", Fraction(2)),)
-
-
-@pytest.mark.parametrize(
-    "spec, foreign",
-    [
-        (PS, DFA.struct(False, {"a": "x", "b": "x"})),
-        (DFA, PS.struct({"x"})),
-        (RAT, LTS.struct([("a", "x")])),
-    ],
-    ids=["powerset", "dfa", "weighted"],
-)
-def test_another_functors_structures_raise_a_validation_error(spec, foreign):
-    # the functor methods trust their input; the constructor validates it
-    with pytest.raises(ValidationError) as err:
-        Coalgebra(spec, ("x",), {"x": foreign})
-    assert [(v.code, v.witness) for v in err.value.violations] == [("malformed-structure", "x")]
+    assert BAG.struct({"p": 2}) == (("p", Fraction(2)),)
 
 
 def test_dfa_struct_requires_total_moves():
@@ -230,11 +215,11 @@ def test_a_raw_non_boolean_acceptance_fails_validation():
 @pytest.mark.parametrize(
     "spec, raw",
     [
-        (LTS, LabelledStruct(frozenset({("a", "x", "y")}))),
-        (RAT, WeightedStruct(((5, Fraction(1)), ("x", Fraction(1))))),
-        (PS, SetStruct(["x"])),
+        (LTS, frozenset({("a", "x", "y")})),
+        (RAT, ((5, Fraction(1)), ("x", Fraction(1)))),
+        (PS, ["x"]),
         (DFA, DfaStruct(True, (("a",),))),
-        (RAT, WeightedStruct((("x",),))),
+        (RAT, (("x",),)),
     ],
     ids=["labelled-triple", "weighted-mixed-targets", "powerset-list", "dfa-short-move",
          "weighted-short-entry"],
@@ -259,6 +244,81 @@ def test_make_rejects_a_non_string_target_as_dangling(spec, build):
     with pytest.raises(ValidationError) as err:
         Coalgebra(spec, ("5",), {"5": build()})
     assert [(v.code, v.witness) for v in err.value.violations] == [("dangling-state", 5)]
+
+
+# -- a structure of the wrong functor or the wrong container -------------------
+
+FAMILY_SPECS = {family: spec for family, spec, _ in FUNCTOR_FAMILIES}
+# each family's structure of the state "x", from its own ``struct``
+FAMILY_STRUCTS = {
+    "dfa": FAMILY_SPECS["dfa"].struct(True, {"a": "x", "b": "x"}),
+    "powerset": FAMILY_SPECS["powerset"].struct(["x"]),
+    "labelled": FAMILY_SPECS["labelled"].struct([("a", "x"), ("b", "x")]),
+    "bag": FAMILY_SPECS["bag"].struct({"x": 2}),
+    "rational": FAMILY_SPECS["rational"].struct({"x": "-1/2"}),
+}
+
+
+# A bag is a rational-weighted structure with positive integer weights, so
+# the one pair of a family and another family's structure that is well
+# formed puts a bag in a rational-weighted system.
+WRONG_FAMILY = [(family, other) for family in FAMILY_SPECS for other in FAMILY_SPECS
+                if other != family and (family, other) != ("rational", "bag")]
+
+
+@pytest.mark.parametrize("family, other", WRONG_FAMILY,
+                         ids=[f"{family}-gets-{other}" for family, other in WRONG_FAMILY])
+def test_another_functors_structures_raise_a_validation_error(family, other):
+    # the functor methods trust their input; the constructor validates it
+    foreign = FAMILY_STRUCTS[other]
+    with pytest.raises(ValidationError) as err:
+        Coalgebra(FAMILY_SPECS[family], ("x",), {"x": foreign})
+    expected = [("malformed-structure", "x")]
+    if (family, other) == ("powerset", "labelled"):
+        # a powerset structure is a frozenset of states: pairs are unknown states
+        expected = [("dangling-state", edge) for edge in sorted(foreign, key=str)]
+    assert [(v.code, v.witness) for v in err.value.violations] == expected
+
+
+def test_a_bag_is_a_rational_weighted_structure():
+    bag = FAMILY_STRUCTS["bag"]
+    assert Coalgebra(FAMILY_SPECS["rational"], ("x",), {"x": bag}).structure["x"] == bag
+
+
+def _as_dict(entries) -> dict:
+    """The entries as a dict: pairs as its items, anything else as its keys."""
+    if all(type(e) is tuple for e in entries):
+        return dict(entries)
+    return dict.fromkeys(entries)
+
+
+@pytest.mark.parametrize("container", [list, set, _as_dict], ids=["list", "set", "dict"])
+@pytest.mark.parametrize("family", FAMILY_SPECS)
+def test_a_structure_in_the_wrong_container_is_a_validation_error(family, container):
+    t = FAMILY_STRUCTS[family]
+    # a DFA structure is a record; its container is the tuple of moves
+    wrong = DfaStruct(t.accepting, container(t.moves)) if family == "dfa" else container(t)
+    with pytest.raises(ValidationError) as err:
+        Coalgebra(FAMILY_SPECS[family], ("x",), {"x": wrong})
+    assert [v.code for v in err.value.violations] == ["malformed-structure"]
+
+
+@pytest.mark.parametrize("family", FAMILY_SPECS)
+def test_every_method_that_makes_a_structure_returns_the_structure_type(family):
+    spec, t = FAMILY_SPECS[family], FAMILY_STRUCTS[family]
+    c = Coalgebra(spec, ("x", "y"), {"x": t, "y": spec.fmap({"x": "y"}, t)})
+    payload = json.loads(serialize_coalgebra(c))["structure"]["x"]
+    made = {
+        "struct": t,
+        "read": spec.read(payload, "x", {"x", "y"})[0],
+        "fmap": spec.fmap({"x": "y"}, t),
+        "join": spec.join(*spec.split(t)),
+        "join of no edges": spec.join(spec.split(t)[0], []),
+    }
+    assert {name: type(value) for name, value in made.items()} == dict.fromkeys(
+        made, spec.structure_type
+    )
+    assert made["read"] == made["join"] == t
 
 
 # -- algebraic laws ----------------------------------------------------------
@@ -349,11 +409,6 @@ def test_exact_weight_arithmetic_roundtrips(a, b, p, q):
 VALUES = {
     "DfaStruct": (lambda: DfaStruct(True, (("a", "s"), ("b", "t"))),
                   DfaStruct(False, (("a", "s"), ("b", "t")))),
-    "SetStruct": (lambda: SetStruct(frozenset({"s", "t"})), SetStruct(frozenset({"s"}))),
-    "LabelledStruct": (lambda: LabelledStruct(frozenset({("a", "s")})),
-                       LabelledStruct(frozenset({("b", "s")}))),
-    "WeightedStruct": (lambda: WeightedStruct((("s", Fraction(1, 2)),)),
-                       WeightedStruct((("s", Fraction(1, 3)),))),
     "DfaFunctor": (lambda: DfaFunctor(["a", "b"]), DfaFunctor(("b", "a"))),
     "PowersetFunctor": (lambda: PowersetFunctor(), None),
     "LabelledFunctor": (lambda: LabelledFunctor(("a", "b")), LabelledFunctor(("a",))),
@@ -395,8 +450,7 @@ def test_values_pickle_and_deep_copy(make):
 
 def test_equal_fields_of_different_classes_are_unequal():
     assert DfaFunctor(("a", "b")) != LabelledFunctor(("a", "b"))
-    assert SetStruct(frozenset()) != LabelledStruct(frozenset())
-    assert WeightedStruct(()) != DfaStruct(True, ())
+    assert DfaStruct(True, ()) != (True, ())
 
 
 def test_value_reprs_are_pinned():
@@ -405,6 +459,3 @@ def test_value_reprs_are_pinned():
     assert repr(DfaFunctor(["a"])) == "DfaFunctor(alphabet=('a',))"
     assert repr(LabelledFunctor(("a",))) == "LabelledFunctor(labels=('a',))"
     assert repr(WeightedFunctor("natural")) == "WeightedFunctor(monoid='natural')"
-    assert repr(WeightedStruct((("s", Fraction(1, 2)),))) == (
-        "WeightedStruct(weights=(('s', Fraction(1, 2)),))"
-    )

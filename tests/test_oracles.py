@@ -420,7 +420,7 @@ def test_random_coalgebra_and_dot_output_are_pinned():
 
 def test_random_coalgebra_density_zero_is_empty_structures():
     c = random_coalgebra(PowersetFunctor(), 4, 3, density=0.0)
-    assert all(c.structure[s].successors == frozenset() for s in c.states)
+    assert all(c.structure[s] == frozenset() for s in c.states)
 
 
 def test_random_coalgebra_weighted_needs_a_pool():

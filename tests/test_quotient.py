@@ -26,8 +26,8 @@ def test_branching_system_quotient():
     q, e, p = simple_quotient(systems.ts_branching())
     assert p.blocks == (("x", "y"), ("z",))
     assert q.states == ("x", "z")
-    assert q.structure["x"].successors == {"x", "z"}
-    assert q.structure["z"].successors == frozenset()
+    assert q.structure["x"] == {"x", "z"}
+    assert q.structure["z"] == frozenset()
     assert e.is_surjective()
     assert check_homomorphism(e)
     assert is_simple(q)
@@ -37,8 +37,8 @@ def test_weighted_pair_merge_quotient():
     q, _, p = simple_quotient(systems.weighted_pair_merge())
     assert p.blocks == (("x",), ("y1", "y2"))
     assert q.states == ("x", "y1")
-    assert dict(q.structure["x"].weights) == {"y1": -3}
-    assert dict(q.structure["y1"].weights) == {"y1": 5}
+    assert dict(q.structure["x"]) == {"y1": -3}
+    assert dict(q.structure["y1"]) == {"y1": 5}
 
 
 def test_dfa_classes_and_two_state_minimal_automaton():

@@ -102,7 +102,7 @@ def test_cancelling_rational_systems_match_naive_refinement(degree):
         kappa = classes.representative_map()
         for x in c.states:
             t = c.structure[x]
-            cancelled += len({kappa[y] for y in spec.support(t)}) > len(spec.fmap(kappa, t).weights)
+            cancelled += len({kappa[y] for y in spec.support(t)}) > len(spec.fmap(kappa, t))
     assert cancelled  # some state's weights into some class sum to 0
 
 
@@ -226,10 +226,10 @@ def _scaled_instances(pool, pointed=False):
         c = random_coalgebra(
             spec, 300, seed, weight_pool=pool, density=density, pointed=pointed
         )
-        dead = [s for s in c.states if not c.structure[s].weights]
+        dead = [s for s in c.states if not c.structure[s]]
         structure = dict(c.structure)
         for x in c.states[::3]:
-            weights = dict(c.structure[x].weights)
+            weights = dict(c.structure[x])
             sinks = [s for s in dead if s not in weights][:5]
             if len(sinks) == 5:
                 structure[x] = spec.struct({**weights, **dict(zip(sinks, CANCELLING))})
@@ -266,7 +266,7 @@ def _assert_classes_match_naive_refinement_with_a_cancelled_sum(instances):
         spec = c.functor
         for x in c.states:
             t = c.structure[x]
-            cancelled += len({kappa[y] for y in spec.support(t)}) > len(spec.fmap(kappa, t).weights)
+            cancelled += len({kappa[y] for y in spec.support(t)}) > len(spec.fmap(kappa, t))
     assert cancelled  # some state's weights into some class sum to 0
 
 
@@ -289,7 +289,7 @@ def test_integer_refinement_quotient_documents_match_the_oracle(pool, pointed):
 def test_a_common_scale_past_its_cap_refines_fraction_sums(monkeypatch):
     instances = list(_scaled_instances(WIDE_POOL)) + list(_scaled_instances(WIDE_POOL, True))
     for c in instances:
-        denominators = {w.denominator for t in c.structure.values() for _, w in t.weights}
+        denominators = {w.denominator for t in c.structure.values() for _, w in t}
         assert math.lcm(*denominators).bit_length() > REFINEMENT_SCALE_BITS
         assert c.functor.refinement_scale(c.structure.values()) is None
     weight_types = _refined_weight_types(monkeypatch)

@@ -13,7 +13,13 @@ reads) is built once.  Every round runs each job on the three sides
 through ``cli.run_command``, back to back, rotating which side goes
 first, and fails unless exit code, stdout, stderr and every output file
 are byte-identical, naming the first part that differs and the two sides
-that disagree.
+that disagree.  Before each side's run of each job, untimed, it collects
+garbage (``gc.collect()``), so that no job pays for a collection that the
+garbage of the jobs before it set off.  With one collection per round, the
+rounds' fixed allocation order landed a collection in the same job of one
+side round after round: ``wellpoint/gadget`` (sparse-large, seed 3) read
+A/B 0.47-0.52 between two trees whose gadget jobs took the same time, and
+0.97 with a collection before every run.
 
 It prints, per job class (the job id without its size and index), the
 median over the rounds of the class's summed parent time over its summed
@@ -130,8 +136,10 @@ def first_difference(left: dict) -> str | None:
 
 
 def run_job(run_command, job, out_dir: Path) -> tuple[float, tuple]:
-    """Seconds taken, and everything the job left behind."""
+    """Seconds taken, after an untimed garbage collection, and everything
+    the job left behind."""
     out, err = io.StringIO(), io.StringIO()
+    gc.collect()
     start = perf_counter()
     with redirect_stdout(out), redirect_stderr(err):
         code = run_command(job.cli_argv(str(out_dir)))
@@ -166,7 +174,6 @@ def main(argv=None) -> int:
         for root in set(roots.values()):
             import_seconds(root, work / "pycache")  # fills the caches
         for r in range(args.rounds):
-            gc.collect()
             for side in SIDES[r % len(SIDES):] + SIDES[:r % len(SIDES)]:
                 times[side][CACHED_IMPORT].append(import_seconds(roots[side], work / "pycache"))
                 times[side][IMPORT].append(import_seconds(roots[side]))
